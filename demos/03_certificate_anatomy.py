@@ -36,11 +36,12 @@ for b in range(min(6, len(strata))):
           f"in (2^-{k+1}, 2^-{k}], partial sum {strata.sums[b]:.5f}")
 
 graph = build_event_graph(strata, params)
-print(f"\nevents: {len(graph.events)} (one per bucket)")
+print(f"\nevents: {len(graph)} (one per bucket)")
 print("  row level size  threshold     ln(tail)    ln(weight)  |Gamma|")
-for idx, ev in enumerate(graph.events[:8]):
-    print(f"  {ev.row:3d} {ev.level:5d} {ev.size:4d}  {ev.threshold:.6f}  "
-          f"{ev.log_tail:11.4f}  {ev.log_weight:11.4f}  {graph.neighbors[idx].size:5d}")
+for e in range(min(8, len(graph))):
+    print(f"  {strata.row[e]:3d} {strata.level[e]:5d} {strata.support(e).size:4d}  "
+          f"{graph.threshold[e]:.6f}  {graph.log_tail[e]:11.4f}  {graph.log_weight[e]:11.4f}  "
+          f"{graph.neighbors(e).size:5d}")
 
 report = verify_lll_condition(graph, params, instance=A)
 print(f"\ncertificate passed: {report.passed}")
@@ -56,7 +57,7 @@ print(format_certificate(report, params))
 
 # why a certified exit implies the bound: thresholds of one row sum below it
 row = int(strata.row[0])
-total = sum(float(ev.threshold) for ev in graph.events if ev.row == row)
+total = float(graph.threshold[strata.row == row].sum())
 tail = params.alpha * 2.0 ** (-params.level_floor / 2.0) * (2.0 + math.sqrt(2.0))
 print(f"row {row}: occupied thresholds sum to {total:.4f}; even with the full "
       f"geometric tail {params.eps * float(A.row_l1()[row]) + tail:.4f} "

@@ -34,7 +34,6 @@ from .reduction import (
     hypergraph_bounds,
 )
 from .certify import (
-    EventSpec,
     EventGraph,
     CertificateReport,
     SymmetricLLLCheck,

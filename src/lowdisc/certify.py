@@ -1,14 +1,19 @@
 """Tail bounds, event weights, and the numeric local-lemma certificate.
 
-A bad event is one bucket of the stratification exceeding its threshold.
-Each event gets a Hoeffding tail bound and a slightly larger weight; the
-certificate check verifies, event by event, that
+A bad event is one bucket of the stratification exceeding its threshold,
+so the events are the buckets of a :class:`~lowdisc.model.Strata`, in
+(row, level) order, and two events depend on each other when their
+supports share a column.  Each event gets a Hoeffding tail bound and a
+slightly larger weight; the certificate check verifies, for every event,
+that
 
     tail(E)  <=  weight(E) * prod_{F depends on E} (1 - weight(F))
 
 which licenses the resampling solver.  Weights underflow for deep levels,
 so every bound is computed and compared in natural-log space; the products
-use log1p and a fixed (row, level) evaluation order.
+are sums of log1p terms.  The event graph and the check are whole-array
+numpy operations over the ``Strata`` arrays; the scalar functions give the
+same per-event numbers, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .model import (
     Parameters,
     ReducedInstance,
     Strata,
-    bucket_threshold,
 )
 
 __all__ = [
@@ -35,7 +39,6 @@ __all__ = [
     "log_event_weight",
     "event_weight",
     "level_exponent_slack",
-    "EventSpec",
     "EventGraph",
     "CertificateReport",
     "build_event_graph",
@@ -69,13 +72,16 @@ def _check_event_args(size: int, level: int, params: Parameters) -> None:
         )
 
 
+def _level_exponent(level: int, params: Parameters) -> float:
+    """eps * alpha * 2^(level/2) / 2, the level term of every event bound."""
+    return params.eps * params.alpha * 2.0 ** (level / 2.0) / 2.0
+
+
 def log_event_tail_bound(size: int, level: int, params: Parameters) -> float:
     """Natural log of the per-event tail bound
     2 exp(-eps^2 size / 8 - eps alpha 2^(level/2) / 2)."""
     _check_event_args(size, level, params)
-    return (LOG2
-            - params.eps * params.eps * size / 8.0
-            - params.eps * params.alpha * 2.0 ** (level / 2.0) / 2.0)
+    return LOG2 - params.eps * params.eps * size / 8.0 - _level_exponent(level, params)
 
 
 def event_tail_bound(size: int, level: int, params: Parameters) -> float:
@@ -91,9 +97,7 @@ def log_event_weight(size: int, level: int, params: Parameters) -> float:
     parameters were corrupted and is raised as an internal inconsistency.
     """
     _check_event_args(size, level, params)
-    lw = (LOG2
-          - params.eps * params.eps * size / 16.0
-          - params.eps * params.alpha * 2.0 ** (level / 2.0) / 2.0)
+    lw = LOG2 - params.eps * params.eps * size / 16.0 - _level_exponent(level, params)
     if not (lw < -LOG2):
         raise InternalInconsistency(
             f"event weight exp({lw!r}) is not below 1/2; parameters violate the hypotheses"
@@ -109,103 +113,111 @@ def level_exponent_slack(level: int, params: Parameters) -> float:
     """Slack of the coarse exponent inequality
     eps * alpha * 2^(level/2) / 2  >=  level + log2(delta/beta),
     which must be non-negative for every occupied level."""
-    lhs = params.eps * params.alpha * 2.0 ** (level / 2.0) / 2.0
     rhs = level + (math.log2(params.delta) - math.log2(params.beta))
-    return lhs - rhs
-
-
-@dataclass(frozen=True, eq=False)
-class EventSpec:
-    """One bad event: a row bucket exceeding its discrepancy threshold."""
-
-    row: int
-    level: int
-    cols: np.ndarray
-    vals: np.ndarray
-    bucket_sum: float
-    threshold: float
-    log_tail: float
-    log_weight: float
-
-    @property
-    def size(self) -> int:
-        return int(self.cols.size)
-
-    @property
-    def tail(self) -> float:
-        return math.exp(self.log_tail)
-
-    @property
-    def weight(self) -> float:
-        return math.exp(self.log_weight)
+    return _level_exponent(level, params) - rhs
 
 
 @dataclass(frozen=True, eq=False)
 class EventGraph:
-    """All bad events plus the shared-column dependency structure.
+    """All bad events, as arrays over the buckets of ``strata``, plus the
+    shared-column dependency structure.
 
-    ``events`` is sorted by (row, level).  ``column_events[j]`` lists the
-    events whose support contains column j; ``level_column_events[(j, k)]``
-    restricts that to level k.  ``neighbors[e]`` holds every event sharing
-    at least one column with event e, excluding e itself.
+    Event ``e`` is bucket ``e`` of ``strata``: row ``strata.row[e]``, level
+    ``strata.level[e]``, support ``strata.support(e)``.  ``threshold[e]`` is
+    its bucket threshold, ``log_tail[e]`` and ``log_weight[e]`` its log tail
+    bound and log weight.  The events sharing at least one column with
+    ``e``, excluding ``e`` itself, are ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]``
+    in ascending order; :meth:`neighbors` returns that slice.
     """
 
-    n: int
-    m: int
-    events: tuple
-    column_events: dict
-    level_column_events: dict
-    neighbors: tuple
+    strata: Strata
+    threshold: np.ndarray
+    log_tail: np.ndarray
+    log_weight: np.ndarray
+    nbr_ptr: np.ndarray
+    nbr: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.strata)
+
+    def neighbors(self, e: int) -> np.ndarray:
+        return self.nbr[self.nbr_ptr[e]:self.nbr_ptr[e + 1]]
+
+
+def _event_name(strata: Strata, e: int) -> str:
+    return (f"event {e} (row={int(strata.row[e])}, level={int(strata.level[e])}, "
+            f"size={int(strata.ptr[e + 1] - strata.ptr[e])})")
+
+
+def _raise_first(strata: Strata, bad: np.ndarray, exc, why: str) -> None:
+    if bad.any():
+        raise exc(f"{_event_name(strata, int(np.argmax(bad)))}: {why}")
+
+
+def _neighbor_csr(strata: Strata) -> tuple[np.ndarray, np.ndarray]:
+    """(nbr_ptr, nbr): for each event, every other event sharing a column.
+
+    Each (event, column) incidence is joined with the column's event list;
+    the pairs (e, f) become keys e * B + f, which sort by event and then by
+    neighbour.  Duplicates go by sort plus an adjacent-difference mask, not
+    ``np.unique``, which under numpy 2.4 is about 50 times slower on 10^6
+    int64 keys.
+    """
+    B = len(strata)
+    event = np.repeat(np.arange(B, dtype=np.int64), np.diff(strata.ptr))
+    col_events = event[np.argsort(strata.cols)]  # grouped by column
+    col_count = np.bincount(strata.cols, minlength=strata.m)
+    col_start = np.cumsum(col_count) - col_count
+    fan = col_count[strata.cols]  # pairs contributed by each incidence
+    pos = np.arange(int(fan.sum()), dtype=np.int64)
+    pos -= np.repeat(np.cumsum(fan) - fan - col_start[strata.cols], fan)
+    keys = np.repeat(event * B, fan)
+    keys += col_events[pos]
+    del pos
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    # every event pairs with itself (its support is non-empty); drop the
+    # first copy of each key e * B + e, the others are duplicates already
+    keep[np.searchsorted(keys, np.arange(B, dtype=np.int64) * (B + 1))] = False
+    keys = keys[keep]
+    nbr_ptr = np.searchsorted(keys, np.arange(B + 1, dtype=np.int64) * B)
+    keys -= np.repeat(np.arange(B, dtype=np.int64) * B, np.diff(nbr_ptr))
+    return nbr_ptr, keys
 
 
 def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
-    """Materialize one event per non-empty bucket and wire up dependencies."""
-    events = []
-    for b in range(len(strata)):
-        level = int(strata.level[b])
-        size = int(strata.ptr[b + 1] - strata.ptr[b])
-        s = float(strata.sums[b])
-        events.append(EventSpec(
-            row=int(strata.row[b]),
-            level=level,
-            cols=strata.support(b),
-            vals=strata.values(b),
-            bucket_sum=s,
-            threshold=bucket_threshold(s, level, params),
-            log_tail=log_event_tail_bound(size, level, params),
-            log_weight=log_event_weight(size, level, params),
-        ))
-    n_events = len(events)
-    column_events: dict = {}
-    level_column_events: dict = {}
-    if n_events:
-        sizes = np.diff(strata.ptr)
-        flat_event = np.repeat(np.arange(n_events, dtype=np.int64), sizes)
-        flat_col = strata.cols
-        flat_level = np.repeat(strata.level, sizes)
-        order = np.lexsort((flat_event, flat_col))
-        ec, ee, el = flat_col[order], flat_event[order], flat_level[order]
-        starts = np.flatnonzero(np.r_[True, ec[1:] != ec[:-1]])
-        bounds = np.append(starts, ec.size)
-        for s0, s1 in zip(bounds[:-1], bounds[1:]):
-            j = int(ec[s0])
-            ids = ee[s0:s1]
-            column_events[j] = ids
-            levels_here = el[s0:s1]
-            for k in np.unique(levels_here):
-                level_column_events[(j, int(k))] = ids[levels_here == k]
-    neighbors = []
-    for idx, ev in enumerate(events):
-        if ev.size:
-            pool = np.unique(np.concatenate([column_events[int(j)] for j in ev.cols]))
-            pool = pool[pool != idx]
-        else:
-            pool = np.zeros(0, dtype=np.int64)
-        neighbors.append(pool)
-    return EventGraph(n=strata.n, m=strata.m, events=tuple(events),
-                      column_events=column_events,
-                      level_column_events=level_column_events,
-                      neighbors=tuple(neighbors))
+    """One event per non-empty bucket, its bounds, and its dependencies.
+
+    Raises :class:`HypothesisViolation` for a bucket below the level floor
+    and :class:`InternalInconsistency` for a weight not below 1/2, naming
+    the first offending event.
+    """
+    level, sizes = strata.level, np.diff(strata.ptr)
+    _raise_first(strata, level < params.level_floor, HypothesisViolation,
+                 f"level is below the floor {params.level_floor}")
+    _raise_first(strata, strata.sums < 0, ValueError, "bucket sum must be non-negative")
+    _raise_first(strata, sizes < 1, ValueError, "event needs a non-empty support")
+    # powers of two once per level, as Python floats exactly like the scalar
+    # functions, so every entry equals its scalar counterpart bit for bit
+    ks = range(params.level_floor, int(level.max(initial=params.level_floor)) + 1)
+    at = level - params.level_floor
+    alpha_term = np.array([params.alpha * 2.0 ** (-k / 2.0) for k in ks])[at]
+    level_term = np.array([_level_exponent(k, params) for k in ks])[at]
+    threshold = params.eps * strata.sums + alpha_term
+    log_tail = LOG2 - params.eps * params.eps * sizes / 8.0 - level_term
+    log_weight = LOG2 - params.eps * params.eps * sizes / 16.0 - level_term
+    bad = np.flatnonzero(~(log_weight < -LOG2))
+    if bad.size:
+        raise InternalInconsistency(
+            f"{_event_name(strata, bad[0])}: event weight exp({float(log_weight[bad[0]])!r}) "
+            "is not below 1/2; parameters violate the hypotheses")
+    nbr_ptr, nbr = _neighbor_csr(strata)
+    for a in (threshold, log_tail, log_weight, nbr_ptr, nbr):
+        a.setflags(write=False)
+    return EventGraph(strata=strata, threshold=threshold, log_tail=log_tail,
+                      log_weight=log_weight, nbr_ptr=nbr_ptr, nbr=nbr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,33 +263,29 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
         problems = instance.hypothesis_violations()
         if problems:
             raise HypothesisViolation(["instance violates hypotheses"] + problems)
-    B = len(graph.events)
-    log_w = np.array([e.log_weight for e in graph.events])
-    log_p = np.array([e.log_tail for e in graph.events])
+    strata = graph.strata
+    B = len(strata)
+    log_w, log_p = graph.log_weight, graph.log_tail
     w = np.exp(log_w)
     log1m_w = np.log1p(-w)
-    margins = np.empty(B)
-    for idx in range(B):
-        margins[idx] = log_w[idx] + log1m_w[graph.neighbors[idx]].sum() - log_p[idx]
-    passed = bool((margins >= -MARGIN_TOL).all()) if B else True
-    budget = float((w / (1.0 - w)).sum()) if B else 0.0
-    level_slacks = {
-        int(k): level_exponent_slack(int(k), params)
-        for k in sorted({e.level for e in graph.events})
-    }
-    column_sums = np.zeros(graph.m)
-    for j, ids in graph.column_events.items():
-        column_sums[j] = w[ids].sum()
+    owner = np.repeat(np.arange(B), np.diff(graph.nbr_ptr))
+    nbr_sums = np.bincount(owner, weights=log1m_w[graph.nbr], minlength=B)
+    margins = log_w + nbr_sums - log_p
+    passed = bool((margins >= -MARGIN_TOL).all())
+    budget = float((w / (1.0 - w)).sum())
+    level_slacks = {k: level_exponent_slack(k, params)
+                    for k in sorted(set(strata.level.tolist()))}
+    column_sums = np.bincount(strata.cols, weights=np.repeat(w, np.diff(strata.ptr)),
+                              minlength=strata.m)
     column_ok = bool((column_sums <= 2.0 * params.beta + MARGIN_TOL).all())
     failure = None
     if not passed:
         idx = int(np.argmin(margins))
-        ev = graph.events[idx]
         failure = (
-            f"event (row={ev.row}, level={ev.level}, size={ev.size}): "
-            f"log tail {log_p[idx]!r} > log weight {log_w[idx]!r} + "
-            f"sum log(1-w) {float(log1m_w[graph.neighbors[idx]].sum())!r} "
-            f"(margin {margins[idx]!r}); the instance satisfies the hypotheses, "
+            f"{_event_name(strata, idx)}: "
+            f"log tail {float(log_p[idx])!r} > log weight {float(log_w[idx])!r} + "
+            f"sum log(1-w) {float(nbr_sums[idx])!r} "
+            f"(margin {float(margins[idx])!r}); the instance satisfies the hypotheses, "
             "so this indicates a bug"
         )
     for a in (margins, column_sums):

@@ -112,20 +112,6 @@ def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, rng,
             history.append((e, y.copy()))
 
 
-def _flatten_events(events):
-    sizes = np.array([e.size for e in events], dtype=np.int64)
-    ptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    if events:
-        flat_cols = np.concatenate([e.cols for e in events])
-        flat_vals = np.concatenate([e.vals for e in events])
-    else:
-        flat_cols = np.zeros(0, dtype=np.int64)
-        flat_vals = np.zeros(0)
-    thresholds = np.array([e.threshold for e in events])
-    return ptr, flat_cols, flat_vals, thresholds
-
-
 def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
                  seed: int = 0, max_rounds: int = DEFAULT_MAX_ROUNDS,
                  certificate: CertificateReport | None = None,
@@ -144,14 +130,14 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
         ])
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
-    ptr, flat_cols, flat_vals, thresholds = _flatten_events(graph.events)
+    strata = graph.strata
 
     def achieved_fn(y):
         return discrepancy(A, y)[1]
 
     y, certified, rounds, counts, achieved = _resample_loop(
-        ptr, flat_cols, flat_vals, thresholds, A.m, _rng(seed), max_rounds,
-        achieved_fn, history)
+        strata.ptr, strata.cols, strata.vals, graph.threshold, A.m, _rng(seed),
+        max_rounds, achieved_fn, history)
     counts.setflags(write=False)
     return SolveResult(y=SignVector(y), certified=certified, achieved=achieved,
                        bound=params.bound, rounds=rounds, resample_counts=counts,

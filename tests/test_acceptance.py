@@ -119,9 +119,7 @@ def test_criterion_4_threshold_sum_and_achieved_bound():
         full = params.eps * row_sums + params.alpha * 2.0 ** (-params.level_floor / 2.0) * GEOMETRIC_TAIL
         if not (full <= params.bound + 1e-12).all():
             failures += 1
-        occupied = np.zeros(A.n)
-        for idx, ev in enumerate(graph.events):
-            occupied[ev.row] += ev.threshold
+        occupied = np.bincount(graph.strata.row, weights=graph.threshold, minlength=A.n)
         if not (occupied <= full + 1e-12).all():
             failures += 1
         for seed in range(20):

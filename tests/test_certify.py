@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lowdisc.model import (
     HypothesisViolation,
+    InternalInconsistency,
     ReducedInstance,
     compute_parameters,
     stratify,
@@ -39,6 +41,7 @@ def _valid_pairs(count=20):
 
 # --- scalar tail bounds -------------------------------------------------------
 
+
 def test_hoeffding_values():
     assert hoeffding_tail(2.0, 2) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
     assert hoeffding_tail(6.0, 2) == pytest.approx(2.0 * math.exp(-9.0), rel=1e-15)
@@ -71,6 +74,7 @@ def test_hoeffding_dominates_monte_carlo():
 
 
 # --- per-event bounds -----------------------------------------------------------
+
 
 def test_event_tail_bound_value():
     # size=1 at the floor level of (1/4, 1): 2 exp(-8 - 16)
@@ -154,30 +158,39 @@ def _reduced(dense, beta, delta):
 def test_diagonal_instance_has_no_neighbors():
     A = _reduced(0.25 * np.eye(4), 0.25, 1.0)
     graph = build_event_graph(stratify(A, P14), P14)
-    assert len(graph.events) == 4
-    assert all(nb.size == 0 for nb in graph.neighbors)
+    assert len(graph) == 4
+    assert all(graph.neighbors(e).size == 0 for e in range(len(graph)))
+    assert graph.nbr.size == 0
 
 
 def test_identical_support_rows_are_mutual_neighbors():
     A = _reduced([[0.25, 0.2], [0.25, 0.2]], 0.25, 1.0)
     graph = build_event_graph(stratify(A, P14), P14)
-    assert len(graph.events) == 2
-    assert list(graph.neighbors[0]) == [1]
-    assert list(graph.neighbors[1]) == [0]
+    assert len(graph) == 2
+    assert list(graph.neighbors(0)) == [1]
+    assert list(graph.neighbors(1)) == [0]
 
 
 def test_column_maps_and_levels():
     A = _reduced([[0.25, 0.1], [0.2, 0.0]], 0.25, 1.0)
-    graph = build_event_graph(stratify(A, P14), P14)
+    strata = stratify(A, P14)
+    graph = build_event_graph(strata, P14)
     # events sorted by (row, level): (0,2)+{0}, (0,3)+{1}, (1,2)+{0}
-    keys = [(e.row, e.level) for e in graph.events]
+    keys = list(zip(graph.strata.row.tolist(), graph.strata.level.tolist()))
     assert keys == [(0, 2), (0, 3), (1, 2)]
-    assert list(graph.column_events[0]) == [0, 2]
-    assert list(graph.column_events[1]) == [1]
-    assert list(graph.level_column_events[(0, 2)]) == [0, 2]
+    # the events holding each column, overall and at level 2
+    sizes = np.diff(strata.ptr)
+    event = np.repeat(np.arange(len(strata)), sizes)
+    assert event[strata.cols == 0].tolist() == [0, 2]
+    assert event[strata.cols == 1].tolist() == [1]
+    at_level_2 = np.repeat(strata.level, sizes) == 2
+    assert event[(strata.cols == 0) & at_level_2].tolist() == [0, 2]
+    assert [graph.neighbors(e).tolist() for e in range(len(graph))] == [[2], [], [0]]
 
 
 @pytest.mark.parametrize("seed", range(6))
+
+
 def test_neighbors_match_quadratic_intersection_oracle(seed):
     rng = np.random.default_rng(seed)
     beta = float(2.0 ** -rng.integers(4, 12))
@@ -185,18 +198,40 @@ def test_neighbors_match_quadratic_intersection_oracle(seed):
     A = random_reduced(10, 25, beta, delta, density=0.35, seed=seed)
     params = compute_parameters(beta, delta)
     graph = build_event_graph(stratify(A, params), params)
-    assert len(graph.events) <= 200
-    supports = [set(e.cols.tolist()) for e in graph.events]
+    assert len(graph) <= 200
+    supports = [set(graph.strata.support(e).tolist()) for e in range(len(graph))]
     for i, si in enumerate(supports):
         expect = sorted(j for j, sj in enumerate(supports) if j != i and si & sj)
-        assert list(graph.neighbors[i]) == expect
+        assert list(graph.neighbors(i)) == expect
     # symmetry
-    for i, nb in enumerate(graph.neighbors):
-        for j in nb:
-            assert i in graph.neighbors[j]
+    for i in range(len(graph)):
+        for j in graph.neighbors(i):
+            assert i in graph.neighbors(j)
+
+
+def test_bucket_below_the_level_floor_is_named():
+    # events (0, 3) and (1, 2); with floor 3 the second one is out of range
+    A = _reduced([[0.1, 0.0], [0.0, 0.25]], 0.25, 1.0)
+    strata = stratify(A, P14)
+    P3 = compute_parameters(0.125, 1.0)
+    assert P3.level_floor == 3
+    with pytest.raises(HypothesisViolation, match=r"event 1 \(row=1, level=2, size=1\): "
+                                                  r"level is below the floor 3"):
+        build_event_graph(strata, P3)
+
+
+def test_weight_not_below_half_is_named():
+    # corrupted constants: the level-3 weight stays below 1/2, the level-2 one does not
+    A = _reduced([[0.1, 0.0], [0.0, 0.25]], 0.25, 1.0)
+    bad = dataclasses.replace(P14, eps=1.0, alpha=1.1)
+    assert log_event_weight(1, 3, bad) < math.log(0.5)
+    with pytest.raises(InternalInconsistency, match=r"event 1 \(row=1, level=2, size=1\): "
+                                                    r"event weight exp\(.*\) is not below 1/2"):
+        build_event_graph(stratify(A, P14), bad)
 
 
 # --- the certificate --------------------------------------------------------------
+
 
 def test_vacuous_pass_on_zero_matrix():
     A = ReducedInstance(2, 3, np.array([], dtype=int), np.array([], dtype=int),
@@ -217,6 +252,8 @@ def test_diagonal_condition_reduces_to_weight_vs_tail():
 
 
 @pytest.mark.parametrize("seed", range(25))
+
+
 def test_random_valid_instances_certify(seed):
     rng = np.random.default_rng(1000 + seed)
     beta = float(2.0 ** -rng.integers(4, 20))
@@ -241,8 +278,29 @@ def test_column_weight_sums_below_two_beta():
     assert report.column_weight_sums.max() <= 2.0 * params.beta + MARGIN_TOL
     # cross-check one column by hand
     j = int(np.argmax(report.column_weight_sums))
-    by_hand = sum(math.exp(e.log_weight) for e in graph.events if j in e.cols.tolist())
+    by_hand = sum(math.exp(graph.log_weight[e]) for e in range(len(graph))
+                  if j in graph.strata.support(e).tolist())
     assert report.column_weight_sums[j] == pytest.approx(by_hand, rel=1e-12)
+
+
+def test_lowered_weight_fails_and_names_the_event():
+    A = random_reduced(12, 40, 2.0**-6, 2.0**-2, density=0.4, seed=3)
+    params = compute_parameters(2.0**-6, 2.0**-2)
+    graph = build_event_graph(stratify(A, params), params)
+    assert verify_lll_condition(graph, params, instance=A).passed
+    e = len(graph) // 2
+    assert graph.neighbors(e).size > 0
+    log_weight = graph.log_weight.copy()
+    log_weight[e] = graph.log_tail[e] - 1.0  # weight far below the tail bound
+    report = verify_lll_condition(dataclasses.replace(graph, log_weight=log_weight),
+                                  params, instance=A)
+    assert not report.passed
+    assert int(np.argmin(report.margins)) == e and report.margins[e] < -0.5
+    s = graph.strata
+    assert report.failure.startswith(
+        f"event {e} (row={int(s.row[e])}, level={int(s.level[e])}, "
+        f"size={int(s.ptr[e + 1] - s.ptr[e])}): log tail ")
+    assert "indicates a bug" in report.failure
 
 
 def test_invalid_instance_is_distinguished_from_condition_failure():
@@ -258,6 +316,7 @@ def test_invalid_instance_is_distinguished_from_condition_failure():
 
 
 # --- symmetric condition ------------------------------------------------------------
+
 
 def test_symmetric_check_desk_numbers():
     check = verify_symmetric_lll(64, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ def _prepared(A, params):
 
 # --- resampling solver -------------------------------------------------------
 
+
 def test_zero_matrix_returns_initial_draw():
     A = ReducedInstance(2, 5, np.array([], dtype=int), np.array([], dtype=int),
                         np.array([]), 0.25, 1.0)
@@ -49,11 +51,28 @@ def test_diagonal_events_can_never_fire():
     A = ReducedInstance.from_dense(0.2 * np.eye(6), 0.25, 1.0)
     graph, report = _prepared(A, P14)
     # analytically: the threshold exceeds the largest possible bucket discrepancy
-    for ev in graph.events:
-        assert ev.threshold > ev.bucket_sum
+    assert (graph.threshold > graph.strata.sums).all()
     res = moser_tardos(A, graph, P14, seed=0, certificate=report)
     assert res.certified and res.rounds == 0
     assert res.achieved <= P14.bound
+
+
+def test_resampling_runs_on_the_graph_thresholds():
+    # tighten every threshold of a bucket with two or more entries just below
+    # its sum: equal signs across such a bucket now fire, so the loop must
+    # resample until every one of them holds mixed signs
+    A = random_reduced(8, 30, 2.0**-6, 2.0**-2, density=0.3, seed=2)
+    params = compute_parameters(A.beta, A.delta)
+    graph, report = _prepared(A, params)
+    s = graph.strata
+    sizes = np.diff(s.ptr)
+    tight = np.where(sizes > 1, np.nextafter(s.sums, 0.0), s.sums)
+    res = moser_tardos(A, dataclasses.replace(graph, threshold=tight), params,
+                       seed=1, certificate=report)
+    assert res.certified and res.rounds > 0
+    y = np.asarray(res.y)[s.cols]
+    mixed = np.minimum.reduceat(y, s.ptr[:-1]) != np.maximum.reduceat(y, s.ptr[:-1])
+    assert (mixed | (sizes == 1)).all()
 
 
 def test_uncertified_graph_rejected():
@@ -151,6 +170,7 @@ def test_exhaustion_returns_best_seen_uncertified():
 
 # --- hypergraph direct mode ----------------------------------------------------
 
+
 def test_direct_solve_desk_scale():
     H = random_hypergraph(512, 64, 4, seed=1)
     res = solve_hypergraph_direct(H, seed=1)
@@ -183,6 +203,7 @@ def test_single_large_edge_concentrates_below_bound():
 
 
 # --- exhaustive oracle ------------------------------------------------------------
+
 
 def test_brute_force_cancellation():
     A = InputMatrix.from_dense([[0.2, 0.2]], 4.0, 2.0)
@@ -226,6 +247,7 @@ def test_oracle_sandwich_small_instance():
 
 
 # --- baseline ----------------------------------------------------------------------
+
 
 def test_random_coloring_reproducible():
     assert random_coloring(50, 12) == random_coloring(50, 12)
