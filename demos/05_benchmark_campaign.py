@@ -37,7 +37,8 @@ for (size, seed), modes in sorted(by_key.items()):
           f"random {modes['baseline']['achieved']:.3f}, "
           f"optimum {modes['oracle']['optimum']:.3f}")
 
-out = Path(tempfile.mkdtemp()) / "campaign.txt"
-out.write_text(format_bench_report(report))
-print(f"\nfull report written to {out}; first lines:")
-print("\n".join(format_bench_report(report).splitlines()[:12]))
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "campaign.txt"
+    out.write_text(format_bench_report(report))
+    print(f"\nfull report written to {out}; first lines:")
+    print("\n".join(out.read_text().splitlines()[:12]))

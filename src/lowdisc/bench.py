@@ -1,9 +1,8 @@
 """Seeded benchmark campaigns over generated instance grids.
 
 Each (size, seed, mode) triple yields one report row; failures are recorded
-in their row and never abort the campaign.  Rows are computed on an
-optional thread pool (``LOWDISC_THREADS``) and sorted by key before
-emission, so the report is independent of scheduling.
+in their row and never abort the campaign.  Rows are sorted by key before
+emission.
 """
 
 from __future__ import annotations
@@ -11,17 +10,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .model import HypothesisViolation, discrepancy
 from .generate import random_hypergraph, random_matrix
 from .pipeline import solve_hypergraph, solve_matrix
 from .reduction import hypergraph_incidence
-from .solver import brute_force_optimum, random_coloring
+from .solver import ORACLE_CAP, brute_force_optimum, random_coloring
 
 __all__ = ["BenchConfig", "BenchReport", "run_benchmark", "format_bench_report"]
 
@@ -37,7 +35,7 @@ class BenchConfig:
 
     Matrix sizes are (n, m, R, Delta) tuples, hypergraph sizes
     (vertices, R, Delta).  The exhaustive oracle mode is allowed only when
-    every instance has at most ``oracle_cap`` sign variables.
+    every instance has at most ``ORACLE_CAP`` sign variables.
     """
 
     family: str
@@ -46,7 +44,6 @@ class BenchConfig:
     modes: tuple
     density: float = 0.2
     max_rounds: int = 10**6
-    oracle_cap: int = 24
     output: str | None = None
     csv_output: str | None = None
 
@@ -77,9 +74,9 @@ class BenchConfig:
         if "oracle" in self.modes:
             for s in self.sizes:
                 n_vars = s[1] if self.family == "matrix" else s[0]
-                if n_vars > self.oracle_cap:
+                if n_vars > ORACLE_CAP:
                     problems.append(
-                        f"oracle mode needs at most {self.oracle_cap} sign variables, "
+                        f"oracle mode needs at most {ORACLE_CAP} sign variables, "
                         f"size {s!r} has {n_vars}"
                     )
         if problems:
@@ -119,7 +116,7 @@ def _run_row(config: BenchConfig, size, seed: int, mode: str) -> dict:
             y = random_coloring(matrix.m, seed)
             row["achieved"] = discrepancy(matrix, y)[1]
         elif mode == "oracle":
-            _, opt = brute_force_optimum(matrix, cap=config.oracle_cap)
+            _, opt = brute_force_optimum(matrix)
             row["achieved"] = opt
             row["optimum"] = opt
         elif mode == "direct":
@@ -144,16 +141,11 @@ def _run_row(config: BenchConfig, size, seed: int, mode: str) -> dict:
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
     t0 = time.perf_counter()
-    tasks = [(si, size, seed, mode)
-             for si, size in enumerate(config.sizes)
-             for seed in config.seeds
-             for mode in config.modes]
-    workers = int(os.environ.get("LOWDISC_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _run_row(config, t[1], t[2], t[3]), tasks))
-    else:
-        rows = [_run_row(config, size, seed, mode) for _, size, seed, mode in tasks]
+    tasks = list(product(config.sizes, config.seeds, config.modes))
+    rows = [_run_row(config, *task) for task in tasks]
+    # sizes end in (R, Delta) for both families
+    probe = [r["optimum"] / math.sqrt(size[-2]) for (size, _, _), r in zip(tasks, rows)
+             if r["mode"] == "oracle" and isinstance(r["optimum"], float)]
     rows.sort(key=lambda r: (r["size"], r["seed"], MODES.index(r["mode"])))
     agg = {
         "rows": len(rows),
@@ -166,12 +158,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
               and r["bound"] > 0]
     if ratios:
         agg["max_achieved_over_bound"] = max(ratios)
-    if "oracle" in config.modes:
-        probe = [r["optimum"] / math.sqrt(_row_R(config, r)) for r in rows
-                 if r["mode"] == "oracle" and isinstance(r["optimum"], float)]
-        if probe:
-            # a measurement only: worst observed optimum / sqrt(R)
-            agg["probe_max_optimum_over_sqrtR"] = max(probe)
+    if probe:
+        # a measurement only: worst observed optimum / sqrt(R)
+        agg["probe_max_optimum_over_sqrtR"] = max(probe)
     report = BenchReport(config=config, rows=tuple(rows), aggregates=agg,
                          wall=time.perf_counter() - t0)
     if config.output:
@@ -179,11 +168,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     if config.csv_output:
         Path(config.csv_output).write_text(_format_csv(report))
     return report
-
-
-def _row_R(config, row):
-    token = dict(kv.split("=") for kv in row["size"].split(","))
-    return float(token["R"])
 
 
 def _render(value) -> str:

@@ -18,7 +18,7 @@ from .formats import ParseError, format_certificate, parse_instance, write_insta
 from .generate import random_hypergraph, random_matrix
 from .pipeline import certify_reduced, solve_hypergraph, solve_matrix
 from .reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix, validate_matrix
-from .solver import brute_force_optimum
+from .solver import ORACLE_CAP, brute_force_optimum
 
 __all__ = ["main", "run"]
 
@@ -189,8 +189,8 @@ def cmd_bench(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _load(args)
     matrix = inst if isinstance(inst, InputMatrix) else hypergraph_incidence(inst)
-    if matrix.m > 24:
-        sys.stderr.write(f"error: oracle cap is 24 sign variables, instance has {matrix.m}\n")
+    if matrix.m > ORACLE_CAP:
+        sys.stderr.write(f"error: oracle cap is {ORACLE_CAP} sign variables, instance has {matrix.m}\n")
         return 2
     y, opt = brute_force_optimum(matrix)
     text = (f"optimum = {opt!r}\n"

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain, compress
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
 
-from .model import InputMatrix
+from .model import REL_TOL, InputMatrix
 from .reduction import HypergraphInstance
 
 __all__ = [
@@ -57,8 +59,47 @@ def _parse_int(token: str, ln: int, what: str) -> int:
         raise ParseError(f"line {ln}: {what} {token!r} is not an integer") from None
 
 
+def _declare(line: str, ln: int, declared):
+    """The (R, Delta) of a ``%%disc`` comment line; ``declared`` for any other comment."""
+    m = _DISC_RE.match(line)
+    if m is None:
+        return declared
+    if declared is not None:
+        raise ParseError(f"line {ln}: duplicate %%disc header")
+    return (_parse_float(m.group(1), ln, "declared R"),
+            _parse_float(m.group(2), ln, "declared Delta"))
+
+
+def _column(tokens: list, lineno: np.ndarray, what: str, dtype):
+    """``tokens`` as an array, cut before the first bad one, and that one's (line, message).
+
+    numpy converts as ``int()`` or ``float()`` would; only if that fails or
+    gives a non-finite value is the column scanned token by token.  An
+    index too large for int64 then stays a Python int for the range check.
+    """
+    try:
+        values = np.array(tokens, dtype=dtype)
+        if np.isfinite(values).all():
+            return values, None
+    except (ValueError, OverflowError):
+        pass
+    parse, values = (_parse_int if dtype is np.int64 else _parse_float), []
+    for token, ln in zip(tokens, lineno):
+        try:
+            values.append(parse(token, ln, what))
+        except ParseError as exc:
+            return np.array(values), (ln, str(exc))
+    return np.array(values), None
+
+
 def parse_matrix_text(text: str) -> InputMatrix:
-    """Parse a Matrix Market coordinate-real file with a %%disc header."""
+    """Parse a Matrix Market coordinate-real file with a %%disc header.
+
+    Header lines are read one at a time.  The entry block after the size
+    line is tokenised once, and its entries are converted and checked as
+    whole arrays; an error names the first offending line, as a
+    line-by-line reading would.  Blank and ``%`` lines may appear anywhere.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError("line 1: empty input")
@@ -70,70 +111,79 @@ def parse_matrix_text(text: str) -> InputMatrix:
         raise ParseError("line 1: only 'matrix coordinate real' files are supported")
     if fields - {"matrix", "coordinate", "real", "general"}:
         raise ParseError("line 1: only general symmetry is supported")
-    declared = None
-    size = None
-    entries = []
-    expected = None
+    declared = size = None
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("%"):
-            m = _DISC_RE.match(line)
-            if m:
-                if declared is not None:
-                    raise ParseError(f"line {ln}: duplicate %%disc header")
-                declared = (_parse_float(m.group(1), ln, "declared R"),
-                            _parse_float(m.group(2), ln, "declared Delta"))
-            continue
-        tokens = line.split()
-        if size is None:
+            declared = _declare(line, ln, declared)
+        elif line:
+            tokens = line.split()
             if len(tokens) != 3:
                 raise ParseError(f"line {ln}: size line needs 'rows cols nnz'")
             size = tuple(_parse_int(t, ln, "size field") for t in tokens)
-            expected = size[2]
-            continue
-        if len(tokens) != 3:
-            raise ParseError(f"line {ln}: entry needs 'row col value' (3 tokens, got {len(tokens)})")
-        i = _parse_int(tokens[0], ln, "row index")
-        j = _parse_int(tokens[1], ln, "column index")
-        v = _parse_float(tokens[2], ln, "entry value")
-        if not (1 <= i <= size[0]):
-            raise ParseError(f"line {ln}: row index {i} outside [1, {size[0]}]")
-        if not (1 <= j <= size[1]):
-            raise ParseError(f"line {ln}: column index {j} outside [1, {size[1]}]")
-        if abs(v) > 1.0:
-            raise ParseError(f"line {ln}: entry magnitude {v!r} exceeds 1")
-        entries.append((i - 1, j - 1, v, ln))
+            break
     if size is None:
         raise ParseError(f"line {len(lines)}: missing size line")
+    n, m, expected = size
+
+    body = lines[ln:]
+    line_of = np.arange(ln + 1, ln + 1 + len(body))
+    tokens = list(map(str.split, body))
+    count = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    comment = np.fromiter(map(methodcaller("startswith", "%"), map(str.lstrip, body)),
+                          bool, len(body))
+    errors = []  # (line, rank within the line, message); the least is raised
+    for k in np.flatnonzero(comment):
+        try:
+            declared = _declare(body[k].strip(), line_of[k], declared)
+        except ParseError as exc:
+            errors.append((line_of[k], 0, str(exc)))
+            break
+    for k in np.flatnonzero((count > 0) & (count != 3) & ~comment)[:1]:
+        errors.append((line_of[k], 0, f"line {line_of[k]}: entry needs 'row col value' "
+                                      f"(3 tokens, got {count[k]})"))
+    entry = (count == 3) & ~comment
+    lineno = line_of[entry]
+    flat = list(chain.from_iterable(compress(tokens, entry)))
+    columns = []  # in the order the tokens of a line are checked
+    for rank, (what, dtype) in enumerate((("row index", np.int64), ("column index", np.int64),
+                                          ("entry value", np.float64))):
+        values, error = _column(flat[rank::3], lineno, what, dtype)
+        columns.append(values)
+        if error:
+            errors.append((error[0], rank, error[1]))
+    rows, cols, vals = columns
+    cut = min(map(len, columns))  # entries before `cut` parse in every column
+    r, c, v = rows[:cut], cols[:cut], vals[:cut]
+    bad = np.vstack([(r < 1) | (r > n), (c < 1) | (c > m), np.abs(v) > 1.0])
+    hit = bad.any(axis=0)
+    if hit.any():
+        k = int(np.argmax(hit))
+        ln = lineno[k]
+        errors.append((ln, 3, [
+            f"line {ln}: row index {int(r[k])} outside [1, {n}]",
+            f"line {ln}: column index {int(c[k])} outside [1, {m}]",
+            f"line {ln}: entry magnitude {float(v[k])!r} exceeds 1",
+        ][int(np.argmax(bad[:, k]))]))
+    if errors:
+        raise ParseError(min(errors)[2])
     if declared is None:
         raise ParseError(f"line {len(lines)}: missing '%%disc R=<num> Delta=<num>' header")
-    if len(entries) != expected:
-        raise ParseError(
-            f"line {len(lines)}: expected {expected} entries, found {len(entries)}"
-        )
-    seen = {}
-    for i, j, _, ln in entries:
-        if (i, j) in seen:
-            raise ParseError(f"line {ln}: duplicate entry ({i + 1}, {j + 1})")
-        seen[(i, j)] = ln
-    V = InputMatrix.from_entries(size[0], size[1], [(i, j, v) for i, j, v, _ in entries],
-                                 declared[0], declared[1])
-    row = V.row_l1()
-    bad = np.flatnonzero(row > declared[0] * (1.0 + 1e-9))
-    if bad.size:
-        i = int(bad[0])
-        raise ParseError(
-            f"row {i + 1} L1 norm {float(row[i])!r} exceeds the declared R={_fmt(declared[0])}"
-        )
-    col = V.col_l1()
-    bad = np.flatnonzero(col > declared[1] * (1.0 + 1e-9))
-    if bad.size:
-        j = int(bad[0])
-        raise ParseError(
-            f"column {j + 1} L1 norm {float(col[j])!r} exceeds the declared Delta={_fmt(declared[1])}"
-        )
+    if lineno.size != expected:
+        raise ParseError(f"line {len(lines)}: expected {expected} entries, found {lineno.size}")
+    order = np.lexsort((cols, rows))  # stable: a repeat sorts after its first occurrence
+    repeat = (np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)
+    if repeat.any():
+        k = int(order[1:][repeat].min())
+        raise ParseError(f"line {lineno[k]}: duplicate entry ({rows[k]}, {cols[k]})")
+    V = InputMatrix(n, m, rows - 1, cols - 1, vals, *declared)
+    for what, l1, name, bound in (("row", V.row_l1(), "R", declared[0]),
+                                  ("column", V.col_l1(), "Delta", declared[1])):
+        bad = np.flatnonzero(l1 > bound * (1.0 + REL_TOL))
+        if bad.size:
+            i = int(bad[0])
+            raise ParseError(f"{what} {i + 1} L1 norm {float(l1[i])!r} exceeds the declared "
+                             f"{name}={_fmt(bound)}")
     return V
 
 
@@ -155,7 +205,6 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
     tight by construction.
     """
     edges = []
-    max_vertex = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
@@ -173,16 +222,11 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
             vs.append(v - 1)
         if len(set(vs)) != len(vs):
             raise ParseError(f"line {ln}: edge repeats a vertex")
-        max_vertex = max(max_vertex, max(vs) + 1)
-        edges.append(tuple(sorted(vs)))
+        edges.append(vs)
     if not edges:
         raise ParseError("line 1: no edges found")
-    degree = np.zeros(max_vertex, dtype=np.int64)
-    for e in edges:
-        degree[list(e)] += 1
-    return HypergraphInstance(n_vertices=max_vertex, edges=tuple(edges),
-                              max_edge_size=max(len(e) for e in edges),
-                              max_degree=int(degree.max()))
+    degree = np.bincount(np.fromiter(chain.from_iterable(edges), np.int64))
+    return HypergraphInstance(int(degree.size), edges, max(map(len, edges)), int(degree.max()))
 
 
 def format_hypergraph(H: HypergraphInstance) -> str:

@@ -43,16 +43,14 @@ def random_hypergraph(n_vertices: int, max_edge_size: int, max_degree: int,
         hi = min(max_edge_size, avail.size)
         size = hi if not edges else int(rng.integers(min_size, hi + 1))
         chosen = rng.choice(avail, size=size, replace=False)
-        chosen.sort()
-        edges.append(tuple(int(v) for v in chosen))
+        edges.append(chosen)
         degree[chosen] += 1
     if not edges:
         raise HypothesisViolation(
             [f"cannot place any edge with {n_vertices} vertices, "
              f"edge size {max_edge_size}, degree {max_degree}"]
         )
-    return HypergraphInstance(n_vertices=n_vertices, edges=tuple(edges),
-                              max_edge_size=max_edge_size, max_degree=max_degree)
+    return HypergraphInstance(n_vertices, edges, max_edge_size, max_degree)
 
 
 def _scale_axis_to(dense: np.ndarray, axis: int, budget: float) -> None:

@@ -1,7 +1,8 @@
 """Core types: bounded sparse matrices, derived constants, magnitude strata.
 
 An instance is a real matrix with declared L1 budgets on rows and columns.
-The solving machinery works on a non-negative rescaled form whose entries
+Both it and the non-negative rescaled form the solving machinery works on
+are one coordinate-form core plus two declared bounds.  The rescaled entries
 are partitioned, per row, into binary-magnitude buckets.  Each bucket gets
 a discrepancy allowance from :func:`bucket_threshold`; the allowances of a
 whole row sum to at most ``Parameters.bound``.
@@ -10,7 +11,7 @@ whole row sum to at most ``Parameters.bound``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -108,17 +109,13 @@ def _as_coo(n, m, rows, cols, vals, *, allow_negative):
     return rows, cols, vals
 
 
-def _l1_by(index, vals, size):
-    return np.bincount(index, weights=np.abs(vals), minlength=size)
-
-
 @dataclass(frozen=True, eq=False)
-class InputMatrix:
-    """Sparse real matrix with declared row/column L1 budgets.
+class _CooMatrix:
+    """Sparse matrix in coordinate form plus two declared positive bounds.
 
-    Entries live in coordinate form, sorted by (row, col), explicit zeros
-    dropped.  ``row_bound`` and ``col_bound`` are declarations; use
-    ``lowdisc.reduction.validate_matrix`` to check them against the data.
+    Entries are sorted by (row, col), explicit zeros dropped, and the arrays
+    are read-only.  Each subclass declares its two bound fields after
+    ``vals`` and whether negative entries are allowed.
     """
 
     n: int
@@ -126,39 +123,33 @@ class InputMatrix:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    row_bound: float
-    col_bound: float
+
+    allow_negative = True
 
     def __post_init__(self):
-        rows, cols, vals = _as_coo(
-            self.n, self.m, self.rows, self.cols, self.vals, allow_negative=True
-        )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
-        for name in ("row_bound", "col_bound"):
-            b = float(getattr(self, name))
+        coo = _as_coo(self.n, self.m, self.rows, self.cols, self.vals,
+                      allow_negative=self.allow_negative)
+        for name, a in zip(("rows", "cols", "vals"), coo):
+            object.__setattr__(self, name, a)
+        for f in fields(self)[5:]:  # the subclass's two bounds
+            b = float(getattr(self, f.name))
             if not math.isfinite(b) or b <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {b!r}")
-            object.__setattr__(self, name, b)
+                raise ValueError(f"{f.name} must be positive and finite, got {b!r}")
+            object.__setattr__(self, f.name, b)
 
     @classmethod
-    def from_entries(cls, n, m, entries, row_bound, col_bound):
+    def from_entries(cls, n, m, entries, *bounds):
         """Build from an iterable of (row, col, value) triples."""
         entries = list(entries)
-        rows = [e[0] for e in entries]
-        cols = [e[1] for e in entries]
-        vals = [e[2] for e in entries]
-        return cls(n, m, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                   np.array(vals, dtype=np.float64), row_bound, col_bound)
+        return cls(n, m, *([e[k] for e in entries] for k in range(3)), *bounds)
 
     @classmethod
-    def from_dense(cls, array, row_bound, col_bound):
+    def from_dense(cls, array, *bounds):
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 2:
             raise ValueError("dense input must be two-dimensional")
         r, c = np.nonzero(array)
-        return cls(array.shape[0], array.shape[1], r, c, array[r, c], row_bound, col_bound)
+        return cls(array.shape[0], array.shape[1], r, c, array[r, c], *bounds)
 
     @property
     def nnz(self) -> int:
@@ -170,10 +161,22 @@ class InputMatrix:
         return out
 
     def row_l1(self) -> np.ndarray:
-        return _l1_by(self.rows, self.vals, self.n)
+        return np.bincount(self.rows, weights=np.abs(self.vals), minlength=self.n)
 
     def col_l1(self) -> np.ndarray:
-        return _l1_by(self.cols, self.vals, self.m)
+        return np.bincount(self.cols, weights=np.abs(self.vals), minlength=self.m)
+
+
+@dataclass(frozen=True, eq=False)
+class InputMatrix(_CooMatrix):
+    """Sparse real matrix with declared row/column L1 budgets.
+
+    ``row_bound`` and ``col_bound`` are declarations; use
+    ``lowdisc.reduction.validate_matrix`` to check them against the data.
+    """
+
+    row_bound: float
+    col_bound: float
 
 
 def _parameter_problems(beta: float, delta: float) -> list[str]:
@@ -194,7 +197,7 @@ def _parameter_problems(beta: float, delta: float) -> list[str]:
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedInstance:
+class ReducedInstance(_CooMatrix):
     """Non-negative sparse matrix with an entry bound and a column-sum bound.
 
     This is the form the certifier and the resampling solver operate on:
@@ -203,47 +206,10 @@ class ReducedInstance:
     sanity; :meth:`hypothesis_violations` checks the numeric hypotheses.
     """
 
-    n: int
-    m: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
     beta: float
     delta: float
 
-    def __post_init__(self):
-        rows, cols, vals = _as_coo(
-            self.n, self.m, self.rows, self.cols, self.vals, allow_negative=False
-        )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
-        for name in ("beta", "delta"):
-            b = float(getattr(self, name))
-            if not math.isfinite(b) or b <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {b!r}")
-            object.__setattr__(self, name, b)
-
-    @classmethod
-    def from_dense(cls, array, beta, delta):
-        array = np.asarray(array, dtype=np.float64)
-        r, c = np.nonzero(array)
-        return cls(array.shape[0], array.shape[1], r, c, array[r, c], beta, delta)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.m))
-        out[self.rows, self.cols] = self.vals
-        return out
-
-    def row_l1(self) -> np.ndarray:
-        return _l1_by(self.rows, self.vals, self.n)
-
-    def col_l1(self) -> np.ndarray:
-        return _l1_by(self.cols, self.vals, self.m)
+    allow_negative = False
 
     def hypothesis_violations(self) -> list[str]:
         """Every violated hypothesis, with a witness index; empty when valid."""

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .model import (
+    REL_TOL,
     HypothesisViolation,
     InternalInconsistency,
     InputMatrix,
@@ -32,63 +35,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HypergraphInstance:
     """A hypergraph with declared maximum edge size and vertex degree.
 
-    Edges are tuples of 0-based vertex ids, sorted ascending.  Construction
-    rejects a hypergraph that violates its own declarations.
+    Edges are stored once, in CSR form: edge ``e`` is ``verts[ptr[e]:ptr[e + 1]]``,
+    0-based vertex ids ascending, both arrays int64 and read-only.  Construction
+    takes any iterable of vertex iterables and rejects a hypergraph that violates
+    its own declarations; a repeated vertex or one out of range is a ``ValueError``.
     """
 
     n_vertices: int
-    edges: tuple
+    ptr: np.ndarray
+    verts: np.ndarray
     max_edge_size: int
     max_degree: int
 
-    def __post_init__(self):
-        if self.n_vertices < 1:
+    def __init__(self, n_vertices, edges, max_edge_size, max_degree):
+        if n_vertices < 1:
             raise ValueError("hypergraph needs at least one vertex")
-        if self.max_edge_size < 1 or self.max_degree < 1:
+        if max_edge_size < 1 or max_degree < 1:
             raise HypothesisViolation(
-                [f"declared bounds must be >= 1 (edge size {self.max_edge_size}, degree {self.max_degree})"]
+                [f"declared bounds must be >= 1 (edge size {max_edge_size}, degree {max_degree})"]
             )
-        norm = []
-        degree = np.zeros(self.n_vertices, dtype=np.int64)
-        problems = []
-        for idx, edge in enumerate(self.edges):
-            vs = tuple(sorted(int(v) for v in edge))
-            if len(vs) == 0:
-                problems.append(f"edge {idx} is empty")
-                continue
-            if len(set(vs)) != len(vs):
-                raise ValueError(f"edge {idx} repeats a vertex")
-            if vs[0] < 0 or vs[-1] >= self.n_vertices:
-                raise ValueError(f"edge {idx} has a vertex outside [0, {self.n_vertices})")
-            if len(vs) > self.max_edge_size:
-                problems.append(
-                    f"edge {idx} has size {len(vs)} > declared maximum {self.max_edge_size}"
-                )
-            degree[list(vs)] += 1
-            norm.append(vs)
-        over = np.flatnonzero(degree > self.max_degree)
+        edges = list(map(tuple, edges))
+        sizes = np.fromiter(map(len, edges), np.int64, len(edges))
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        edge_of = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        verts = np.fromiter(chain.from_iterable(edges), np.int64, int(ptr[-1]))
+        verts = verts[np.lexsort((verts, edge_of))]
+        repeat = np.flatnonzero((verts[1:] == verts[:-1]) & (edge_of[1:] == edge_of[:-1]))
+        outside = np.flatnonzero((verts < 0) | (verts >= n_vertices))
+        first = [int(edge_of[at[0]]) if at.size else sizes.size for at in (repeat, outside)]
+        if min(first) < sizes.size:  # a repeat wins over a range fault in the same edge
+            raise ValueError(f"edge {min(first)} " + ("repeats a vertex" if first[0] <= first[1]
+                             else f"has a vertex outside [0, {n_vertices})"))
+        problems = [  # one per offending edge, in edge order
+            f"edge {e} is empty" if sizes[e] == 0
+            else f"edge {e} has size {sizes[e]} > declared maximum {max_edge_size}"
+            for e in np.flatnonzero((sizes == 0) | (sizes > max_edge_size))
+        ]
+        degree = np.bincount(verts, minlength=n_vertices)
+        over = np.flatnonzero(degree > max_degree)
         if over.size:
             problems.append(
                 f"vertex {int(over[0])} has degree {int(degree[over[0]])} > declared maximum "
-                f"{self.max_degree} ({over.size} vertices in violation)"
+                f"{max_degree} ({over.size} vertices in violation)"
             )
         if problems:
             raise HypothesisViolation(problems)
-        object.__setattr__(self, "edges", tuple(norm))
+        ptr.setflags(write=False)
+        verts.setflags(write=False)
+        vars(self).update(n_vertices=n_vertices, ptr=ptr, verts=verts,
+                          max_edge_size=max_edge_size, max_degree=max_degree)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Every edge as an ascending tuple of vertex ids, built on first use."""
+        flat, ptr = self.verts.tolist(), self.ptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return int(self.ptr.size - 1)
 
     def degrees(self) -> np.ndarray:
-        degree = np.zeros(self.n_vertices, dtype=np.int64)
-        for edge in self.edges:
-            degree[list(edge)] += 1
-        return degree
+        return np.bincount(self.verts, minlength=self.n_vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +139,7 @@ def validate_matrix(V: InputMatrix) -> InputMatrix:
                 f"magnitude above 1 ({bad.size} entries in violation)"
             )
     row = V.row_l1()
-    bad = np.flatnonzero(row > V.row_bound * (1.0 + 1e-9))
+    bad = np.flatnonzero(row > V.row_bound * (1.0 + REL_TOL))
     if bad.size:
         i = int(bad[0])
         problems.append(
@@ -135,7 +147,7 @@ def validate_matrix(V: InputMatrix) -> InputMatrix:
             f" ({bad.size} rows in violation)"
         )
     col = V.col_l1()
-    bad = np.flatnonzero(col > V.col_bound * (1.0 + 1e-9))
+    bad = np.flatnonzero(col > V.col_bound * (1.0 + REL_TOL))
     if bad.size:
         j = int(bad[0])
         problems.append(
@@ -189,7 +201,7 @@ def lift_assignment(V: InputMatrix, A: ReducedInstance, y: SignVector,
     R, D = V.row_bound, V.col_bound
     proven = 2.0 * R * ay_max
     apriori = 32.0 * math.sqrt(R * math.log2(R * D))
-    if max_disc > proven * (1.0 + 1e-9) + 1e-12:
+    if max_disc > proven * (1.0 + REL_TOL) + 1e-12:
         raise InternalInconsistency(
             f"lifted discrepancy {max_disc!r} exceeds 2*R*ay_max = {proven!r}; "
             "the reduced solve result is inconsistent"
@@ -205,14 +217,10 @@ def hypergraph_incidence(H: HypergraphInstance) -> InputMatrix:
     Under red = +1 and blue = -1, a row's discrepancy equals the edge's
     color imbalance |#red - #blue|.
     """
-    sizes = [len(e) for e in H.edges]
-    rows = np.repeat(np.arange(H.n_edges, dtype=np.int64), sizes)
-    cols = np.concatenate([np.asarray(e, dtype=np.int64) for e in H.edges]) \
-        if H.n_edges else np.zeros(0, dtype=np.int64)
-    vals = np.ones(rows.size)
     if H.n_edges < 1:
         raise ValueError("hypergraph has no edges; nothing to color")
-    return InputMatrix(H.n_edges, H.n_vertices, rows, cols, vals,
+    rows = np.repeat(np.arange(H.n_edges, dtype=np.int64), np.diff(H.ptr))
+    return InputMatrix(H.n_edges, H.n_vertices, rows, H.verts, np.ones(rows.size),
                        row_bound=float(H.max_edge_size), col_bound=float(H.max_degree))
 
 

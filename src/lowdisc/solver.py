@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ROUNDS = 10**6
+# most sign variables brute_force_optimum will enumerate (2^(cap-1) candidates)
+ORACLE_CAP = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,19 +173,15 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
         bound = float(imbalance_bound)
         if bound < 0.0:
             raise ValueError("imbalance bound must be non-negative")
-    sizes = np.array([len(e) for e in H.edges], dtype=np.int64)
-    ptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    flat_cols = np.concatenate([np.asarray(e, dtype=np.int64) for e in H.edges])
-    flat_vals = np.ones(flat_cols.size)
+    flat_vals = np.ones(H.verts.size)
     thresholds = np.full(H.n_edges, bound)
 
     def achieved_fn(y):
-        sums = np.add.reduceat(flat_vals * y[flat_cols], ptr[:-1])
+        sums = np.add.reduceat(flat_vals * y[H.verts], H.ptr[:-1])
         return float(np.abs(sums).max())
 
     y, certified, rounds, counts, achieved = _resample_loop(
-        ptr, flat_cols, flat_vals, thresholds, H.n_vertices, _rng(seed),
+        H.ptr, H.verts, flat_vals, thresholds, H.n_vertices, _rng(seed),
         max_rounds, achieved_fn, history)
     counts.setflags(write=False)
     return SolveResult(y=SignVector(y), certified=certified, achieved=achieved,
@@ -191,7 +189,7 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
                        total_resamples=int(counts.sum()), seed=seed)
 
 
-def brute_force_optimum(M, cap: int = 24) -> tuple[SignVector, float]:
+def brute_force_optimum(M, cap: int = ORACLE_CAP) -> tuple[SignVector, float]:
     """Exact minimum of max-row |M y| over all sign vectors.
 
     Exploits the y <-> -y symmetry by fixing the first sign to +1, so 2^(m-1)

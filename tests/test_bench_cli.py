@@ -49,6 +49,19 @@ def test_matrix_campaign_rows_complete():
             assert isinstance(row["optimum"], float)
 
 
+@pytest.mark.parametrize("family,sizes", [
+    ("matrix", ((6, 12, 8, 2), (4, 10, 6, 2))),
+    ("hypergraph", ((12, 4, 2), (10, 3, 1))),
+])
+def test_oracle_probe_divides_each_optimum_by_its_own_R(family, sizes):
+    config = BenchConfig(family=family, sizes=sizes, seeds=(0, 1), modes=("oracle",),
+                         density=0.4)
+    report = run_benchmark(config)
+    probe = [row["optimum"] / math.sqrt(float(dict(
+        kv.split("=") for kv in row["size"].split(","))["R"])) for row in report.rows]
+    assert report.aggregates["probe_max_optimum_over_sqrtR"] == max(probe)
+
+
 def test_hypergraph_campaign_direct_mode():
     config = BenchConfig(family="hypergraph", sizes=((128, 64, 4),), seeds=(0, 1, 2),
                          modes=("direct",))

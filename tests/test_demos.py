@@ -17,10 +17,13 @@ def test_all_five_demos_are_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 05 writes a report to a temp dir
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir))  # demo 05 writes a report to a temp dir
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    assert not list(tmpdir.iterdir()), "the demo left files in its temporary directory"

@@ -1,0 +1,380 @@
+"""Differential tests: the array Matrix Market parser and the CSR hypergraph
+against the per-line and per-edge code they replaced.
+
+``reference_parse_matrix_text`` reads a file one line at a time, checking
+each entry as it goes, and finds duplicates with a dict.
+``reference_hypergraph_edges`` validates a hypergraph one edge at a time.
+Both generated files and single-line corruptions of them must give a
+bit-identical instance, or the same exception type with the same message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lowdisc.formats import (
+    _DISC_RE,
+    ParseError,
+    _fmt,
+    _parse_float,
+    _parse_int,
+    format_hypergraph,
+    format_matrix,
+    parse_hypergraph_text,
+    parse_matrix_text,
+)
+from lowdisc.generate import random_hypergraph, random_matrix
+from lowdisc.model import HypothesisViolation, InputMatrix
+from lowdisc.reduction import HypergraphInstance
+
+
+def reference_parse_matrix_text(text):
+    """The line-by-line parser: every entry checked in its own Python step."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("line 1: empty input")
+    banner = lines[0].split()
+    if not lines[0].startswith("%%MatrixMarket"):
+        raise ParseError("line 1: missing %%MatrixMarket banner")
+    fields = {t.lower() for t in banner[1:]}
+    if not {"matrix", "coordinate", "real"} <= fields:
+        raise ParseError("line 1: only 'matrix coordinate real' files are supported")
+    if fields - {"matrix", "coordinate", "real", "general"}:
+        raise ParseError("line 1: only general symmetry is supported")
+    declared = size = expected = None
+    entries = []
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("%"):
+            m = _DISC_RE.match(line)
+            if m:
+                if declared is not None:
+                    raise ParseError(f"line {ln}: duplicate %%disc header")
+                declared = (_parse_float(m.group(1), ln, "declared R"),
+                            _parse_float(m.group(2), ln, "declared Delta"))
+            continue
+        tokens = line.split()
+        if size is None:
+            if len(tokens) != 3:
+                raise ParseError(f"line {ln}: size line needs 'rows cols nnz'")
+            size = tuple(_parse_int(t, ln, "size field") for t in tokens)
+            expected = size[2]
+            continue
+        if len(tokens) != 3:
+            raise ParseError(f"line {ln}: entry needs 'row col value' (3 tokens, got {len(tokens)})")
+        i = _parse_int(tokens[0], ln, "row index")
+        j = _parse_int(tokens[1], ln, "column index")
+        v = _parse_float(tokens[2], ln, "entry value")
+        if not (1 <= i <= size[0]):
+            raise ParseError(f"line {ln}: row index {i} outside [1, {size[0]}]")
+        if not (1 <= j <= size[1]):
+            raise ParseError(f"line {ln}: column index {j} outside [1, {size[1]}]")
+        if abs(v) > 1.0:
+            raise ParseError(f"line {ln}: entry magnitude {v!r} exceeds 1")
+        entries.append((i - 1, j - 1, v, ln))
+    if size is None:
+        raise ParseError(f"line {len(lines)}: missing size line")
+    if declared is None:
+        raise ParseError(f"line {len(lines)}: missing '%%disc R=<num> Delta=<num>' header")
+    if len(entries) != expected:
+        raise ParseError(f"line {len(lines)}: expected {expected} entries, found {len(entries)}")
+    seen = {}
+    for i, j, _, ln in entries:
+        if (i, j) in seen:
+            raise ParseError(f"line {ln}: duplicate entry ({i + 1}, {j + 1})")
+        seen[(i, j)] = ln
+    V = InputMatrix.from_entries(size[0], size[1], [(i, j, v) for i, j, v, _ in entries],
+                                 declared[0], declared[1])
+    row = V.row_l1()
+    bad = np.flatnonzero(row > declared[0] * (1.0 + 1e-9))
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(
+            f"row {i + 1} L1 norm {float(row[i])!r} exceeds the declared R={_fmt(declared[0])}")
+    col = V.col_l1()
+    bad = np.flatnonzero(col > declared[1] * (1.0 + 1e-9))
+    if bad.size:
+        j = int(bad[0])
+        raise ParseError(
+            f"column {j + 1} L1 norm {float(col[j])!r} exceeds the declared Delta={_fmt(declared[1])}")
+    return V
+
+
+def reference_hypergraph_edges(n_vertices, edges, max_edge_size, max_degree):
+    """The per-edge validation: sorted edge tuples, or the exception it raised."""
+    if n_vertices < 1:
+        raise ValueError("hypergraph needs at least one vertex")
+    if max_edge_size < 1 or max_degree < 1:
+        raise HypothesisViolation(
+            [f"declared bounds must be >= 1 (edge size {max_edge_size}, degree {max_degree})"])
+    norm = []
+    degree = np.zeros(n_vertices, dtype=np.int64)
+    problems = []
+    for idx, edge in enumerate(edges):
+        vs = tuple(sorted(int(v) for v in edge))
+        if len(vs) == 0:
+            problems.append(f"edge {idx} is empty")
+            continue
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"edge {idx} repeats a vertex")
+        if vs[0] < 0 or vs[-1] >= n_vertices:
+            raise ValueError(f"edge {idx} has a vertex outside [0, {n_vertices})")
+        if len(vs) > max_edge_size:
+            problems.append(f"edge {idx} has size {len(vs)} > declared maximum {max_edge_size}")
+        degree[list(vs)] += 1
+        norm.append(vs)
+    over = np.flatnonzero(degree > max_degree)
+    if over.size:
+        problems.append(
+            f"vertex {int(over[0])} has degree {int(degree[over[0]])} > declared maximum "
+            f"{max_degree} ({over.size} vertices in violation)")
+    if problems:
+        raise HypothesisViolation(problems)
+    return tuple(norm)
+
+
+def outcome(fn, *args):
+    """('ok', value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_matrix(V, W):
+    assert (V.n, V.m) == (W.n, W.m)
+    for name in ("row_bound", "col_bound"):
+        assert np.float64(getattr(V, name)).tobytes() == np.float64(getattr(W, name)).tobytes()
+    for name in ("rows", "cols", "vals"):
+        a, b = getattr(V, name), getattr(W, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# --- Matrix Market files ---------------------------------------------------------
+
+MATRIX_CORRUPTIONS = ("word", "float_index", "two_tokens", "four_tokens", "row_zero",
+                      "row_past_end", "col_zero", "col_past_end", "duplicate", "big_value",
+                      "nan", "inf", "drop", "blank", "comment", "second_disc", "small_R",
+                      "huge_index")
+
+
+def corrupt_matrix(lines, kind, at, n, m):
+    """Apply one corruption to entry line ``at`` (the header is lines[0:3])."""
+    k = 3 + at
+    i, j, v = (lines[k].split() + ["1", "1", "0.5"])[:3]  # an earlier corruption may have cut it
+    if kind == "word":
+        lines[k] = f"{i} {j} abc"
+    elif kind == "float_index":
+        lines[k] = f"{i}.0 {j} {v}"
+    elif kind == "two_tokens":
+        lines[k] = f"{i} {j}"
+    elif kind == "four_tokens":
+        lines[k] = f"{i} {j} {v} 7"
+    elif kind == "row_zero":
+        lines[k] = f"0 {j} {v}"
+    elif kind == "row_past_end":
+        lines[k] = f"{n + 1} {j} {v}"
+    elif kind == "col_zero":
+        lines[k] = f"{i} 0 {v}"
+    elif kind == "col_past_end":
+        lines[k] = f"{i} {m + 1} {v}"
+    elif kind == "duplicate":
+        other = lines[3 + (at + 1) % (len(lines) - 3)].split() + ["1", "1"]
+        lines[k] = f"{other[0]} {other[1]} {v}"
+    elif kind == "big_value":
+        lines[k] = f"{i} {j} -1.5"
+    elif kind == "nan":
+        lines[k] = f"{i} {j} nan"
+    elif kind == "inf":
+        lines[k] = f"{i} {j} inf"
+    elif kind == "drop":
+        del lines[k]
+    elif kind == "blank":
+        lines.insert(k, "   ")
+    elif kind == "comment":
+        lines.insert(k, "% a comment line")
+    elif kind == "second_disc":
+        lines.insert(k, "%%disc R=4 Delta=2")
+    elif kind == "small_R":
+        lines[1] = "%%disc R=0.01 Delta=2"
+    elif kind == "huge_index":
+        lines[k] = f"{2**70} {j} {v}"
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 10), seed=st.integers(0, 10**6),
+       density=st.sampled_from([0.3, 0.6, 1.0]),
+       corruptions=st.lists(st.tuples(st.sampled_from(MATRIX_CORRUPTIONS),
+                                      st.integers(0, 10**6)), max_size=2))
+def test_matrix_parser_matches_line_by_line_reference(n, m, seed, density, corruptions):
+    V = random_matrix(n, m, 8.0, 3.0, density, seed=seed)
+    lines = format_matrix(V).splitlines()
+    for kind, at in corruptions:
+        if len(lines) > 3:
+            corrupt_matrix(lines, kind, at % (len(lines) - 3), n, m)
+    text = "\n".join(lines) + "\n"
+    want, got = outcome(reference_parse_matrix_text, text), outcome(parse_matrix_text, text)
+    assert want[0] == got[0]
+    if want[0] == "ok":
+        assert_same_matrix(want[1], got[1])
+    else:
+        assert want[1] == got[1]
+
+
+@pytest.mark.parametrize("body,needle", [
+    pytest.param("2 2 2\n1 1 0.5\n1 1 x\n", "line 5: entry value 'x' is not a real number",
+                 id="bad-value-before-duplicate"),
+    pytest.param("2 2 2\n1 x 0.5\n1 1 nan\n", "line 4: column index 'x' is not an integer",
+                 id="bad-column-before-nan"),
+    pytest.param("2 2 2\nx y z\n", "line 4: row index 'x' is not an integer",
+                 id="row-first-within-a-line"),
+    pytest.param(f"2 2 2\n{2**70} 1 0.5\n1 1 x\n", f"line 4: row index {2**70} outside [1, 2]",
+                 id="huge-index-is-out-of-range"),
+    pytest.param(f"2 2 2\n1 1 0.5\n{2**70} y 0.5\n",
+                 "line 5: column index 'y' is not an integer", id="parse-before-range"),
+    pytest.param("2 2 2\n1 1 0.5\n%%disc R=4 Delta=2\n2 x 0.5\n",
+                 "line 5: duplicate %%disc header", id="comment-before-entry"),
+    pytest.param("2 2 2\n1 1 0.5\n2 x 0.5\n%%disc R=4 Delta=2\n",
+                 "line 5: column index 'x' is not an integer", id="entry-before-comment"),
+    pytest.param("2 2 2\n1 1 0.5\n1 2\n2 9 0.5\n",
+                 "line 5: entry needs 'row col value' (3 tokens, got 2)", id="count-before-range"),
+    pytest.param("2 2 2\n1 1 0.5\n2 9 0.5\n1 2\n", "line 5: column index 9 outside [1, 2]",
+                 id="range-before-count"),
+    pytest.param("2 2 4\n1 1 0.5\n2 2 0.5\n2 2 0\n1 1 0.5\n",
+                 "line 6: duplicate entry (2, 2)", id="first-repeat-named"),
+])
+def test_first_bad_line_wins_across_kinds(body, needle):
+    text = "%%MatrixMarket matrix coordinate real general\n%%disc R=4 Delta=2\n" + body
+    for parse in (reference_parse_matrix_text, parse_matrix_text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == needle
+
+
+# --- hypergraph files and the hypergraph constructor ----------------------------------
+
+HYPER_CORRUPTIONS = ("word", "vertex_zero", "repeat", "no_vertices", "not_an_edge",
+                     "drop", "reverse", "comment")
+
+
+def reference_parse_hypergraph_text(text):
+    """The per-line edge-list parser over the per-edge validation."""
+    edges = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        tokens = line.split()
+        if tokens[0] != "e":
+            raise ParseError(f"line {ln}: expected an 'e v1 v2 ...' edge line")
+        if len(tokens) < 2:
+            raise ParseError(f"line {ln}: edge has no vertices")
+        vs = []
+        for t in tokens[1:]:
+            v = _parse_int(t, ln, "vertex id")
+            if v < 1:
+                raise ParseError(f"line {ln}: vertex ids are 1-based, got {v}")
+            vs.append(v - 1)
+        if len(set(vs)) != len(vs):
+            raise ParseError(f"line {ln}: edge repeats a vertex")
+        edges.append(tuple(sorted(vs)))
+    if not edges:
+        raise ParseError("line 1: no edges found")
+    n = max(max(e) for e in edges) + 1
+    degree = np.zeros(n, dtype=np.int64)
+    for e in edges:
+        degree[list(e)] += 1
+    size, deg = max(len(e) for e in edges), int(degree.max())
+    return n, reference_hypergraph_edges(n, edges, size, deg), size, deg
+
+
+def corrupt_edge_line(lines, kind, at):
+    tokens = lines[at].split()
+    tokens += ["e", "1"][len(tokens):]  # an earlier corruption may have emptied the line
+    if kind == "word":
+        tokens[-1] = "x"
+    elif kind == "vertex_zero":
+        tokens[1] = "0"
+    elif kind == "repeat":
+        tokens.append(tokens[1])
+    elif kind == "no_vertices":
+        tokens = ["e"]
+    elif kind == "not_an_edge":
+        tokens[0] = "v"
+    elif kind == "reverse":
+        tokens[1:] = tokens[:0:-1]
+    elif kind == "comment":
+        tokens = ["%"] + tokens
+    if kind == "drop":
+        del lines[at]
+    else:
+        lines[at] = " ".join(tokens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 30), size=st.integers(1, 5), degree=st.integers(1, 3),
+       seed=st.integers(0, 10**6),
+       corruptions=st.lists(st.tuples(st.sampled_from(HYPER_CORRUPTIONS),
+                                      st.integers(0, 10**6)), max_size=2))
+def test_edge_list_parser_matches_reference(n, size, degree, seed, corruptions):
+    H = random_hypergraph(n, min(size, n), degree, seed=seed)
+    lines = format_hypergraph(H).splitlines()
+    for kind, at in corruptions:
+        if lines:
+            corrupt_edge_line(lines, kind, at % len(lines))
+    text = "\n".join(lines) + "\n"
+    want = outcome(reference_parse_hypergraph_text, text)
+    got = outcome(parse_hypergraph_text, text)
+    assert want[0] == got[0]
+    if want[0] == "ok":
+        G = got[1]
+        assert (G.n_vertices, G.edges, G.max_edge_size, G.max_degree) == want[1]
+    else:
+        assert want[1] == got[1]
+
+
+def corrupt_edges(edges, kind, at, n):
+    e = list(edges[at])
+    if kind == "empty":
+        edges[at] = ()
+    elif kind == "repeat":
+        edges[at] = (*e, e[0]) if e else (0, 0)
+    elif kind == "negative":
+        edges[at] = (*e, -1)
+    elif kind == "past_end":
+        edges[at] = (n, *e)
+    elif kind == "reverse":
+        edges[at] = tuple(reversed(e))
+    elif kind == "grow":
+        edges[at] = tuple(range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 25), size=st.integers(1, 5), degree=st.integers(1, 3),
+       seed=st.integers(0, 10**6), declared_size=st.integers(-1, 1),
+       declared_degree=st.integers(-1, 1),
+       corruptions=st.lists(st.tuples(
+           st.sampled_from(("empty", "repeat", "negative", "past_end", "reverse", "grow")),
+           st.integers(0, 10**6)), max_size=3))
+def test_hypergraph_checks_match_per_edge_reference(n, size, degree, seed, declared_size,
+                                                    declared_degree, corruptions):
+    H = random_hypergraph(n, min(size, n), degree, seed=seed)
+    edges = list(H.edges)
+    for kind, at in corruptions:
+        corrupt_edges(edges, kind, at % len(edges), n)
+    args = (n, edges, H.max_edge_size + declared_size, H.max_degree + declared_degree)
+    want = outcome(reference_hypergraph_edges, *args)
+    got = outcome(HypergraphInstance, *args)
+    assert want[0] == got[0]
+    if want[0] == "ok":
+        G = got[1]
+        assert G.edges == want[1] and repr(G.edges) == repr(want[1])
+        assert G.ptr.dtype == G.verts.dtype == np.int64
+        assert not (G.ptr.flags.writeable or G.verts.flags.writeable)
+        np.testing.assert_array_equal(G.degrees(), np.bincount(
+            [v for e in want[1] for v in e], minlength=n))
+    else:
+        assert want[1] == got[1]

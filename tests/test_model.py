@@ -272,6 +272,12 @@ def test_reduced_instance_rejects_negative():
         ReducedInstance.from_dense([[-0.1]], 0.25, 1.0)
 
 
+@pytest.mark.parametrize("cls", [InputMatrix, ReducedInstance])
+def test_from_dense_rejects_one_dimensional_input(cls):
+    with pytest.raises(ValueError, match="two-dimensional"):
+        cls.from_dense([0.1, 0.2], 0.25, 1.0)
+
+
 def test_hypothesis_violations_reported_with_witnesses():
     A = _instance([(0, 0, 0.3), (1, 0, 0.9)], 2, 1, 0.25, 0.5)
     probs = A.hypothesis_violations()

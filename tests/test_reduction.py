@@ -214,6 +214,43 @@ def test_hypergraph_rejects_own_declaration_violations():
         HypergraphInstance(4, ((0, 1), ()), 2, 2)   # empty edge
 
 
+def test_hypergraph_collects_every_declaration_violation():
+    with pytest.raises(HypothesisViolation) as err:
+        HypergraphInstance(4, ((0, 1, 2), (), (0, 3), (0, 2, 3)), 2, 2)
+    assert err.value.violations == [
+        "edge 0 has size 3 > declared maximum 2",
+        "edge 1 is empty",
+        "edge 3 has size 3 > declared maximum 2",
+        "vertex 0 has degree 3 > declared maximum 2 (1 vertices in violation)",
+    ]
+
+
+@pytest.mark.parametrize("edges,message", [
+    (((0, 1), (2, 2)), "edge 1 repeats a vertex"),
+    (((0, 1), (3, 4)), "edge 1 has a vertex outside [0, 4)"),
+    (((0, -1), (1, 1)), "edge 0 has a vertex outside [0, 4)"),
+    (((5, 5), (0, 9)), "edge 0 repeats a vertex"),  # a repeat is named before the range
+])
+def test_hypergraph_structural_faults_raise_value_error_naming_the_edge(edges, message):
+    with pytest.raises(ValueError) as err:
+        HypergraphInstance(4, edges, 2, 2)
+    assert type(err.value) is ValueError  # not a HypothesisViolation
+    assert str(err.value) == message
+
+
+def test_hypergraph_csr_is_sorted_read_only_and_matches_edges():
+    H = HypergraphInstance(5, [[3, 1], (4, 0, 2), iter([2])], 3, 2)
+    np.testing.assert_array_equal(H.ptr, [0, 2, 5, 6])
+    np.testing.assert_array_equal(H.verts, [1, 3, 0, 2, 4, 2])
+    assert H.ptr.dtype == H.verts.dtype == np.int64
+    assert not (H.ptr.flags.writeable or H.verts.flags.writeable)
+    assert H.edges == ((1, 3), (0, 2, 4), (2,))
+    assert all(type(v) is int for e in H.edges for v in e)
+    assert H.edges is H.edges  # built once
+    np.testing.assert_array_equal(H.degrees(), [1, 1, 2, 1, 1])
+    assert HypergraphInstance(4, (), 2, 2).edges == ()
+
+
 def test_hypergraph_bounds_labeled():
     b = hypergraph_bounds(64, 4)
     assert b["direct"] == pytest.approx(2.0 * math.sqrt(64.0 * math.log(256.0)), rel=1e-15)
