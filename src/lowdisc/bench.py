@@ -19,7 +19,7 @@ from .model import HypothesisViolation, discrepancy
 from .generate import random_hypergraph, random_matrix
 from .pipeline import solve_hypergraph, solve_matrix
 from .reduction import hypergraph_incidence
-from .solver import ORACLE_CAP, brute_force_optimum, random_coloring
+from .solver import DEFAULT_MAX_ROUNDS, ORACLE_CAP, brute_force_optimum, random_coloring
 
 __all__ = ["BenchConfig", "BenchReport", "run_benchmark", "format_bench_report"]
 
@@ -43,7 +43,7 @@ class BenchConfig:
     seeds: tuple
     modes: tuple
     density: float = 0.2
-    max_rounds: int = 10**6
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     output: str | None = None
     csv_output: str | None = None
 

@@ -30,6 +30,7 @@ from .model import (
     ReducedInstance,
     Strata,
 )
+from .reduction import hypergraph_bounds
 
 __all__ = [
     "MARGIN_TOL",
@@ -306,11 +307,11 @@ class SymmetricLLLCheck:
     passed: bool
 
 
-def verify_symmetric_lll(max_edge_size: int, max_degree: int,
-                         imbalance_bound: float | None = None) -> SymmetricLLLCheck:
+def verify_symmetric_lll(max_edge_size: int, max_degree: int) -> SymmetricLLLCheck:
     """Symmetric local-lemma check for one-event-per-edge coloring.
 
-    With the default bound 2*sqrt(R*ln(R*Delta)) the tail is exactly
+    The imbalance bound is the direct bound 2*sqrt(R*ln(R*Delta)) of
+    :func:`~lowdisc.reduction.hypergraph_bounds`, so the tail is exactly
     2*(R*Delta)^-2 and the dependency degree at most R*(Delta-1).
     """
     R, D = int(max_edge_size), int(max_degree)
@@ -318,10 +319,7 @@ def verify_symmetric_lll(max_edge_size: int, max_degree: int,
         raise HypothesisViolation(
             [f"need edge size >= 2 and degree >= 1, got R={R}, Delta={D}"]
         )
-    lam = (2.0 * math.sqrt(R * math.log(R * D))
-           if imbalance_bound is None else float(imbalance_bound))
-    if not (lam > 0.0):
-        raise ValueError(f"imbalance bound must be positive, got {lam!r}")
+    lam = hypergraph_bounds(R, D)["direct"]
     p = min(2.0, 2.0 * math.exp(-lam * lam / (2.0 * R)))
     d = R * (D - 1)
     product = math.e * p * (d + 1)

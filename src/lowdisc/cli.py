@@ -14,22 +14,27 @@ from pathlib import Path
 from .model import HypothesisViolation, InputMatrix, InternalInconsistency
 from .bench import BenchConfig, format_bench_report, run_benchmark
 from .certify import verify_symmetric_lll
-from .formats import ParseError, format_certificate, parse_instance, write_instance
+from .formats import format_certificate, parse_instance, write_instance
 from .generate import random_hypergraph, random_matrix
 from .pipeline import certify_reduced, solve_hypergraph, solve_matrix
 from .reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix, validate_matrix
-from .solver import ORACLE_CAP, brute_force_optimum
+from .solver import DEFAULT_MAX_ROUNDS, brute_force_optimum
 
 __all__ = ["main", "run"]
 
 
-def _common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
-    sub.add_argument("--format", choices=("auto", "matrix", "hypergraph"), default="auto",
-                     help="input file format (default: sniff)")
-    sub.add_argument("--max-rounds", type=int, default=10**6,
-                     help="resampling round cap")
-    sub.add_argument("--output", default=None, help="write the report/instance here")
+_FLAGS = {
+    "--seed": dict(type=int, default=0, help="base seed for all randomness"),
+    "--format": dict(choices=("auto", "matrix", "hypergraph"), default="auto",
+                     help="input file format (default: sniff)"),
+    "--max-rounds": dict(type=int, default=DEFAULT_MAX_ROUNDS, help="resampling round cap"),
+    "--output": dict(default=None, help="write the report/instance here"),
+}
+
+
+def _common(sub, *flags):
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,13 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--mode", choices=("auto", "direct", "reduce"), default="auto",
                    help="hypergraph route (matrices always reduce)")
-    _common(p)
+    _common(p, "--seed", "--format", "--max-rounds", "--output")
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("certify", help="verify the local-lemma condition for an instance")
     p.add_argument("input")
     p.add_argument("--mode", choices=("auto", "direct", "reduce"), default="auto")
-    _common(p)
+    _common(p, "--format", "--output")
     p.set_defaults(func=cmd_certify)
 
     p = subs.add_parser("gen", help="generate a random instance file")
@@ -64,10 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--edges", type=int, default=None,
                    help="edge count cap (default: fill until no edge fits)")
-    _common(p)
+    p.add_argument("--output", required=True, help="write the instance here")
+    _common(p, "--seed")
     p.set_defaults(func=cmd_gen)
 
-    p = subs.add_parser("bench", help="run a seeded benchmark campaign")
+    # no abbreviations here: a stray --seed would silently be read as --seeds
+    p = subs.add_parser("bench", help="run a seeded benchmark campaign", allow_abbrev=False)
     p.add_argument("--family", choices=("matrix", "hypergraph"), required=True)
     p.add_argument("--sizes", required=True,
                    help="semicolon-separated sizes: matrix n,m,R,Delta; hypergraph vertices,R,Delta")
@@ -76,12 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of reduce,direct,baseline,oracle")
     p.add_argument("--density", type=float, default=0.2)
     p.add_argument("--csv", default=None, help="also write rows as CSV here")
-    _common(p)
+    _common(p, "--max-rounds", "--output")
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("oracle", help="exhaustive optimum of a small instance")
     p.add_argument("input")
-    _common(p)
+    _common(p, "--format", "--output")
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -159,8 +166,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.output is None:
-        raise ParseError("gen requires --output")
     if args.family == "matrix":
         inst = random_matrix(args.rows, args.cols, args.row_bound, args.col_bound,
                              args.density, args.seed)
@@ -189,9 +194,6 @@ def cmd_bench(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _load(args)
     matrix = inst if isinstance(inst, InputMatrix) else hypergraph_incidence(inst)
-    if matrix.m > ORACLE_CAP:
-        sys.stderr.write(f"error: oracle cap is {ORACLE_CAP} sign variables, instance has {matrix.m}\n")
-        return 2
     y, opt = brute_force_optimum(matrix)
     text = (f"optimum = {opt!r}\n"
             f"signs = {' '.join(str(int(s)) for s in y.values)}\n")
@@ -207,18 +209,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except HypothesisViolation as exc:
         sys.stderr.write(f"hypothesis violation: {exc}\n")
         return 1
     except InternalInconsistency as exc:
         sys.stderr.write(f"internal inconsistency (bug): {exc}\n")
         return 1
+    except (FileNotFoundError, ValueError) as exc:  # ParseError is a ValueError too
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 def run() -> None:

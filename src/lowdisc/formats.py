@@ -237,10 +237,10 @@ def format_hypergraph(H: HypergraphInstance) -> str:
 def _sniff(text: str) -> str:
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        if line.startswith("%"):
+        if line.startswith("%%MatrixMarket"):
             return "matrix"
+        if not line or line[0] in "#%":
+            continue
         return "hypergraph" if line.split()[0] == "e" else "matrix"
     raise ParseError("line 1: empty input")
 

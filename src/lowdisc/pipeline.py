@@ -12,7 +12,8 @@ from .model import (
     compute_parameters,
     stratify,
 )
-from .certify import CertificateReport, EventGraph, build_event_graph, verify_lll_condition
+from .certify import (CertificateReport, EventGraph, build_event_graph,
+                      verify_lll_condition, verify_symmetric_lll)
 from .reduction import (
     HypergraphInstance,
     LiftedReport,
@@ -108,24 +109,25 @@ def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
     """Color a hypergraph by the requested route.
 
     'direct' uses one event per edge and requires the symmetric condition;
-    'reduce' goes through the incidence matrix; 'auto' tries direct first
-    and falls back to reduce.
+    'reduce' goes through the incidence matrix; 'auto' takes the direct
+    route exactly when :func:`verify_symmetric_lll` passes, and reduces
+    otherwise (also when R < 2 leaves the check undefined).
     """
     if mode not in ("auto", "direct", "reduce"):
         raise ValueError(f"unknown mode {mode!r} (expected auto, direct or reduce)")
     bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
-    if mode in ("auto", "direct"):
+    if mode == "auto":
         try:
-            result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds)
-            return HypergraphSolveOutcome(hypergraph=H, mode="direct",
-                                          direct_bound=bounds["direct"],
-                                          reduced_bound=bounds["reduced"],
-                                          result=result, matrix_outcome=None)
+            direct = verify_symmetric_lll(H.max_edge_size, H.max_degree).passed
         except HypothesisViolation:
-            if mode == "direct":
-                raise
-    outcome = solve_matrix(hypergraph_incidence(H), seed=seed, max_rounds=max_rounds)
-    return HypergraphSolveOutcome(hypergraph=H, mode="reduce",
-                                  direct_bound=bounds["direct"],
-                                  reduced_bound=bounds["reduced"],
-                                  result=outcome.result, matrix_outcome=outcome)
+            direct = False
+        mode = "direct" if direct else "reduce"
+    if mode == "direct":
+        matrix_outcome = None
+        result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds)
+    else:
+        matrix_outcome = solve_matrix(hypergraph_incidence(H), seed=seed, max_rounds=max_rounds)
+        result = matrix_outcome.result
+    return HypergraphSolveOutcome(hypergraph=H, mode=mode, direct_bound=bounds["direct"],
+                                  reduced_bound=bounds["reduced"], result=result,
+                                  matrix_outcome=matrix_outcome)

@@ -198,9 +198,9 @@ def lift_assignment(V: InputMatrix, A: ReducedInstance, y: SignVector,
         )
     row_disc, max_disc = discrepancy(V, y)
     row_disc.setflags(write=False)
-    R, D = V.row_bound, V.col_bound
+    R = V.row_bound
     proven = 2.0 * R * ay_max
-    apriori = 32.0 * math.sqrt(R * math.log2(R * D))
+    apriori = hypergraph_bounds(R, V.col_bound)["reduced"]
     if max_disc > proven * (1.0 + REL_TOL) + 1e-12:
         raise InternalInconsistency(
             f"lifted discrepancy {max_disc!r} exceeds 2*R*ay_max = {proven!r}; "
@@ -229,7 +229,9 @@ def hypergraph_bounds(max_edge_size: int, max_degree: int) -> dict:
 
     ``direct`` is the natural-log bound 2*sqrt(R*ln(R*Delta)) of the
     one-event-per-edge mode; ``reduced`` the base-2 bound
-    32*sqrt(R*log2(R*Delta)) obtained through the matrix reduction.
+    32*sqrt(R*log2(R*Delta)) obtained through the matrix reduction.  These
+    are the only places the two formulas are written: the symmetric check
+    and a lifted matrix's ``apriori_bound`` read them from here.
     """
     R, D = max_edge_size, max_degree
     if R < 1 or D < 1:

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ROUNDS = 10**6
-# most sign variables brute_force_optimum will enumerate (2^(cap-1) candidates)
+# most sign variables brute_force_optimum will enumerate (2^(ORACLE_CAP-1) candidates)
 ORACLE_CAP = 24
 
 
@@ -43,7 +43,8 @@ class SolveResult:
     ``certified`` means the loop exited with no violated event, in which
     case ``achieved <= bound``.  On round exhaustion the best assignment
     seen is returned instead, uncertified.  The whole record is a pure
-    function of (instance, seed, max_rounds).
+    function of (instance, seed, max_rounds), so a run is replayed, step
+    by step, by solving again with the same seed.
     """
 
     y: SignVector
@@ -52,8 +53,12 @@ class SolveResult:
     bound: float
     rounds: int
     resample_counts: np.ndarray
-    total_resamples: int
     seed: int
+
+    @property
+    def total_resamples(self) -> int:
+        """Every round resamples one event, so this is ``rounds``."""
+        return self.rounds
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolveResult):
@@ -64,7 +69,6 @@ class SolveResult:
                 and self.bound == other.bound
                 and self.rounds == other.rounds
                 and np.array_equal(self.resample_counts, other.resample_counts)
-                and self.total_resamples == other.total_resamples
                 and self.seed == other.seed)
 
 
@@ -76,14 +80,15 @@ def _draw_signs(rng: np.random.Generator, k: int) -> np.ndarray:
     return (rng.integers(0, 2, size=k, dtype=np.int8) << 1).astype(np.int8) - 1
 
 
-def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, rng,
-                   max_rounds, achieved_fn, history=None):
+def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed,
+                   max_rounds, achieved_fn, bound) -> SolveResult:
     """Shared resampling loop over events sorted by their priority order.
 
-    Returns (y, certified, rounds, counts, achieved).  Each round redraws
-    exactly one event's support, in ascending column order, so the stream
-    consumption and hence the whole trajectory is reproducible.
+    Each round redraws exactly one event's support, in ascending column
+    order, so the stream consumption and hence the whole trajectory is
+    reproducible from ``seed``.
     """
+    rng = _rng(seed)
     y = _draw_signs(rng, n_vars)
     n_events = len(thresholds)
     counts = np.zeros(n_events, dtype=np.int64)
@@ -101,30 +106,29 @@ def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, rng,
         if current < best_val:
             best_val = current
             best_y = y.copy()
-        if not any_violated:
-            return y, True, rounds, counts, current
-        if rounds >= max_rounds:
-            return best_y, False, rounds, counts, best_val
+        if not any_violated or rounds >= max_rounds:
+            break
         e = int(np.argmax(violated))
         support = flat_cols[ptr[e]:ptr[e + 1]]  # ascending within the event
         y[support] = _draw_signs(rng, support.size)
         counts[e] += 1
         rounds += 1
-        if history is not None:
-            history.append((e, y.copy()))
+    if any_violated:
+        y, current = best_y, best_val
+    counts.setflags(write=False)
+    return SolveResult(y=SignVector(y), certified=not any_violated, achieved=current,
+                       bound=bound, rounds=rounds, resample_counts=counts, seed=seed)
 
 
 def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
-                 seed: int = 0, max_rounds: int = DEFAULT_MAX_ROUNDS,
-                 certificate: CertificateReport | None = None,
-                 history: list | None = None) -> SolveResult:
+                 seed: int = 0, max_rounds: int = DEFAULT_MAX_ROUNDS, *,
+                 certificate: CertificateReport) -> SolveResult:
     """Resample until no bucket exceeds its threshold.
 
     Requires a passing :class:`CertificateReport` for the same event graph;
     an uncertified graph is rejected outright.  The violated event chosen
     each round is the least in (row, level) order, which makes runs fully
-    deterministic per seed.  Pass ``history`` (a list) to record every
-    (event index, assignment) step for inspection.
+    deterministic per seed.
     """
     if certificate is None or not certificate.passed:
         raise HypothesisViolation([
@@ -137,19 +141,13 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
     def achieved_fn(y):
         return discrepancy(A, y)[1]
 
-    y, certified, rounds, counts, achieved = _resample_loop(
-        strata.ptr, strata.cols, strata.vals, graph.threshold, A.m, _rng(seed),
-        max_rounds, achieved_fn, history)
-    counts.setflags(write=False)
-    return SolveResult(y=SignVector(y), certified=certified, achieved=achieved,
-                       bound=params.bound, rounds=rounds, resample_counts=counts,
-                       total_resamples=int(counts.sum()), seed=seed)
+    return _resample_loop(strata.ptr, strata.cols, strata.vals, graph.threshold, A.m,
+                          seed, max_rounds, achieved_fn, params.bound)
 
 
 def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
                             max_rounds: int = DEFAULT_MAX_ROUNDS,
-                            imbalance_bound: float | None = None,
-                            history: list | None = None) -> SolveResult:
+                            imbalance_bound: float | None = None) -> SolveResult:
     """One event per edge: resample any edge whose color imbalance exceeds
     the bound 2*sqrt(R*ln(R*Delta)).
 
@@ -180,26 +178,21 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
         sums = np.add.reduceat(flat_vals * y[H.verts], H.ptr[:-1])
         return float(np.abs(sums).max())
 
-    y, certified, rounds, counts, achieved = _resample_loop(
-        H.ptr, H.verts, flat_vals, thresholds, H.n_vertices, _rng(seed),
-        max_rounds, achieved_fn, history)
-    counts.setflags(write=False)
-    return SolveResult(y=SignVector(y), certified=certified, achieved=achieved,
-                       bound=bound, rounds=rounds, resample_counts=counts,
-                       total_resamples=int(counts.sum()), seed=seed)
+    return _resample_loop(H.ptr, H.verts, flat_vals, thresholds, H.n_vertices,
+                          seed, max_rounds, achieved_fn, bound)
 
 
-def brute_force_optimum(M, cap: int = ORACLE_CAP) -> tuple[SignVector, float]:
+def brute_force_optimum(M) -> tuple[SignVector, float]:
     """Exact minimum of max-row |M y| over all sign vectors.
 
     Exploits the y <-> -y symmetry by fixing the first sign to +1, so 2^(m-1)
     candidates are scanned; ties break toward the first candidate in the
-    enumeration (later columns flip fastest).  Hard-capped at ``cap``
+    enumeration (later columns flip fastest).  Hard-capped at ``ORACLE_CAP``
     columns.
     """
     m = M.m
-    if m > cap:
-        raise ValueError(f"column count {m} exceeds the exhaustive cap {cap}")
+    if m > ORACLE_CAP:
+        raise ValueError(f"column count {m} exceeds the exhaustive cap {ORACLE_CAP}")
     dense = M.to_dense().T  # (m, n): candidates @ dense
     n_codes = 1 << (m - 1)
     chunk = 1 << 14

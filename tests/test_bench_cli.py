@@ -5,8 +5,8 @@ import pytest
 from lowdisc.model import HypothesisViolation
 from lowdisc.bench import BenchConfig, format_bench_report, run_benchmark
 from lowdisc.cli import main
-from lowdisc.formats import format_matrix, parse_instance
-from lowdisc.generate import random_matrix
+from lowdisc.formats import format_hypergraph, format_matrix, parse_instance
+from lowdisc.generate import random_hypergraph, random_matrix
 
 
 # --- campaign configuration -------------------------------------------------
@@ -198,3 +198,41 @@ def test_cli_roundtrip_instance_identity(tmp_path):
     V = parse_instance(src)
     dup.write_text(format_matrix(V))
     assert src.read_text() == dup.read_text()
+
+
+def test_cli_solves_an_edge_list_opening_with_a_percent_comment(tmp_path, capsys):
+    hg = tmp_path / "h.txt"
+    hg.write_text("% c\n" + format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
+    assert main(["solve", str(hg)]) == 0
+    assert "instance = hypergraph" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--family", "matrix", "--sizes", "4,a,6,2"],
+    ["gen", "--family", "matrix", "--density", "2", "--output", "{tmp}/x.mtx"],
+])
+def test_cli_value_error_exits_2_with_one_line(tmp_path, capsys, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.mtx").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "in.mtx", "--seed", "1"],
+    ["certify", "in.mtx", "--max-rounds", "5"],
+    ["gen", "--family", "matrix", "--output", "x.mtx", "--format", "matrix"],
+    ["gen", "--family", "matrix", "--output", "x.mtx", "--max-rounds", "5"],
+    ["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--seed", "1"],
+    ["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--format", "matrix"],
+    ["oracle", "in.mtx", "--seed", "1"],
+    ["oracle", "in.mtx", "--max-rounds", "5"],
+    ["gen", "--family", "matrix"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+

@@ -127,6 +127,18 @@ def test_hypergraph_parse_errors(text, needle):
 
 # --- dispatch and files -------------------------------------------------------------
 
+def test_edge_list_opening_with_a_percent_comment_is_a_hypergraph(tmp_path):
+    # the edge-list parser skips '%' lines, so only the banner marks a matrix
+    hp = tmp_path / "h.txt"
+    hp.write_text("% c\n\n# d\ne 1 2\ne 2 3\n")
+    H = parse_instance(hp)
+    assert H.edges == ((0, 1), (1, 2))
+    mp = tmp_path / "m.mtx"
+    mp.write_text("% c\n" + CANONICAL_MATRIX)
+    with pytest.raises(ParseError, match="banner"):
+        parse_instance(mp)
+
+
 def test_parse_instance_sniffs_format(tmp_path):
     mp = tmp_path / "inst.mtx"
     mp.write_text(CANONICAL_MATRIX)

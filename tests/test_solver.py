@@ -14,7 +14,7 @@ from lowdisc.model import (
     discrepancy,
     stratify,
 )
-from lowdisc.certify import build_event_graph, verify_lll_condition
+from lowdisc.certify import build_event_graph, verify_lll_condition, verify_symmetric_lll
 from lowdisc.generate import random_hypergraph, random_reduced
 from lowdisc.pipeline import solve_reduced
 from lowdisc.reduction import HypergraphInstance
@@ -118,27 +118,6 @@ def test_mini_campaign_respects_resample_budget():
     assert total <= max(1.0, 100.0 * out0.certificate.resample_budget)
 
 
-def test_resampling_touches_only_the_chosen_support():
-    # forcing perfectly balanced edges makes violations common, so the
-    # resampling path actually runs
-    H = HypergraphInstance(8, ((0, 1), (2, 3), (4, 5), (6, 7)), 2, 1)
-    history = []
-    res = solve_hypergraph_direct(H, seed=5, imbalance_bound=0.0, history=history)
-    assert res.certified
-    assert res.achieved == 0.0
-    assert res.rounds == len(history) > 0
-    prev = np.asarray(random_coloring(8, 5))
-    for event_idx, y in history:
-        changed = np.flatnonzero(prev != y)
-        assert set(changed.tolist()) <= set(H.edges[event_idx])
-        prev = y
-    # resample counts match the history
-    counts = np.zeros(4, dtype=int)
-    for event_idx, _ in history:
-        counts[event_idx] += 1
-    np.testing.assert_array_equal(res.resample_counts, counts)
-
-
 def test_resampling_converges_under_overlap_pressure():
     # 50 overlapping size-4 edges, each allowed imbalance 2: one edge in
     # eight is violated by a uniform draw, so the loop really has to work
@@ -182,6 +161,26 @@ def test_direct_solve_desk_scale():
     y = np.asarray(res.y)
     for edge in H.edges:
         assert abs(int(y[list(edge)].sum())) <= lam
+
+
+def test_auto_mode_routes_on_the_symmetric_check_alone(monkeypatch):
+    import lowdisc.pipeline as pipeline
+
+    H = random_hypergraph(64, 16, 4, seed=0)
+    assert verify_symmetric_lll(H.max_edge_size, H.max_degree).passed
+    assert pipeline.solve_hypergraph(H, mode="auto", seed=1).mode == "direct"
+    # a checked instance whose direct solve fails must not fall back silently
+    def broken(*args, **kwargs):
+        raise HypothesisViolation(["unrelated failure"])
+
+    monkeypatch.setattr(pipeline, "solve_hypergraph_direct", broken)
+    with pytest.raises(HypothesisViolation, match="unrelated failure"):
+        pipeline.solve_hypergraph(H, mode="auto", seed=1)
+    # the check fails (R = 2, Delta = 1): reduce, without a direct attempt
+    H = HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1)
+    assert not verify_symmetric_lll(2, 1).passed
+    with pytest.raises(HypothesisViolation, match="row bound R = 2.0 < 4"):
+        pipeline.solve_hypergraph(H, mode="auto", seed=1)
 
 
 def test_direct_mode_unavailable_redirects():
