@@ -29,6 +29,7 @@ from .model import (
     Parameters,
     ReducedInstance,
     Strata,
+    column_groups,
 )
 from .reduction import hypergraph_bounds
 
@@ -166,12 +167,12 @@ def _neighbor_csr(strata: Strata) -> tuple[np.ndarray, np.ndarray]:
     """
     B = len(strata)
     event = np.repeat(np.arange(B, dtype=np.int64), np.diff(strata.ptr))
-    col_events = event[np.argsort(strata.cols)]  # grouped by column
-    col_count = np.bincount(strata.cols, minlength=strata.m)
-    col_start = np.cumsum(col_count) - col_count
-    fan = col_count[strata.cols]  # pairs contributed by each incidence
+    col_ptr, order = column_groups(strata.cols, strata.m)
+    col_events = event[order]  # grouped by column
+    col_start = col_ptr[strata.cols]
+    fan = col_ptr[strata.cols + 1] - col_start  # pairs contributed by each incidence
     pos = np.arange(int(fan.sum()), dtype=np.int64)
-    pos -= np.repeat(np.cumsum(fan) - fan - col_start[strata.cols], fan)
+    pos -= np.repeat(np.cumsum(fan) - fan - col_start, fan)
     keys = np.repeat(event * B, fan)
     keys += col_events[pos]
     del pos

@@ -13,10 +13,9 @@ from pathlib import Path
 
 from .model import HypothesisViolation, InputMatrix, InternalInconsistency
 from .bench import BenchConfig, format_bench_report, run_benchmark
-from .certify import verify_symmetric_lll
 from .formats import format_certificate, parse_instance, write_instance
 from .generate import random_hypergraph, random_matrix
-from .pipeline import certify_reduced, solve_hypergraph, solve_matrix
+from .pipeline import certify_reduced, hypergraph_route, solve_hypergraph, solve_matrix
 from .reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix, validate_matrix
 from .solver import DEFAULT_MAX_ROUNDS, brute_force_optimum
 
@@ -144,19 +143,18 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     inst = _load(args)
     if isinstance(inst, HypergraphInstance):
-        if args.mode in ("auto", "direct"):
-            check = verify_symmetric_lll(inst.max_edge_size, inst.max_degree)
-            if check.passed or args.mode == "direct":
-                text = (
-                    "kind = symmetric-lll-check\n"
-                    f"passed = {str(check.passed).lower()}\n"
-                    f"imbalance_bound = {check.imbalance_bound!r}\n"
-                    f"tail = {check.tail!r}\n"
-                    f"dependency_degree = {check.dependency_degree}\n"
-                    f"product = {check.product!r}\n"
-                )
-                _emit(text, args.output)
-                return 0 if check.passed else 1
+        route, check = hypergraph_route(inst, args.mode)
+        if route == "direct":
+            text = (
+                "kind = symmetric-lll-check\n"
+                f"passed = {str(check.passed).lower()}\n"
+                f"imbalance_bound = {check.imbalance_bound!r}\n"
+                f"tail = {check.tail!r}\n"
+                f"dependency_degree = {check.dependency_degree}\n"
+                f"product = {check.product!r}\n"
+            )
+            _emit(text, args.output)
+            return 0 if check.passed else 1
         inst = hypergraph_incidence(inst)
     validate_matrix(inst)
     A = reduce_matrix(inst)

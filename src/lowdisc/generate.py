@@ -34,10 +34,10 @@ def random_hypergraph(n_vertices: int, max_edge_size: int, max_degree: int,
         raise HypothesisViolation([f"need degree bound >= 1, got {max_degree}"])
     rng = np.random.Generator(np.random.PCG64(seed))
     degree = np.zeros(n_vertices, dtype=np.int64)
+    avail = np.arange(n_vertices)  # vertices below the cap, ascending
     min_size = 1 if max_edge_size == 1 else 2
     edges = []
     while n_edges is None or len(edges) < n_edges:
-        avail = np.flatnonzero(degree < max_degree)
         if avail.size < min_size:
             break
         hi = min(max_edge_size, avail.size)
@@ -45,6 +45,9 @@ def random_hypergraph(n_vertices: int, max_edge_size: int, max_degree: int,
         chosen = rng.choice(avail, size=size, replace=False)
         edges.append(chosen)
         degree[chosen] += 1
+        full = chosen[degree[chosen] == max_degree]
+        if full.size:
+            avail = np.delete(avail, np.searchsorted(avail, full))
     if not edges:
         raise HypothesisViolation(
             [f"cannot place any edge with {n_vertices} vertices, "

@@ -313,6 +313,17 @@ class Strata:
         }
 
 
+def column_groups(cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(col_ptr, order): the entries of column ``c`` are ``order[col_ptr[c]:col_ptr[c + 1]]``.
+
+    ``cols`` holds one column id in ``[0, m)`` per entry.  The order of the
+    entries within one column is unspecified.
+    """
+    col_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=m), out=col_ptr[1:])
+    return col_ptr, np.argsort(cols)
+
+
 def stratify(A: ReducedInstance, params: Parameters) -> Strata:
     """Partition every stored entry of ``A`` into per-row magnitude buckets.
 
@@ -331,7 +342,11 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
                       row=empty_i, level=empty_i, ptr=np.zeros(1, dtype=np.int64),
                       cols=empty_i, vals=np.zeros(0), sums=np.zeros(0))
     levels = floor_neg_log2_array(A.vals)
-    order = np.lexsort((A.cols, levels, A.rows))
+    # A is in (row, col) order, so a stable sort by (row, level) keeps the
+    # columns ascending within each bucket; with L the level span, the key
+    # row * L + (level - low) stays below n * L and cannot overflow
+    low = levels.min()
+    order = np.argsort(A.rows * (int(levels.max() - low) + 1) + (levels - low), kind="stable")
     r, k, c, v = A.rows[order], levels[order], A.cols[order], A.vals[order]
     change = np.empty(r.size, dtype=bool)
     change[0] = True

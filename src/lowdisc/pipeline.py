@@ -12,7 +12,7 @@ from .model import (
     compute_parameters,
     stratify,
 )
-from .certify import (CertificateReport, EventGraph, build_event_graph,
+from .certify import (CertificateReport, EventGraph, SymmetricLLLCheck, build_event_graph,
                       verify_lll_condition, verify_symmetric_lll)
 from .reduction import (
     HypergraphInstance,
@@ -32,6 +32,7 @@ __all__ = [
     "certify_reduced",
     "solve_reduced",
     "solve_matrix",
+    "hypergraph_route",
     "solve_hypergraph",
 ]
 
@@ -104,30 +105,44 @@ def solve_matrix(V: InputMatrix, seed: int = 0,
     return MatrixSolveOutcome(matrix=V, reduced=reduced, lifted=lifted)
 
 
-def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
-                     max_rounds: int = DEFAULT_MAX_ROUNDS) -> HypergraphSolveOutcome:
-    """Color a hypergraph by the requested route.
+def hypergraph_route(H: HypergraphInstance,
+                     mode: str = "auto") -> tuple[str, SymmetricLLLCheck | None]:
+    """The route, 'direct' or 'reduce', that ``mode`` takes on ``H``, and the
+    symmetric check behind it (``None`` when none was evaluated).
 
-    'direct' uses one event per edge and requires the symmetric condition;
-    'reduce' goes through the incidence matrix; 'auto' takes the direct
-    route exactly when :func:`verify_symmetric_lll` passes, and reduces
-    otherwise (also when R < 2 leaves the check undefined).
+    'auto' takes the direct route exactly when :func:`verify_symmetric_lll`
+    passes, and reduces otherwise (also when R < 2 leaves the check
+    undefined); 'direct' returns the check whether or not it passes, and
+    raises its :class:`HypothesisViolation` when R < 2.
     """
     if mode not in ("auto", "direct", "reduce"):
         raise ValueError(f"unknown mode {mode!r} (expected auto, direct or reduce)")
-    bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
-    if mode == "auto":
-        try:
-            direct = verify_symmetric_lll(H.max_edge_size, H.max_degree).passed
-        except HypothesisViolation:
-            direct = False
-        mode = "direct" if direct else "reduce"
+    if mode == "reduce":
+        return "reduce", None
+    try:
+        check = verify_symmetric_lll(H.max_edge_size, H.max_degree)
+    except HypothesisViolation:
+        if mode == "direct":
+            raise
+        return "reduce", None
+    return ("direct" if check.passed or mode == "direct" else "reduce"), check
+
+
+def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
+                     max_rounds: int = DEFAULT_MAX_ROUNDS) -> HypergraphSolveOutcome:
+    """Color a hypergraph by the route :func:`hypergraph_route` picks.
+
+    'direct' uses one event per edge and requires the symmetric condition;
+    'reduce' goes through the incidence matrix.
+    """
+    mode, _ = hypergraph_route(H, mode)
     if mode == "direct":
         matrix_outcome = None
         result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds)
     else:
         matrix_outcome = solve_matrix(hypergraph_incidence(H), seed=seed, max_rounds=max_rounds)
         result = matrix_outcome.result
+    bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
     return HypergraphSolveOutcome(hypergraph=H, mode=mode, direct_bound=bounds["direct"],
                                   reduced_bound=bounds["reduced"], result=result,
                                   matrix_outcome=matrix_outcome)

@@ -4,6 +4,13 @@ The core loop draws a uniform sign vector, then repeatedly redraws the
 support of the first violated event (in (row, level) order) until no event
 fires.  A passing certificate guarantees the loop terminates quickly and
 that the terminal assignment meets the instance bound.
+
+The loop is incremental: a redraw can change only the events and rows that
+have an entry in the redrawn columns (at most about R * Delta of them), so
+only those are summed again, exactly and from the current signs, never by
+running deltas.  Each round then costs about the same on a large instance
+as on a small one, and the trajectory is the one a full recompute per
+round would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .model import (
     Parameters,
     ReducedInstance,
     SignVector,
+    column_groups,
     discrepancy,
 )
 from .certify import CertificateReport, EventGraph, verify_symmetric_lll
@@ -77,42 +85,103 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _draw_signs(rng: np.random.Generator, k: int) -> np.ndarray:
-    return (rng.integers(0, 2, size=k, dtype=np.int8) << 1).astype(np.int8) - 1
+    return (rng.integers(0, 2, size=k, dtype=np.int8) << 1) - 1
+
+
+def _segments(ptr: np.ndarray, keys: np.ndarray):
+    """(at, starts, lens): the positions of the CSR segments ``keys`` of
+    ``ptr``, concatenated in key order; segment ``i`` fills
+    ``at[starts[i]:starts[i] + lens[i]]``.  ``keys`` must be non-empty."""
+    first = ptr[keys]
+    lens = ptr[keys + 1] - first
+    ends = lens.cumsum()
+    starts = ends - lens
+    return (first - starts).repeat(lens) + np.arange(ends[-1]), starts, lens
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty integer array, ascending."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed,
-                   max_rounds, achieved_fn, bound) -> SolveResult:
+                   max_rounds, bound, matrix=None) -> SolveResult:
     """Shared resampling loop over events sorted by their priority order.
+
+    Event ``e`` has columns ``flat_cols[ptr[e]:ptr[e + 1]]`` (ascending)
+    with coefficients from ``flat_vals``.  ``achieved`` is the largest
+    per-row |matrix @ y| when ``matrix`` is given, as
+    :func:`~lowdisc.model.discrepancy` computes it, and the largest
+    |event sum| otherwise.
 
     Each round redraws exactly one event's support, in ascending column
     order, so the stream consumption and hence the whole trajectory is
-    reproducible from ``seed``.
+    reproducible from ``seed``.  The |event sums|, the violated mask and
+    the |row sums| are kept from round to round.  After a redraw, only the
+    events and rows with an entry in the redrawn columns are recomputed,
+    exactly and from ``y``: the events by one ``np.add.reduceat`` over
+    their gathered segments (each segment is summed as in the full call),
+    the rows by one ``np.bincount`` over their entries in the matrix's
+    entry order (each row is summed as in ``discrepancy``).  ``achieved``
+    is then one vectorised max over the kept sums.  The column indexes
+    this needs are built at the first redraw, so a run that never
+    resamples costs one full pass.
     """
     rng = _rng(seed)
     y = _draw_signs(rng, n_vars)
     n_events = len(thresholds)
     counts = np.zeros(n_events, dtype=np.int64)
+    event_abs = (np.abs(np.add.reduceat(flat_vals * y[flat_cols], ptr[:-1]))
+                 if n_events else np.zeros(0))
+    violated = event_abs > thresholds
+    if matrix is None:
+        current = float(event_abs.max())
+    else:
+        row_abs, current = discrepancy(matrix, y)
+    col_events = None
     rounds = 0
     best_y = y
     best_val = math.inf
     while True:
-        if n_events:
-            sums = np.add.reduceat(flat_vals * y[flat_cols], ptr[:-1])
-            violated = np.abs(sums) > thresholds
-            any_violated = bool(violated.any())
-        else:
-            any_violated = False
-        current = achieved_fn(y)
+        e = int(violated.argmax()) if n_events else 0
+        any_violated = bool(n_events) and bool(violated[e])
         if current < best_val:
             best_val = current
             best_y = y.copy()
         if not any_violated or rounds >= max_rounds:
             break
-        e = int(np.argmax(violated))
         support = flat_cols[ptr[e]:ptr[e + 1]]  # ascending within the event
         y[support] = _draw_signs(rng, support.size)
         counts[e] += 1
         rounds += 1
+        if col_events is None:
+            col_ptr, order = column_groups(flat_cols, n_vars)
+            # int32 event ids, where they fit, halve the size of this index
+            ids = np.arange(n_events, dtype=np.int32 if n_events < 2**31 else np.int64)
+            col_events = ids.repeat(np.diff(ptr))[order]
+            if matrix is not None:
+                row_col_ptr, order = column_groups(matrix.cols, matrix.m)
+                col_rows = matrix.rows[order]
+                # entries are in (row, col) order, so each row is one run
+                row_ptr = np.searchsorted(matrix.rows, np.arange(matrix.n + 1))
+        touched = _distinct(col_events[_segments(col_ptr, support)[0]])
+        at, starts, _ = _segments(ptr, touched)
+        sums = np.abs(np.add.reduceat(flat_vals[at] * y[flat_cols[at]], starts))
+        event_abs[touched] = sums
+        violated[touched] = sums > thresholds[touched]
+        if matrix is None:
+            current = float(event_abs.max())
+        else:
+            touched = _distinct(col_rows[_segments(row_col_ptr, support)[0]])
+            at, _, lens = _segments(row_ptr, touched)
+            local = np.repeat(np.arange(touched.size), lens)
+            row_abs[touched] = np.abs(np.bincount(
+                local, weights=matrix.vals[at] * y[matrix.cols[at]], minlength=touched.size))
+            current = float(row_abs.max())
     if any_violated:
         y, current = best_y, best_val
     counts.setflags(write=False)
@@ -137,12 +206,8 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
     strata = graph.strata
-
-    def achieved_fn(y):
-        return discrepancy(A, y)[1]
-
     return _resample_loop(strata.ptr, strata.cols, strata.vals, graph.threshold, A.m,
-                          seed, max_rounds, achieved_fn, params.bound)
+                          seed, max_rounds, params.bound, matrix=A)
 
 
 def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
@@ -171,15 +236,9 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
         bound = float(imbalance_bound)
         if bound < 0.0:
             raise ValueError("imbalance bound must be non-negative")
-    flat_vals = np.ones(H.verts.size)
-    thresholds = np.full(H.n_edges, bound)
-
-    def achieved_fn(y):
-        sums = np.add.reduceat(flat_vals * y[H.verts], H.ptr[:-1])
-        return float(np.abs(sums).max())
-
-    return _resample_loop(H.ptr, H.verts, flat_vals, thresholds, H.n_vertices,
-                          seed, max_rounds, achieved_fn, bound)
+    ones = np.broadcast_to(1.0, H.verts.shape)  # every coefficient is 1; no copy
+    return _resample_loop(H.ptr, H.verts, ones, np.full(H.n_edges, bound),
+                          H.n_vertices, seed, max_rounds, bound)
 
 
 def brute_force_optimum(M) -> tuple[SignVector, float]:

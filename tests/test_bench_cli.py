@@ -236,3 +236,25 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path, monkeypatc
     assert "usage:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("mode", ["auto", "direct", "reduce"])
+def test_cli_certify_and_solve_take_one_route(tmp_path, capsys, mode):
+    # R = 1 leaves the symmetric check undefined: auto reduces, and the
+    # incidence matrix then fails the matrix hypotheses in both subcommands
+    hg = tmp_path / "h.txt"
+    hg.write_text("e 1\ne 2\n")
+    assert main(["certify", str(hg), "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert ("need edge size >= 2" if mode == "direct" else "row bound R = 1.0 < 4") in err
+    assert main(["solve", str(hg), "--mode", mode]) == 1
+    assert capsys.readouterr().err == err
+
+
+def test_cli_certify_and_solve_take_the_direct_route_together(tmp_path, capsys):
+    hg = tmp_path / "h.txt"
+    hg.write_text(format_hypergraph(random_hypergraph(256, 32, 4, seed=1)))
+    assert main(["certify", str(hg)]) == 0
+    assert "kind = symmetric-lll-check" in capsys.readouterr().out
+    assert main(["solve", str(hg)]) == 0
+    assert "mode = direct" in capsys.readouterr().out

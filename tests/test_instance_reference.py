@@ -6,6 +6,8 @@ each entry as it goes, and finds duplicates with a dict.
 ``reference_hypergraph_edges`` validates a hypergraph one edge at a time.
 Both generated files and single-line corruptions of them must give a
 bit-identical instance, or the same exception type with the same message.
+``reference_random_hypergraph`` is the generator loop that rescanned every
+vertex for each edge; the incremental generator must draw the same edges.
 """
 
 import numpy as np
@@ -133,6 +135,24 @@ def reference_hypergraph_edges(n_vertices, edges, max_edge_size, max_degree):
     if problems:
         raise HypothesisViolation(problems)
     return tuple(norm)
+
+
+def reference_random_hypergraph(n_vertices, max_edge_size, max_degree, seed, n_edges=None):
+    """The edges the per-edge rescan placed, in drawing order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    degree = np.zeros(n_vertices, dtype=np.int64)
+    min_size = 1 if max_edge_size == 1 else 2
+    edges = []
+    while n_edges is None or len(edges) < n_edges:
+        avail = np.flatnonzero(degree < max_degree)
+        if avail.size < min_size:
+            break
+        hi = min(max_edge_size, avail.size)
+        size = hi if not edges else int(rng.integers(min_size, hi + 1))
+        chosen = rng.choice(avail, size=size, replace=False)
+        edges.append(chosen)
+        degree[chosen] += 1
+    return tuple(tuple(sorted(int(v) for v in e)) for e in edges)
 
 
 def outcome(fn, *args):
@@ -378,3 +398,12 @@ def test_hypergraph_checks_match_per_edge_reference(n, size, degree, seed, decla
             [v for e in want[1] for v in e], minlength=n))
     else:
         assert want[1] == got[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 300), size=st.integers(1, 20), degree=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), n_edges=st.one_of(st.none(), st.integers(1, 200)))
+def test_random_hypergraph_draws_the_reference_edges(n, size, degree, seed, n_edges):
+    size = min(size, n)
+    H = random_hypergraph(n, size, degree, seed, n_edges=n_edges)
+    assert H.edges == reference_random_hypergraph(n, size, degree, seed, n_edges)

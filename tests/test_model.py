@@ -284,3 +284,16 @@ def test_hypothesis_violations_reported_with_witnesses():
     assert any("exceeds the entry bound" in p for p in probs)
     assert any("column 0" in p for p in probs)
     assert random_reduced(5, 20, 0.25, 1.0, 0.3, seed=0).hypothesis_violations() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), m=st.integers(1, 60), density=st.floats(0.05, 1.0),
+       spread=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_stratify_orders_entries_as_lexsort_does(n, m, density, spread, seed):
+    A = random_reduced(n, m, 2.0**-6, 2.0**-2, density=density, seed=seed, level_spread=spread)
+    s = stratify(A, compute_parameters(A.beta, A.delta))
+    order = np.lexsort((A.cols, floor_neg_log2_array(A.vals), A.rows))
+    # (row, col) names an entry, so equal sequences mean the same permutation
+    np.testing.assert_array_equal(np.repeat(s.row, np.diff(s.ptr)), A.rows[order])
+    np.testing.assert_array_equal(s.cols, A.cols[order])
+    np.testing.assert_array_equal(s.vals, A.vals[order])
