@@ -188,14 +188,12 @@ def parse_matrix_text(text: str) -> InputMatrix:
 
 
 def format_matrix(V: InputMatrix) -> str:
-    lines = [
-        "%%MatrixMarket matrix coordinate real general",
-        f"%%disc R={_fmt(V.row_bound)} Delta={_fmt(V.col_bound)}",
-        f"{V.n} {V.m} {V.nnz}",
-    ]
-    for i, j, v in zip(V.rows, V.cols, V.vals):
-        lines.append(f"{int(i) + 1} {int(j) + 1} {_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    header = ("%%MatrixMarket matrix coordinate real general\n"
+              f"%%disc R={_fmt(V.row_bound)} Delta={_fmt(V.col_bound)}\n"
+              f"{V.n} {V.m} {V.nnz}\n")
+    # one format call over the flattened triples; "%.17g" formats as _fmt does
+    triples = zip((V.rows + 1).tolist(), (V.cols + 1).tolist(), V.vals.tolist())
+    return header + ("%d %d %.17g\n" * V.nnz) % tuple(chain.from_iterable(triples))
 
 
 def parse_hypergraph_text(text: str) -> HypergraphInstance:

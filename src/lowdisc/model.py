@@ -96,10 +96,11 @@ def _as_coo(n, m, rows, cols, vals, *, allow_negative):
                 f"negative entry {float(vals[j])!r} at ({int(rows[j])}, {int(cols[j])})"
             )
     keep = vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if rows.size > 1:
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]  # copies: the caller's stay writable
+    ascending = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+    if not ascending.all():  # strict (row, col) order already rules out duplicates
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
         dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
         if dup.any():
             j = int(np.argmax(dup))

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,6 +205,21 @@ def test_random_matrix_deterministic():
     np.testing.assert_array_equal(a.to_dense(), b.to_dense())
 
 
+@pytest.mark.parametrize("generate", [
+    lambda: random_matrix(200, 50000, 16.0, 4.0, 0.002, seed=3),
+    lambda: random_reduced(200, 50000, 2.0**-6, 2.0**-2, 0.002, seed=3),
+], ids=["random_matrix", "random_reduced"])
+def test_generator_memory_grows_with_nnz_not_with_n_times_m(generate):
+    tracemalloc.start()
+    try:
+        A = generate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 15_000 < A.nnz < 25_000
+    assert peak < 40e6  # one dense 200 x 50000 float64 array alone is 80 MB
+
+
 def test_random_matrix_rejects_bad_budgets():
     with pytest.raises(HypothesisViolation):
         random_matrix(2, 4, 3.0, 2.0, 0.5, seed=0)
@@ -234,6 +252,13 @@ def test_random_hypergraph_infeasible():
         random_hypergraph(4, 8, 2, seed=0)  # fewer vertices than the edge size
     with pytest.raises(HypothesisViolation):
         random_hypergraph(4, 2, 0, seed=0)
+
+
+def test_random_reduced_with_a_subnormal_sum_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rescale once overflowed dividing by a subnormal sum
+        A = random_reduced(1, 1, 2.0**-6, 2.0**-2, 1.0, seed=1, level_spread=2000)
+    assert A.hypothesis_violations() == []
 
 
 def test_random_reduced_rejects_invalid_pair():

@@ -10,10 +10,8 @@ Every run is capped at ``MAX_ROUNDS``; some certify and some run out of
 rounds and return the best assignment seen.
 
 Regenerate (only for an intended change of trajectory) with
-``PYTHONPATH=src python tests/test_golden_matrix_resampling.py``, which
-rewrites this grid's entry and leaves the others as they are.  Running
-``tests/test_golden_trajectories.py`` as a script rewrites the file with
-its own two grids only, so run this script after it.
+``PYTHONPATH=src python tests/test_golden_matrix_resampling.py`` or
+``tests/test_golden_trajectories.py``: both rewrite all three grids.
 """
 
 import dataclasses
@@ -26,7 +24,7 @@ from lowdisc.generate import random_reduced
 from lowdisc.model import compute_parameters, stratify
 from lowdisc.solver import moser_tardos
 
-from test_golden_trajectories import GOLDEN, _fingerprint
+from test_golden_trajectories import GOLDEN, _fingerprint, write_golden
 
 KIND = "moser_tardos_tightened"
 MAX_ROUNDS = 500
@@ -66,7 +64,4 @@ def test_tightened_matrix_trajectories_match_golden():
 
 
 if __name__ == "__main__":
-    data = json.loads(GOLDEN.read_text())
-    data[KIND] = tightened_trajectories()
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {KIND} to {GOLDEN}")
+    write_golden()

@@ -11,8 +11,10 @@ resample counts and the certified flag:
   hundreds of rounds through the shared resampling loop; the last entries
   run out of rounds and pin the best-seen fallback.
 
-Any refactor of the certificate or the resampler must reproduce these
-exactly.  Regenerate (only for an intended change of trajectory) with
+The third grid, ``moser_tardos_tightened``, is defined in
+``test_golden_matrix_resampling.py``.  Any refactor of the certificate or
+the resampler must reproduce all three exactly.  Regenerate every grid
+(only for an intended change of trajectory) with
 ``PYTHONPATH=src python tests/test_golden_trajectories.py``.
 """
 
@@ -84,8 +86,25 @@ def test_forced_hypergraph_trajectories_match_golden():
     assert not all(f["certified"] for f in got.values())
 
 
+def golden_grids() -> dict:
+    """Every grid of ``golden_trajectories.json``, by its key, as a function computing it."""
+    # imported here: that module imports this one
+    from test_golden_matrix_resampling import KIND, tightened_trajectories
+    return {"solve_matrix": matrix_trajectories,
+            "solve_hypergraph_direct": hypergraph_trajectories,
+            KIND: tightened_trajectories}
+
+
+def write_golden() -> None:
+    """Regenerate every grid: the one entry point, so none is silently dropped."""
+    data = {kind: compute() for kind, compute in golden_grids().items()}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {', '.join(data)} to {GOLDEN}")
+
+
+def test_regeneration_writes_every_stored_grid():
+    assert set(golden_grids()) == set(json.loads(GOLDEN.read_text()))
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"solve_matrix": matrix_trajectories(),
-                                  "solve_hypergraph_direct": hypergraph_trajectories()},
-                                 indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    write_golden()

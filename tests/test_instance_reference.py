@@ -8,7 +8,13 @@ Both generated files and single-line corruptions of them must give a
 bit-identical instance, or the same exception type with the same message.
 ``reference_random_hypergraph`` is the generator loop that rescanned every
 vertex for each edge; the incremental generator must draw the same edges.
+``reference_random_matrix`` and ``reference_random_reduced`` build the whole
+dense ``n x m`` draw; the block-wise generators must give the same entries
+bit for bit, or the same exception.  ``reference_format_matrix`` formats one
+entry per Python step; the joined emitter must write the same bytes.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +31,10 @@ from lowdisc.formats import (
     parse_hypergraph_text,
     parse_matrix_text,
 )
-from lowdisc.generate import random_hypergraph, random_matrix
-from lowdisc.model import HypothesisViolation, InputMatrix
-from lowdisc.reduction import HypergraphInstance
+from lowdisc import generate
+from lowdisc.generate import SAFETY, random_hypergraph, random_matrix, random_reduced
+from lowdisc.model import HypothesisViolation, InputMatrix, ReducedInstance, compute_parameters
+from lowdisc.reduction import HypergraphInstance, validate_matrix
 
 
 def reference_parse_matrix_text(text):
@@ -155,11 +162,67 @@ def reference_random_hypergraph(n_vertices, max_edge_size, max_degree, seed, n_e
     return tuple(tuple(sorted(int(v) for v in e)) for e in edges)
 
 
+def _reference_scale_axis_to(dense, axis, budget):
+    """Scale rows (axis=1 sums) or columns (axis=0 sums) onto an L1 budget, in place."""
+    sums = np.abs(dense).sum(axis=axis)
+    factor = np.where(sums > budget, budget / (sums * SAFETY + (sums == 0)), 1.0)
+    if axis == 1:
+        dense *= factor[:, None]
+    else:
+        dense *= factor[None, :]
+
+
+def reference_random_matrix(n, m, row_bound, col_bound, density, seed):
+    """The dense generator: two n x m draws, then rows and columns rescaled in place."""
+    if not (0.0 <= density <= 1.0):
+        raise ValueError(f"density must lie in [0, 1], got {density!r}")
+    if row_bound < max(col_bound, 4.0) or col_bound < 2.0:
+        raise HypothesisViolation([
+            f"need row bound >= max(col bound, 4) and col bound >= 2, "
+            f"got R={row_bound!r}, Delta={col_bound!r}"
+        ])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dense = rng.uniform(-1.0, 1.0, size=(n, m))
+    dense[rng.random(size=(n, m)) >= density] = 0.0
+    _reference_scale_axis_to(dense, axis=1, budget=row_bound)
+    _reference_scale_axis_to(dense, axis=0, budget=col_bound)
+    return validate_matrix(InputMatrix.from_dense(dense, row_bound, col_bound))
+
+
+def reference_random_reduced(n, m, beta, delta, density, seed, level_spread=8):
+    """The dense reduced generator: columns rescaled onto delta, then rows onto 1."""
+    if not (0.0 <= density <= 1.0):
+        raise ValueError(f"density must lie in [0, 1], got {density!r}")
+    compute_parameters(beta, delta)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dense = beta * np.exp2(-rng.uniform(0.0, level_spread, size=(n, m)))
+    dense[rng.random(size=(n, m)) >= density] = 0.0
+    _reference_scale_axis_to(dense, axis=0, budget=delta)
+    _reference_scale_axis_to(dense, axis=1, budget=1.0)
+    A = ReducedInstance.from_dense(dense, beta, delta)
+    problems = A.hypothesis_violations()
+    if problems:
+        raise HypothesisViolation(["generator produced an invalid instance"] + problems)
+    return A
+
+
+def reference_format_matrix(V):
+    """The emitter that formatted one entry per Python step."""
+    lines = [
+        "%%MatrixMarket matrix coordinate real general",
+        f"%%disc R={_fmt(V.row_bound)} Delta={_fmt(V.col_bound)}",
+        f"{V.n} {V.m} {V.nnz}",
+    ]
+    for i, j, v in zip(V.rows, V.cols, V.vals):
+        lines.append(f"{int(i) + 1} {int(j) + 1} {_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
 def outcome(fn, *args):
-    """('ok', value) or (exception type, message)."""
+    """('ok', value) or (exception type, message); a random draw may raise OverflowError."""
     try:
         return "ok", fn(*args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         return type(exc), str(exc)
 
 
@@ -407,3 +470,67 @@ def test_random_hypergraph_draws_the_reference_edges(n, size, degree, seed, n_ed
     size = min(size, n)
     H = random_hypergraph(n, size, degree, seed, n_edges=n_edges)
     assert H.edges == reference_random_hypergraph(n, size, degree, seed, n_edges)
+
+
+# --- matrix generators and the emitter ------------------------------------------------
+
+def assert_same_outcome(want, got):
+    assert want[0] == got[0]
+    if want[0] == "ok":
+        assert (want[1].n, want[1].m) == (got[1].n, got[1].m)
+        for name in ("rows", "cols", "vals"):
+            a, b = getattr(want[1], name), getattr(got[1], name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    else:
+        assert want[1] == got[1]
+
+
+DENSITIES = st.one_of(st.sampled_from([0.0, 1.0, -0.25, 1.5]), st.floats(0.0, 1.0))
+# 1 and 5 cells give one row per block at every m; 64 gives several rows per block
+BLOCK_CELLS = st.sampled_from([1, 5, 64, generate._BLOCK_CELLS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(-1, 40), m=st.integers(-1, 70), density=DENSITIES,
+       bounds=st.sampled_from([(8.0, 3.0), (4.0, 2.0), (16.0, 4.0), (3.0, 2.0), (8.0, 1.5)]),
+       seed=st.integers(0, 2**32 - 1), cells=BLOCK_CELLS)
+def test_random_matrix_matches_the_dense_reference(n, m, density, bounds, seed, cells):
+    want = outcome(reference_random_matrix, n, m, *bounds, density, seed)
+    with mock.patch.object(generate, "_BLOCK_CELLS", cells):
+        got = outcome(random_matrix, n, m, *bounds, density, seed)
+    assert_same_outcome(want, got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(-1, 40), m=st.integers(-1, 70), density=DENSITIES,
+       pair=st.sampled_from([(2.0**-6, 2.0**-2), (2.0**-4, 2.0**-1), (0.25, 1.0),
+                             (0.3, 1.0), (2.0**-3, 2.0**-3)]),
+       spread=st.sampled_from([1, 4, 8, 30, 2000, -1.0, float("nan")]),
+       seed=st.integers(0, 2**32 - 1), cells=BLOCK_CELLS)
+def test_random_reduced_matches_the_dense_reference(n, m, density, pair, spread, seed, cells):
+    want = outcome(reference_random_reduced, n, m, *pair, density, seed, spread)
+    with mock.patch.object(generate, "_BLOCK_CELLS", cells):
+        got = outcome(random_reduced, n, m, *pair, density, seed, spread)
+    assert_same_outcome(want, got)
+
+
+@pytest.mark.parametrize("n,m", [(2, generate._BLOCK_CELLS + 3), (2000, 1), (5, 1000)])
+def test_generators_match_the_reference_at_the_real_block_size(n, m):
+    """Rows longer than a block, a long single column, and a partial last block."""
+    assert_same_outcome(outcome(reference_random_matrix, n, m, 16.0, 4.0, 0.01, 5),
+                        outcome(random_matrix, n, m, 16.0, 4.0, 0.01, 5))
+    assert_same_outcome(outcome(reference_random_reduced, n, m, 2.0**-6, 2.0**-2, 0.01, 5),
+                        outcome(random_reduced, n, m, 2.0**-6, 2.0**-2, 0.01, 5))
+
+
+VALUES = st.one_of(st.sampled_from([5e-324, 1e308, -1 / 3, 0.1, -1.0, 1.0, 2.0**-1074]),
+                   st.floats(-1.0, 1.0, allow_nan=False).filter(bool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 8)), VALUES,
+                               max_size=40),
+       bounds=st.sampled_from([(8.0, 3.0), (1e308, 0.1), (5e-324, 1 / 3)]))
+def test_format_matrix_writes_the_reference_bytes(entries, bounds):
+    V = InputMatrix.from_entries(7, 9, [(i, j, v) for (i, j), v in entries.items()], *bounds)
+    assert format_matrix(V).encode() == reference_format_matrix(V).encode()

@@ -297,3 +297,53 @@ def test_stratify_orders_entries_as_lexsort_does(n, m, density, spread, seed):
     np.testing.assert_array_equal(np.repeat(s.row, np.diff(s.ptr)), A.rows[order])
     np.testing.assert_array_equal(s.cols, A.cols[order])
     np.testing.assert_array_equal(s.vals, A.vals[order])
+
+
+def reference_coo_order(rows, cols, vals):
+    """The lexsort path of ``_as_coo``: zeros dropped, then sorted, the first repeat named."""
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    if dup.any():
+        j = int(np.argmax(dup))
+        raise ValueError(f"duplicate entry at ({rows[j]}, {cols[j]})")
+    return rows, cols, vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
+                                  st.sampled_from([0.0, 0.5, -0.25, 1.0, 5e-324])),
+                        unique_by=lambda e: e[:2], max_size=30),
+       repeats=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([0.0, 0.75])),
+                        max_size=2),
+       arrangement=st.sampled_from(["sorted", "reversed", "shuffled"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sorted_input_skips_the_sort_with_the_same_result(entries, repeats, arrangement, seed):
+    entries = sorted(entries)
+    for at, v in repeats:  # a second entry at a cell already present, next to it
+        if entries:
+            k = at % len(entries)
+            entries.insert(k + 1, (*entries[k][:2], v))
+    if arrangement == "reversed":
+        entries.reverse()
+    elif arrangement == "shuffled":
+        entries = [entries[k] for k in np.random.default_rng(seed).permutation(len(entries))]
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries], dtype=np.float64)
+    given_arrays = [a.copy() for a in (rows, cols, vals)]
+    try:
+        want = reference_coo_order(rows, cols, vals)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            InputMatrix(6, 8, rows, cols, vals, 4.0, 2.0)
+        assert str(err.value) == str(exc)
+    else:
+        V = InputMatrix(6, 8, rows, cols, vals, 4.0, 2.0)
+        for a, b in zip((V.rows, V.cols, V.vals), want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+    for a, b in zip((rows, cols, vals), given_arrays):  # the caller's arrays are untouched
+        assert a.flags.writeable and a.tobytes() == b.tobytes()
