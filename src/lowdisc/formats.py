@@ -9,15 +9,17 @@ floats) so that parse and emit round-trip bit-identically.
 
 from __future__ import annotations
 
+import io
 import math
 import re
+import warnings
 from itertools import chain, compress
 from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
 
-from .model import REL_TOL, InputMatrix
+from .model import REL_TOL, InputMatrix, coo_sorted
 from .reduction import HypergraphInstance
 
 __all__ = [
@@ -32,6 +34,10 @@ __all__ = [
 ]
 
 _DISC_RE = re.compile(r"^%%disc\s+R=(\S+)\s+Delta=(\S+)\s*$")
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")  # as str.splitlines
+_ENTRY_BYTES = b"0123456789+-.eE \t\n"
+_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
+_EMIT_BLOCK = 1 << 15  # entries per format call in format_matrix
 
 
 class ParseError(ValueError):
@@ -40,6 +46,16 @@ class ParseError(ValueError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _lines(text: str):
+    """Each line of ``text.splitlines()``, with the offset just past its line break, lazily."""
+    start = 0
+    for brk in _LINE_BREAK.finditer(text):
+        yield text[start:brk.start()], brk.end()
+        start = brk.end()
+    if start < len(text):
+        yield text[start:], len(text)
 
 
 def _parse_float(token: str, ln: int, what: str) -> float:
@@ -66,8 +82,44 @@ def _declare(line: str, ln: int, declared):
         return declared
     if declared is not None:
         raise ParseError(f"line {ln}: duplicate %%disc header")
-    return (_parse_float(m.group(1), ln, "declared R"),
-            _parse_float(m.group(2), ln, "declared Delta"))
+    bounds = []
+    for name, token in zip(("R", "Delta"), m.groups()):
+        bound = _parse_float(token, ln, f"declared {name}")
+        if bound <= 0:
+            raise ParseError(f"line {ln}: declared {name} {token!r} is not positive")
+        bounds.append(bound)
+    return tuple(bounds)
+
+
+def _read_header(lines: list):
+    """The banner, comments and size line of ``lines``: (declared, (n, m, nnz), size line number).
+
+    ``declared`` is None when no ``%%disc`` comment comes before the size line.
+    """
+    if not lines:
+        raise ParseError("line 1: empty input")
+    banner = lines[0].split()
+    if not lines[0].startswith("%%MatrixMarket"):
+        raise ParseError("line 1: missing %%MatrixMarket banner")
+    fields = {t.lower() for t in banner[1:]}
+    if not {"matrix", "coordinate", "real"} <= fields:
+        raise ParseError("line 1: only 'matrix coordinate real' files are supported")
+    if fields - {"matrix", "coordinate", "real", "general"}:
+        raise ParseError("line 1: only general symmetry is supported")
+    declared = None
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if line.startswith("%"):
+            declared = _declare(line, ln, declared)
+        elif line:
+            tokens = line.split()
+            if len(tokens) != 3:
+                raise ParseError(f"line {ln}: size line needs 'rows cols nnz'")
+            n, m, nnz = (_parse_int(t, ln, "size field") for t in tokens)
+            if n < 1 or m < 1:
+                raise ParseError(f"line {ln}: matrix shape must be at least 1x1, got {n}x{m}")
+            return declared, (n, m, nnz), ln
+    raise ParseError(f"line {len(lines)}: missing size line")
 
 
 def _column(tokens: list, lineno: np.ndarray, what: str, dtype):
@@ -92,40 +144,74 @@ def _column(tokens: list, lineno: np.ndarray, what: str, dtype):
     return np.array(values), None
 
 
-def parse_matrix_text(text: str) -> InputMatrix:
-    """Parse a Matrix Market coordinate-real file with a %%disc header.
+def _matrix(n, m, rows, cols, vals, declared) -> InputMatrix:
+    """The instance of checked 1-based entries, once its L1 norms fit the declared budgets."""
+    V = InputMatrix(n, m, rows - 1, cols - 1, vals, *declared)
+    for what, l1, name, bound in (("row", V.row_l1(), "R", declared[0]),
+                                  ("column", V.col_l1(), "Delta", declared[1])):
+        bad = np.flatnonzero(l1 > bound * (1.0 + REL_TOL))
+        if bad.size:
+            i = int(bad[0])
+            raise ParseError(f"{what} {i + 1} L1 norm {float(l1[i])!r} exceeds the declared "
+                             f"{name}={_fmt(bound)}")
+    return V
 
-    Header lines are read one at a time.  The entry block after the size
-    line is tokenised once, and its entries are converted and checked as
-    whole arrays; an error names the first offending line, as a
-    line-by-line reading would.  Blank and ``%`` lines may appear anywhere.
+
+def _parse_entry_block(text: str) -> InputMatrix | None:
+    """The instance, with the entry block read by one ``np.loadtxt`` call; None when unsure.
+
+    Only a block of digits, ``+-.eE``, spaces, tabs and newlines is handed
+    to numpy: on those characters every token it accepts without a warning
+    reads as ``int()`` or ``float()`` would.  Anything else (``%`` lines,
+    other line breaks, ``nan``), a numpy error or warning, or an entry that
+    fails a check returns None, and the caller reads the text line by line.
+    The header and the L1 norms are checked by the code that reading uses,
+    so their errors are raised here as they are.
+    """
+    head = []  # the lines up to the size line, without splitting the body
+    for raw, pos in _lines(text):
+        head.append(raw)
+        line = raw.strip()
+        if line and not line.startswith("%"):  # the banner is a "%" line too
+            break
+    else:
+        return None
+    declared, (n, m, expected), _ = _read_header(head)
+    data = text.encode("ascii", "replace")  # one byte per character: `pos` still marks the body
+    if (declared is None or len(data.translate(None, _ENTRY_BYTES))
+            != len(data[:pos].translate(None, _ENTRY_BYTES))):
+        return None
+    block = io.BytesIO(data)
+    block.seek(pos)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # numpy 1.24 reads "1.0" as an index, with a warning
+        try:
+            entries = np.loadtxt(block, dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
+        except (ValueError, OverflowError):
+            return None
+    if caught or entries.size != expected:
+        return None
+    rows, cols, vals = entries["row"], entries["col"], entries["val"]
+    if not ((np.abs(vals) <= 1.0).all()  # false for nan too
+            and rows.min(initial=1) >= 1 and rows.max(initial=n) <= n
+            and cols.min(initial=1) >= 1 and cols.max(initial=m) <= m):
+        return None
+    if not coo_sorted(rows, cols):
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        if not coo_sorted(rows, cols):  # a repeated cell
+            return None
+    return _matrix(n, m, rows, cols, vals, declared)
+
+
+def _parse_lines(text: str) -> InputMatrix:
+    """Read the text line by line; an error names the first offending line.
+
+    The header is read one line at a time.  The entry block is tokenised
+    once, and its entries are converted and checked as whole arrays.
     """
     lines = text.splitlines()
-    if not lines:
-        raise ParseError("line 1: empty input")
-    banner = lines[0].split()
-    if not lines[0].startswith("%%MatrixMarket"):
-        raise ParseError("line 1: missing %%MatrixMarket banner")
-    fields = {t.lower() for t in banner[1:]}
-    if not {"matrix", "coordinate", "real"} <= fields:
-        raise ParseError("line 1: only 'matrix coordinate real' files are supported")
-    if fields - {"matrix", "coordinate", "real", "general"}:
-        raise ParseError("line 1: only general symmetry is supported")
-    declared = size = None
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if line.startswith("%"):
-            declared = _declare(line, ln, declared)
-        elif line:
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise ParseError(f"line {ln}: size line needs 'rows cols nnz'")
-            size = tuple(_parse_int(t, ln, "size field") for t in tokens)
-            break
-    if size is None:
-        raise ParseError(f"line {len(lines)}: missing size line")
-    n, m, expected = size
-
+    declared, (n, m, expected), ln = _read_header(lines)
     body = lines[ln:]
     line_of = np.arange(ln + 1, ln + 1 + len(body))
     tokens = list(map(str.split, body))
@@ -176,24 +262,35 @@ def parse_matrix_text(text: str) -> InputMatrix:
     if repeat.any():
         k = int(order[1:][repeat].min())
         raise ParseError(f"line {lineno[k]}: duplicate entry ({rows[k]}, {cols[k]})")
-    V = InputMatrix(n, m, rows - 1, cols - 1, vals, *declared)
-    for what, l1, name, bound in (("row", V.row_l1(), "R", declared[0]),
-                                  ("column", V.col_l1(), "Delta", declared[1])):
-        bad = np.flatnonzero(l1 > bound * (1.0 + REL_TOL))
-        if bad.size:
-            i = int(bad[0])
-            raise ParseError(f"{what} {i + 1} L1 norm {float(l1[i])!r} exceeds the declared "
-                             f"{name}={_fmt(bound)}")
-    return V
+    return _matrix(n, m, rows, cols, vals, declared)
+
+
+def parse_matrix_text(text: str) -> InputMatrix:
+    """Parse a Matrix Market coordinate-real file with a %%disc header.
+
+    The header is read one line at a time.  The entry block is then read
+    by one ``np.loadtxt`` call and checked as whole arrays.  A block that
+    numpy might read differently from ``int()`` and ``float()``, or one
+    that fails any check, is read again line by line, so that an error
+    names the first offending line exactly as a line-by-line reading
+    would.  Blank and ``%`` lines may appear anywhere.
+    """
+    V = _parse_entry_block(text)
+    return _parse_lines(text) if V is None else V
 
 
 def format_matrix(V: InputMatrix) -> str:
     header = ("%%MatrixMarket matrix coordinate real general\n"
               f"%%disc R={_fmt(V.row_bound)} Delta={_fmt(V.col_bound)}\n"
               f"{V.n} {V.m} {V.nnz}\n")
-    # one format call over the flattened triples; "%.17g" formats as _fmt does
-    triples = zip((V.rows + 1).tolist(), (V.cols + 1).tolist(), V.vals.tolist())
-    return header + ("%d %d %.17g\n" * V.nnz) % tuple(chain.from_iterable(triples))
+    # one format call per block of triples bounds the Python objects alive at
+    # once; "%.17g" formats as _fmt does
+    blocks = [header]
+    for k in range(0, V.nnz, _EMIT_BLOCK):
+        rows, cols, vals = (a[k:k + _EMIT_BLOCK] for a in (V.rows, V.cols, V.vals))
+        triples = zip((rows + 1).tolist(), (cols + 1).tolist(), vals.tolist())
+        blocks.append(("%d %d %.17g\n" * vals.size) % tuple(chain.from_iterable(triples)))
+    return "".join(blocks)
 
 
 def parse_hypergraph_text(text: str) -> HypergraphInstance:
@@ -233,7 +330,7 @@ def format_hypergraph(H: HypergraphInstance) -> str:
 
 
 def _sniff(text: str) -> str:
-    for raw in text.splitlines():
+    for raw, _ in _lines(text):
         line = raw.strip()
         if line.startswith("%%MatrixMarket"):
             return "matrix"

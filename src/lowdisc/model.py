@@ -74,6 +74,12 @@ def floor_neg_log2_array(x: np.ndarray) -> np.ndarray:
     return np.where(mant == 0.5, 1 - exp, -exp).astype(np.int64)
 
 
+def coo_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """True when the cells are in strict (row, col) order, which rules out repeats."""
+    ascending = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+    return bool(ascending.all())
+
+
 def _as_coo(n, m, rows, cols, vals, *, allow_negative):
     """Normalize coordinate data: sorted by (row, col), no zeros, no duplicates."""
     if n < 1 or m < 1:
@@ -97,8 +103,7 @@ def _as_coo(n, m, rows, cols, vals, *, allow_negative):
             )
     keep = vals != 0.0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]  # copies: the caller's stay writable
-    ascending = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
-    if not ascending.all():  # strict (row, col) order already rules out duplicates
+    if not coo_sorted(rows, cols):
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])

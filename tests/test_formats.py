@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lowdisc import formats
 from lowdisc.model import HypothesisViolation, InputMatrix
 from lowdisc.formats import (
     ParseError,
@@ -74,6 +76,34 @@ def test_matrix_parse_errors_name_the_line(text, needle):
     with pytest.raises(ParseError) as err:
         parse_matrix_text(text)
     assert needle in str(err.value)
+
+
+def test_canonical_files_never_reach_the_line_by_line_reader(monkeypatch):
+    def refuse(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(formats, "_parse_lines", refuse)
+    extremes = InputMatrix.from_entries(2, 3, [(0, 0, 5e-324), (0, 2, -1.0), (1, 1, 1.0),
+                                               (1, 2, -1 / 3)], 2.5, 2.0)
+    texts = [CANONICAL_MATRIX, format_matrix(extremes),
+             format_matrix(random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1))]
+    texts += [format_matrix(random_matrix(6, 12, 8.0, 3.0, 0.4, seed=s)) for s in range(5)]
+    for text in texts:
+        assert format_matrix(parse_matrix_text(text)) == text
+    # entries out of order, tabs and blank lines stay on the fast path too
+    lines = texts[-1].splitlines()
+    entries = (line.replace(" ", " \t") for line in reversed(lines[3:]))
+    reordered = "\n".join(lines[:3]) + "\n" + "\n \t\n".join(entries)
+    assert format_matrix(parse_matrix_text(reordered)) == texts[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="a %\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029", max_size=12))
+def test_lazy_lines_split_as_splitlines(text):
+    lines = list(formats._lines(text))
+    assert [line for line, _ in lines] == text.splitlines()
+    assert [end for _, end in lines] == [len("".join(text.splitlines(keepends=True)[:k + 1]))
+                                         for k in range(len(lines))]
 
 
 def test_entry_magnitude_error_reports_line_number():
@@ -218,6 +248,21 @@ def test_generator_memory_grows_with_nnz_not_with_n_times_m(generate):
         tracemalloc.stop()
     assert 15_000 < A.nnz < 25_000
     assert peak < 40e6  # one dense 200 x 50000 float64 array alone is 80 MB
+
+
+def test_parser_memory_grows_with_nnz_not_with_tokens(tmp_path):
+    text = format_matrix(random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1))
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    for parse, arg in ((parse_matrix_text, text), (parse_instance, path)):  # the latter sniffs
+        tracemalloc.start()
+        try:
+            V = parse(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 20_000 < V.nnz < 40_000
+        assert peak < 6 * len(text)  # a Python string per token alone takes about 7x the text
 
 
 def test_random_matrix_rejects_bad_budgets():

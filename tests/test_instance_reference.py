@@ -6,12 +6,15 @@ each entry as it goes, and finds duplicates with a dict.
 ``reference_hypergraph_edges`` validates a hypergraph one edge at a time.
 Both generated files and single-line corruptions of them must give a
 bit-identical instance, or the same exception type with the same message.
+The parser reads a clean entry block with ``np.loadtxt``, so the
+corruptions include spellings and line breaks on which numpy's reader and
+``int()``/``float()`` might disagree.
 ``reference_random_hypergraph`` is the generator loop that rescanned every
 vertex for each edge; the incremental generator must draw the same edges.
 ``reference_random_matrix`` and ``reference_random_reduced`` build the whole
 dense ``n x m`` draw; the block-wise generators must give the same entries
 bit for bit, or the same exception.  ``reference_format_matrix`` formats one
-entry per Python step; the joined emitter must write the same bytes.
+entry per Python step; the block-wise emitter must write the same bytes.
 """
 
 from unittest import mock
@@ -31,7 +34,7 @@ from lowdisc.formats import (
     parse_hypergraph_text,
     parse_matrix_text,
 )
-from lowdisc import generate
+from lowdisc import formats, generate
 from lowdisc.generate import SAFETY, random_hypergraph, random_matrix, random_reduced
 from lowdisc.model import HypothesisViolation, InputMatrix, ReducedInstance, compute_parameters
 from lowdisc.reduction import HypergraphInstance, validate_matrix
@@ -61,14 +64,20 @@ def reference_parse_matrix_text(text):
             if m:
                 if declared is not None:
                     raise ParseError(f"line {ln}: duplicate %%disc header")
-                declared = (_parse_float(m.group(1), ln, "declared R"),
-                            _parse_float(m.group(2), ln, "declared Delta"))
+                declared = []
+                for name, token in zip(("R", "Delta"), m.groups()):
+                    declared.append(_parse_float(token, ln, f"declared {name}"))
+                    if declared[-1] <= 0:
+                        raise ParseError(f"line {ln}: declared {name} {token!r} is not positive")
             continue
         tokens = line.split()
         if size is None:
             if len(tokens) != 3:
                 raise ParseError(f"line {ln}: size line needs 'rows cols nnz'")
             size = tuple(_parse_int(t, ln, "size field") for t in tokens)
+            if size[0] < 1 or size[1] < 1:
+                raise ParseError(
+                    f"line {ln}: matrix shape must be at least 1x1, got {size[0]}x{size[1]}")
             expected = size[2]
             continue
         if len(tokens) != 3:
@@ -240,11 +249,24 @@ def assert_same_matrix(V, W):
 MATRIX_CORRUPTIONS = ("word", "float_index", "two_tokens", "four_tokens", "row_zero",
                       "row_past_end", "col_zero", "col_past_end", "duplicate", "big_value",
                       "nan", "inf", "drop", "blank", "comment", "second_disc", "small_R",
-                      "huge_index")
+                      "huge_index", "bad_shape", "bad_disc", "respell_row", "respell_col",
+                      "respell_value", "separator", "header_separator", "crlf", "swap")
+# spellings on which numpy's reader and int()/float() might disagree; "{}" is the old token
+INDEX_SPELLINGS = ("+{}", "00{}", "{}_0", "0x{}", "{}.0", "{}e0", "1e3", "1.0")
+VALUE_SPELLINGS = ("nan", "-inf", "Infinity", "1_0.5", "0x1p-3", "1e-400", ".5", "5.", "1d0",
+                   "{}e0", "+{}", "{}E-00", "0{}")
+SEPARATORS = ("\r\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028")
+BAD_SHAPES = ("0 {m} 0", "-1 {m} 0", "{n} 0 1")
+BAD_DISCS = ("%%disc R=0 Delta=2", "%%disc R=-1 Delta=2", "%%disc R=8 Delta=0",
+             "%%disc R=8 Delta=-0.0")
 
 
-def corrupt_matrix(lines, kind, at, n, m):
-    """Apply one corruption to entry line ``at`` (the header is lines[0:3])."""
+def corrupt_matrix(lines, kind, at, n, m, variant=0):
+    """Apply one corruption to entry line ``at`` (the header is lines[0:3]).
+
+    ``variant`` picks a spelling, separator or bad header value where the
+    kind has several.
+    """
     k = 3 + at
     i, j, v = (lines[k].split() + ["1", "1", "0.5"])[:3]  # an earlier corruption may have cut it
     if kind == "word":
@@ -284,20 +306,41 @@ def corrupt_matrix(lines, kind, at, n, m):
         lines[1] = "%%disc R=0.01 Delta=2"
     elif kind == "huge_index":
         lines[k] = f"{2**70} {j} {v}"
+    elif kind == "bad_shape":
+        lines[2] = BAD_SHAPES[variant % len(BAD_SHAPES)].format(n=n, m=m)
+    elif kind == "bad_disc":
+        lines[1] = BAD_DISCS[variant % len(BAD_DISCS)]
+    elif kind == "respell_row":
+        lines[k] = f"{INDEX_SPELLINGS[variant % len(INDEX_SPELLINGS)].format(i)} {j} {v}"
+    elif kind == "respell_col":
+        lines[k] = f"{i} {INDEX_SPELLINGS[variant % len(INDEX_SPELLINGS)].format(j)} {v}"
+    elif kind == "respell_value":
+        lines[k] = f"{i} {j} {VALUE_SPELLINGS[variant % len(VALUE_SPELLINGS)].format(v)}"
+    elif kind == "separator":  # between two tokens, or at the end of the line
+        sep = SEPARATORS[variant % len(SEPARATORS)]
+        lines[k] = f"{i}{sep}{j} {v}" if variant // len(SEPARATORS) % 2 else f"{i} {j} {v}{sep}"
+    elif kind == "header_separator":
+        sep = SEPARATORS[variant % len(SEPARATORS)]
+        lines[at % 3] = lines[at % 3].replace(" ", sep, 1)
+    elif kind == "crlf":
+        lines[:] = [line + "\r" for line in lines]
+    elif kind == "swap" and k + 1 < len(lines):
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
     return lines
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 5), m=st.integers(1, 10), seed=st.integers(0, 10**6),
        density=st.sampled_from([0.3, 0.6, 1.0]),
        corruptions=st.lists(st.tuples(st.sampled_from(MATRIX_CORRUPTIONS),
-                                      st.integers(0, 10**6)), max_size=2))
+                                      st.integers(0, 10**6), st.integers(0, 10**6)),
+                            max_size=2))
 def test_matrix_parser_matches_line_by_line_reference(n, m, seed, density, corruptions):
     V = random_matrix(n, m, 8.0, 3.0, density, seed=seed)
     lines = format_matrix(V).splitlines()
-    for kind, at in corruptions:
+    for kind, at, variant in corruptions:
         if len(lines) > 3:
-            corrupt_matrix(lines, kind, at % (len(lines) - 3), n, m)
+            corrupt_matrix(lines, kind, at % (len(lines) - 3), n, m, variant)
     text = "\n".join(lines) + "\n"
     want, got = outcome(reference_parse_matrix_text, text), outcome(parse_matrix_text, text)
     assert want[0] == got[0]
@@ -331,6 +374,30 @@ def test_matrix_parser_matches_line_by_line_reference(n, m, seed, density, corru
 ])
 def test_first_bad_line_wins_across_kinds(body, needle):
     text = "%%MatrixMarket matrix coordinate real general\n%%disc R=4 Delta=2\n" + body
+    for parse in (reference_parse_matrix_text, parse_matrix_text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == needle
+
+
+@pytest.mark.parametrize("header,needle", [
+    pytest.param("%%disc R=4 Delta=2\n0 5 0\n",
+                 "line 3: matrix shape must be at least 1x1, got 0x5", id="no-rows"),
+    pytest.param("%%disc R=4 Delta=2\n\n-1 5 0\n",
+                 "line 4: matrix shape must be at least 1x1, got -1x5", id="negative-rows"),
+    pytest.param("%%disc R=4 Delta=2\n2 0 1\n1 1 0.5\n",
+                 "line 3: matrix shape must be at least 1x1, got 2x0", id="no-columns"),
+    pytest.param("%%disc R=0 Delta=2\n2 2 0\n", "line 2: declared R '0' is not positive",
+                 id="zero-R"),
+    pytest.param("% c\n%%disc R=-1 Delta=2\n2 2 0\n",
+                 "line 3: declared R '-1' is not positive", id="negative-R"),
+    pytest.param("%%disc R=4 Delta=-0.0\n2 2 0\n",
+                 "line 2: declared Delta '-0.0' is not positive", id="zero-Delta"),
+    pytest.param("2 2 1\n%%disc R=0 Delta=2\n1 1 0.5\n",
+                 "line 3: declared R '0' is not positive", id="R-in-the-entry-block"),
+])
+def test_header_faults_name_their_line(header, needle):
+    text = "%%MatrixMarket matrix coordinate real general\n" + header
     for parse in (reference_parse_matrix_text, parse_matrix_text):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -530,7 +597,9 @@ VALUES = st.one_of(st.sampled_from([5e-324, 1e308, -1 / 3, 0.1, -1.0, 1.0, 2.0**
 @settings(max_examples=100, deadline=None)
 @given(entries=st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 8)), VALUES,
                                max_size=40),
-       bounds=st.sampled_from([(8.0, 3.0), (1e308, 0.1), (5e-324, 1 / 3)]))
-def test_format_matrix_writes_the_reference_bytes(entries, bounds):
+       bounds=st.sampled_from([(8.0, 3.0), (1e308, 0.1), (5e-324, 1 / 3)]),
+       block=st.sampled_from([1, 3, formats._EMIT_BLOCK]))
+def test_format_matrix_writes_the_reference_bytes(entries, bounds, block):
     V = InputMatrix.from_entries(7, 9, [(i, j, v) for (i, j), v in entries.items()], *bounds)
-    assert format_matrix(V).encode() == reference_format_matrix(V).encode()
+    with mock.patch.object(formats, "_EMIT_BLOCK", block):
+        assert format_matrix(V).encode() == reference_format_matrix(V).encode()
