@@ -24,7 +24,7 @@ print("\nreduced form: entries <=", params.beta, "column sums <=", params.delta)
 print(f"certificate: {out.certificate.n_events} events, "
       f"min log-margin {out.certificate.min_margin:.3e}, "
       f"expected resamples {out.certificate.resample_budget:.3e}")
-print(f"solve: certified={res.certified}, resamples={res.total_resamples}")
+print(f"solve: certified={res.certified}, resamples={res.rounds}")
 print(f"reduced discrepancy ||Ay||_inf = {res.achieved:.6f} <= {params.bound:.6f}")
 
 lift = out.lifted

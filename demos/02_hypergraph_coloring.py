@@ -31,7 +31,7 @@ out = solve_hypergraph(H, mode="auto", seed=11)
 y = np.asarray(out.result.y)
 imbalances = np.array([abs(int(y[list(e)].sum())) for e in H.edges])
 print(f"\nsolved via mode={out.mode}: certified={out.result.certified}, "
-      f"resamples={out.result.total_resamples}")
+      f"resamples={out.result.rounds}")
 print(f"edge imbalance: max {imbalances.max()} (bound {out.result.bound:.2f}), "
       f"mean {imbalances.mean():.2f}")
 

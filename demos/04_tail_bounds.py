@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from lowdisc import compute_parameters, event_tail_bound, event_weight, hoeffding_tail
+from lowdisc import compute_parameters, hoeffding_tail
 
 print("Hoeffding bound vs exact tail, L = 20 signs")
 print("   a    exact P(|X|>a)   bound 2e^(-a^2/40)")
@@ -40,5 +40,5 @@ for size, level in [(1, 6), (10, 6), (10, 8), (100, 7), (1000, 6)]:
 
 print("\nweights shrink in both size and depth, and never reach 1/2:")
 for level in range(6, 16, 3):
-    row = [f"{event_weight(s, level, params):.2e}" for s in (1, 10, 100)]
+    row = [f"{math.exp(log_event_weight(s, level, params)):.2e}" for s in (1, 10, 100)]
     print(f"  level {level:2d}: size 1/10/100 ->", " ".join(row))

@@ -19,8 +19,6 @@ from .model import (
     SignVector,
     compute_parameters,
     stratify,
-    bucket_threshold,
-    row_threshold_budget,
     discrepancy,
     floor_neg_log2,
 )
@@ -38,8 +36,6 @@ from .certify import (
     CertificateReport,
     SymmetricLLLCheck,
     hoeffding_tail,
-    event_tail_bound,
-    event_weight,
     log_event_tail_bound,
     log_event_weight,
     level_exponent_slack,
@@ -76,4 +72,21 @@ from .pipeline import (
 )
 from .bench import BenchConfig, BenchReport, run_benchmark, format_bench_report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "HypothesisViolation", "InternalInconsistency", "InputMatrix", "ReducedInstance",
+    "Parameters", "Strata", "SignVector", "compute_parameters", "stratify", "discrepancy",
+    "floor_neg_log2",
+    "HypergraphInstance", "LiftedReport", "validate_matrix", "reduce_matrix",
+    "lift_assignment", "hypergraph_incidence", "hypergraph_bounds",
+    "EventGraph", "CertificateReport", "SymmetricLLLCheck", "hoeffding_tail",
+    "log_event_tail_bound", "log_event_weight", "level_exponent_slack", "build_event_graph",
+    "verify_lll_condition", "verify_symmetric_lll",
+    "SolveResult", "moser_tardos", "solve_hypergraph_direct", "brute_force_optimum",
+    "random_coloring",
+    "random_hypergraph", "random_matrix", "random_reduced",
+    "ParseError", "parse_instance", "write_instance", "parse_matrix_text", "format_matrix",
+    "parse_hypergraph_text", "format_hypergraph", "format_certificate",
+    "ReducedSolveOutcome", "MatrixSolveOutcome", "HypergraphSolveOutcome", "certify_reduced",
+    "solve_reduced", "solve_matrix", "solve_hypergraph",
+    "BenchConfig", "BenchReport", "run_benchmark", "format_bench_report",
+]

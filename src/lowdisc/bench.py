@@ -125,13 +125,13 @@ def _run_row(config: BenchConfig, size, seed: int, mode: str) -> dict:
             row["achieved"] = out.result.achieved
             row["bound"] = out.result.bound
             row["certified"] = out.result.certified
-            row["resamples"] = out.result.total_resamples
+            row["resamples"] = out.result.rounds
         else:  # reduce
             out = solve_matrix(matrix, seed=seed, max_rounds=config.max_rounds)
             row["achieved"] = out.lifted.max_disc
             row["bound"] = out.lifted.proven_bound
             row["certified"] = out.result.certified
-            row["resamples"] = out.result.total_resamples
+            row["resamples"] = out.result.rounds
     except Exception as exc:  # recorded per row; the campaign continues
         row["ok"] = False
         row["error"] = f"{type(exc).__name__}: {exc}"

@@ -11,9 +11,11 @@ that
 
 which licenses the resampling solver.  Weights underflow for deep levels,
 so every bound is computed and compared in natural-log space; the products
-are sums of log1p terms.  The event graph and the check are whole-array
-numpy operations over the ``Strata`` arrays; the scalar functions give the
-same per-event numbers, bit for bit.
+are sums of log1p terms.  Each bound and each check on an event is written
+once, as an expression that takes Python numbers or numpy arrays: the event
+graph evaluates it over the ``Strata`` arrays, and the scalar functions over
+one event.  The powers of two are Python floats, one per level, so both
+give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ __all__ = [
     "MARGIN_TOL",
     "hoeffding_tail",
     "log_event_tail_bound",
-    "event_tail_bound",
     "log_event_weight",
-    "event_weight",
     "level_exponent_slack",
     "EventGraph",
     "CertificateReport",
@@ -65,30 +65,51 @@ def hoeffding_tail(deviation: float, count: int) -> float:
     return min(2.0, 2.0 * math.exp(-deviation * deviation / (2.0 * count)))
 
 
-def _check_event_args(size: int, level: int, params: Parameters) -> None:
-    if size < 1:
-        raise ValueError(f"event needs a non-empty support, got size {size}")
-    if level < params.level_floor:
-        raise HypothesisViolation(
-            [f"level {level} is below the floor {params.level_floor}"]
-        )
-
-
 def _level_exponent(level: int, params: Parameters) -> float:
     """eps * alpha * 2^(level/2) / 2, the level term of every event bound."""
     return params.eps * params.alpha * 2.0 ** (level / 2.0) / 2.0
 
 
+def _log_bound(sizes, level_term, params: Parameters, divisor: float):
+    """log 2 - eps^2 sizes / divisor - level_term: the log tail bound with
+    ``divisor`` 8, the log weight with 16."""
+    return LOG2 - params.eps * params.eps * sizes / divisor - level_term
+
+
+# the checks on an event, in the order they are reported, as (exception,
+# reason); a reason may name the level floor and the event's log weight
+_EVENT_CHECKS = (
+    (HypothesisViolation, "level is below the floor {floor}"),
+    (ValueError, "bucket sum must be non-negative"),
+    (ValueError, "event needs a non-empty support"),
+    (InternalInconsistency,
+     "event weight exp({lw!r}) is not below 1/2; parameters violate the hypotheses"),
+)
+
+
+def _event_failures(level, sums, sizes, params: Parameters, log_weight=-math.inf):
+    """Which of ``_EVENT_CHECKS`` an event fails: bools for one event, bool
+    arrays for arrays over events.  Without ``log_weight`` the weight check
+    passes.  ``^ True`` negates a bool and a bool array alike, and a NaN
+    weight fails."""
+    return (level < params.level_floor, sums < 0, sizes < 1, (log_weight < -LOG2) ^ True)
+
+
+def _raise_one(size: int, level: int, params: Parameters, failures, log_weight) -> None:
+    for failed, (exc, why) in zip(failures, _EVENT_CHECKS):
+        if failed:
+            raise exc(f"event (level={level}, size={size}): "
+                      + why.format(floor=params.level_floor, lw=log_weight))
+
+
 def log_event_tail_bound(size: int, level: int, params: Parameters) -> float:
     """Natural log of the per-event tail bound
     2 exp(-eps^2 size / 8 - eps alpha 2^(level/2) / 2)."""
-    _check_event_args(size, level, params)
-    return LOG2 - params.eps * params.eps * size / 8.0 - _level_exponent(level, params)
-
-
-def event_tail_bound(size: int, level: int, params: Parameters) -> float:
-    """Linear-space tail bound; underflows to 0.0 for deep levels."""
-    return math.exp(log_event_tail_bound(size, level, params))
+    lt = _log_bound(size, _level_exponent(level, params), params, 8.0)
+    failures = _event_failures(level, 0, size, params)
+    if True in failures:
+        _raise_one(size, level, params, failures, None)
+    return lt
 
 
 def log_event_weight(size: int, level: int, params: Parameters) -> float:
@@ -98,17 +119,11 @@ def log_event_weight(size: int, level: int, params: Parameters) -> float:
     Valid parameters force every weight below 1/2; a breach means the
     parameters were corrupted and is raised as an internal inconsistency.
     """
-    _check_event_args(size, level, params)
-    lw = LOG2 - params.eps * params.eps * size / 16.0 - _level_exponent(level, params)
-    if not (lw < -LOG2):
-        raise InternalInconsistency(
-            f"event weight exp({lw!r}) is not below 1/2; parameters violate the hypotheses"
-        )
+    lw = _log_bound(size, _level_exponent(level, params), params, 16.0)
+    failures = _event_failures(level, 0, size, params, lw)
+    if True in failures:
+        _raise_one(size, level, params, failures, lw)
     return lw
-
-
-def event_weight(size: int, level: int, params: Parameters) -> float:
-    return math.exp(log_event_weight(size, level, params))
 
 
 def level_exponent_slack(level: int, params: Parameters) -> float:
@@ -151,9 +166,12 @@ def _event_name(strata: Strata, e: int) -> str:
             f"size={int(strata.ptr[e + 1] - strata.ptr[e])})")
 
 
-def _raise_first(strata: Strata, bad: np.ndarray, exc, why: str) -> None:
-    if bad.any():
-        raise exc(f"{_event_name(strata, int(np.argmax(bad)))}: {why}")
+def _raise_first(strata: Strata, params: Parameters, failures, log_weight) -> None:
+    for failed, (exc, why) in zip(failures, _EVENT_CHECKS):
+        if failed.any():
+            e = int(np.argmax(failed))
+            raise exc(f"{_event_name(strata, e)}: "
+                      + why.format(floor=params.level_floor, lw=float(log_weight[e])))
 
 
 def _neighbor_csr(strata: Strata) -> tuple[np.ndarray, np.ndarray]:
@@ -197,24 +215,17 @@ def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
     the first offending event.
     """
     level, sizes = strata.level, np.diff(strata.ptr)
-    _raise_first(strata, level < params.level_floor, HypothesisViolation,
-                 f"level is below the floor {params.level_floor}")
-    _raise_first(strata, strata.sums < 0, ValueError, "bucket sum must be non-negative")
-    _raise_first(strata, sizes < 1, ValueError, "event needs a non-empty support")
-    # powers of two once per level, as Python floats exactly like the scalar
-    # functions, so every entry equals its scalar counterpart bit for bit
+    # one Python float per level from the floor up; a level below the floor
+    # takes the floor's, and fails its check below
     ks = range(params.level_floor, int(level.max(initial=params.level_floor)) + 1)
     at = level - params.level_floor
-    alpha_term = np.array([params.alpha * 2.0 ** (-k / 2.0) for k in ks])[at]
-    level_term = np.array([_level_exponent(k, params) for k in ks])[at]
+    alpha_term = np.array([params.alpha * 2.0 ** (-k / 2.0) for k in ks]).take(at, mode="clip")
+    level_term = np.array([_level_exponent(k, params) for k in ks]).take(at, mode="clip")
     threshold = params.eps * strata.sums + alpha_term
-    log_tail = LOG2 - params.eps * params.eps * sizes / 8.0 - level_term
-    log_weight = LOG2 - params.eps * params.eps * sizes / 16.0 - level_term
-    bad = np.flatnonzero(~(log_weight < -LOG2))
-    if bad.size:
-        raise InternalInconsistency(
-            f"{_event_name(strata, bad[0])}: event weight exp({float(log_weight[bad[0]])!r}) "
-            "is not below 1/2; parameters violate the hypotheses")
+    log_tail = _log_bound(sizes, level_term, params, 8.0)
+    log_weight = _log_bound(sizes, level_term, params, 16.0)
+    _raise_first(strata, params, _event_failures(level, strata.sums, sizes, params, log_weight),
+                 log_weight)
     nbr_ptr, nbr = _neighbor_csr(strata)
     for a in (threshold, log_tail, log_weight, nbr_ptr, nbr):
         a.setflags(write=False)
@@ -321,7 +332,7 @@ def verify_symmetric_lll(max_edge_size: int, max_degree: int) -> SymmetricLLLChe
             [f"need edge size >= 2 and degree >= 1, got R={R}, Delta={D}"]
         )
     lam = hypergraph_bounds(R, D)["direct"]
-    p = min(2.0, 2.0 * math.exp(-lam * lam / (2.0 * R)))
+    p = hoeffding_tail(lam, R)
     d = R * (D - 1)
     product = math.e * p * (d + 1)
     return SymmetricLLLCheck(imbalance_bound=lam, tail=p, dependency_degree=d,

@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
         lines += [
             f"instance = matrix {inst.n}x{inst.m} nnz={inst.nnz} R={inst.row_bound!r} Delta={inst.col_bound!r}",
             f"certificate: events={out.certificate.n_events} min_margin={out.certificate.min_margin!r}",
-            f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.total_resamples}",
+            f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.rounds}",
             f"reduced_discrepancy = {res.achieved!r} (bound {res.bound!r})",
             f"lifted_discrepancy = {out.lifted.max_disc!r}",
             f"proven_bound = {out.lifted.proven_bound!r}",
@@ -132,7 +132,7 @@ def cmd_solve(args) -> int:
             f"mode = {out.mode}",
             f"direct_bound = {out.direct_bound!r}",
             f"reduced_bound = {out.reduced_bound!r}",
-            f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.total_resamples}",
+            f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.rounds}",
             f"max_edge_imbalance = {res.achieved!r} (bound {res.bound!r})",
         ]
         certified = res.certified

@@ -4,8 +4,9 @@ An instance is a real matrix with declared L1 budgets on rows and columns.
 Both it and the non-negative rescaled form the solving machinery works on
 are one coordinate-form core plus two declared bounds.  The rescaled entries
 are partitioned, per row, into binary-magnitude buckets.  Each bucket gets
-a discrepancy allowance from :func:`bucket_threshold`; the allowances of a
-whole row sum to at most ``Parameters.bound``.
+a discrepancy allowance, the threshold of
+:func:`~lowdisc.certify.build_event_graph`; the allowances of a whole row
+sum to at most ``Parameters.bound``.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ __all__ = [
     "floor_neg_log2_array",
     "compute_parameters",
     "stratify",
-    "bucket_threshold",
-    "row_threshold_budget",
     "discrepancy",
 ]
-
-# sum_{i >= 0} 2^(-i/2) = 1 / (1 - 2^(-1/2))
-GEOMETRIC_TAIL = 2.0 + math.sqrt(2.0)
 
 # relative slack for L1-norm comparisons; absorbs summation roundoff only
 REL_TOL = 1e-9
@@ -311,13 +307,6 @@ class Strata:
     def values(self, idx: int) -> np.ndarray:
         return self.vals[self.ptr[idx]:self.ptr[idx + 1]]
 
-    def as_dict(self) -> dict:
-        """{(row, level): (support, values, sum)} view, for inspection and tests."""
-        return {
-            (int(self.row[b]), int(self.level[b])): (self.support(b), self.values(b), float(self.sums[b]))
-            for b in range(len(self))
-        }
-
 
 def column_groups(cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(col_ptr, order): the entries of column ``c`` are ``order[col_ptr[c]:col_ptr[c + 1]]``.
@@ -367,26 +356,6 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
         a.setflags(write=False)
     return Strata(n=A.n, m=A.m, level_floor=params.level_floor,
                   row=row, level=level, ptr=ptr, cols=c, vals=v, sums=sums)
-
-
-def bucket_threshold(bucket_sum: float, level: int, params: Parameters) -> float:
-    """Tolerated discrepancy of one bucket: eps * sum + alpha * 2^(-level/2)."""
-    if level < params.level_floor:
-        raise HypothesisViolation([
-            f"level {level} is below the floor {params.level_floor}"
-        ])
-    if bucket_sum < 0:
-        raise ValueError(f"bucket sum must be non-negative, got {bucket_sum!r}")
-    return params.eps * bucket_sum + params.alpha * 2.0 ** (-level / 2.0)
-
-
-def row_threshold_budget(params: Parameters, row_sum: float = 1.0) -> float:
-    """Sum of bucket thresholds over all levels >= the floor, for one row.
-
-    The alpha terms form a geometric series; with row_sum <= 1 the total
-    stays below ``params.bound``.
-    """
-    return params.eps * row_sum + params.alpha * 2.0 ** (-params.level_floor / 2.0) * GEOMETRIC_TAIL
 
 
 @dataclass(frozen=True, eq=False)

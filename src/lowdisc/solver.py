@@ -63,11 +63,6 @@ class SolveResult:
     resample_counts: np.ndarray
     seed: int
 
-    @property
-    def total_resamples(self) -> int:
-        """Every round resamples one event, so this is ``rounds``."""
-        return self.rounds
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolveResult):
             return NotImplemented
@@ -131,6 +126,8 @@ def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed,
     this needs are built at the first redraw, so a run that never
     resamples costs one full pass.
     """
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be non-negative")
     rng = _rng(seed)
     y = _draw_signs(rng, n_vars)
     n_events = len(thresholds)
@@ -203,8 +200,6 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
         raise HypothesisViolation([
             "resampling requires a passing certificate; run verify_lll_condition first"
         ])
-    if max_rounds < 0:
-        raise ValueError("max_rounds must be non-negative")
     strata = graph.strata
     return _resample_loop(strata.ptr, strata.cols, strata.vals, graph.threshold, A.m,
                           seed, max_rounds, params.bound, matrix=A)
@@ -234,7 +229,7 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
         bound = check.imbalance_bound
     else:
         bound = float(imbalance_bound)
-        if bound < 0.0:
+        if not (bound >= 0.0):
             raise ValueError("imbalance bound must be non-negative")
     ones = np.broadcast_to(1.0, H.verts.shape)  # every coefficient is 1; no copy
     return _resample_loop(H.ptr, H.verts, ones, np.full(H.n_edges, bound),

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from lowdisc.model import (
-    GEOMETRIC_TAIL,
     compute_parameters,
     discrepancy,
     stratify,
@@ -18,8 +17,8 @@ from lowdisc.model import (
 from lowdisc.certify import (
     MARGIN_TOL,
     build_event_graph,
-    event_tail_bound,
     level_exponent_slack,
+    log_event_tail_bound,
     log_event_weight,
     verify_lll_condition,
 )
@@ -27,6 +26,7 @@ from lowdisc.formats import format_matrix, parse_matrix_text
 from lowdisc.generate import random_hypergraph, random_matrix, random_reduced
 from lowdisc.pipeline import solve_matrix, solve_reduced
 from lowdisc.solver import brute_force_optimum, moser_tardos, solve_hypergraph_direct
+from test_event_graph_reference import GEOMETRIC_TAIL
 
 LOG_HALF = math.log(0.5)
 
@@ -224,7 +224,7 @@ def test_criterion_8_empirical_tail_dominance():
         total = value * size
         assert total <= 1.0
         thr = params.eps * total + params.alpha * 2.0 ** (-level / 2.0)
-        p = event_tail_bound(size, level, params)
+        p = math.exp(log_event_tail_bound(size, level, params))
         draws = rng.choice([-1.0, 1.0], size=(n_draws, size)).sum(axis=1) * value
         freq = float((np.abs(draws) > thr).mean())
         allowance = min(p, 1.0) + 3.0 * math.sqrt(min(p, 1.0) * max(1.0 - p, 0.0) / n_draws)

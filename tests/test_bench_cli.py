@@ -210,8 +210,10 @@ def test_cli_solves_an_edge_list_opening_with_a_percent_comment(tmp_path, capsys
 @pytest.mark.parametrize("argv", [
     ["bench", "--family", "matrix", "--sizes", "4,a,6,2"],
     ["gen", "--family", "matrix", "--density", "2", "--output", "{tmp}/x.mtx"],
+    ["solve", "{tmp}/h.txt", "--mode", "direct", "--max-rounds", "-3"],
 ])
 def test_cli_value_error_exits_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "h.txt").write_text(format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

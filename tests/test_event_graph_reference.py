@@ -1,10 +1,11 @@
 """Differential test: the array event graph and certificate against the
 per-event loop they replaced.
 
-The reference builds one record per bucket from the scalar bound functions,
-maps every column to its events, and takes each event's neighbourhood with
-one ``np.unique`` over the event lists of its columns; the check then sums
-``log1p(-w)`` over each neighbourhood and each column separately.
+The reference builds one record per bucket from scalar bound functions
+written here, independently of ``lowdisc.certify``, maps every column to
+its events, and takes each event's neighbourhood with one ``np.unique``
+over the event lists of its columns; the check then sums ``log1p(-w)``
+over each neighbourhood and each column separately.
 """
 
 import math
@@ -13,16 +14,77 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lowdisc.certify import (
-    MARGIN_TOL,
-    build_event_graph,
-    level_exponent_slack,
-    log_event_tail_bound,
-    log_event_weight,
-    verify_lll_condition,
-)
+from lowdisc import certify
+from lowdisc.certify import MARGIN_TOL, build_event_graph, level_exponent_slack, verify_lll_condition
 from lowdisc.generate import random_reduced
-from lowdisc.model import bucket_threshold, compute_parameters, stratify
+from lowdisc.model import HypothesisViolation, InternalInconsistency, compute_parameters, stratify
+
+LOG2 = math.log(2.0)
+
+# sum_{i >= 0} 2^(-i/2) = 1 / (1 - 2^(-1/2))
+GEOMETRIC_TAIL = 2.0 + math.sqrt(2.0)
+
+
+# --- reference scalar formulas, one event at a time -------------------------
+
+def bucket_threshold(bucket_sum: float, level: int, params) -> float:
+    """Tolerated discrepancy of one bucket: eps * sum + alpha * 2^(-level/2)."""
+    if level < params.level_floor:
+        raise HypothesisViolation([
+            f"level {level} is below the floor {params.level_floor}"
+        ])
+    if bucket_sum < 0:
+        raise ValueError(f"bucket sum must be non-negative, got {bucket_sum!r}")
+    return params.eps * bucket_sum + params.alpha * 2.0 ** (-level / 2.0)
+
+
+def row_threshold_budget(params, row_sum: float = 1.0) -> float:
+    """Sum of bucket thresholds over all levels >= the floor, for one row.
+
+    The alpha terms form a geometric series; with row_sum <= 1 the total
+    stays below ``params.bound``.
+    """
+    return params.eps * row_sum + params.alpha * 2.0 ** (-params.level_floor / 2.0) * GEOMETRIC_TAIL
+
+
+def _check_event_args(size: int, level: int, params) -> None:
+    if size < 1:
+        raise ValueError(f"event needs a non-empty support, got size {size}")
+    if level < params.level_floor:
+        raise HypothesisViolation(
+            [f"level {level} is below the floor {params.level_floor}"]
+        )
+
+
+def _level_exponent(level: int, params) -> float:
+    """eps * alpha * 2^(level/2) / 2, the level term of every event bound."""
+    return params.eps * params.alpha * 2.0 ** (level / 2.0) / 2.0
+
+
+def log_event_tail_bound(size: int, level: int, params) -> float:
+    """Natural log of the per-event tail bound
+    2 exp(-eps^2 size / 8 - eps alpha 2^(level/2) / 2)."""
+    _check_event_args(size, level, params)
+    return LOG2 - params.eps * params.eps * size / 8.0 - _level_exponent(level, params)
+
+
+def log_event_weight(size: int, level: int, params) -> float:
+    """Natural log of the event weight
+    2 exp(-eps^2 size / 16 - eps alpha 2^(level/2) / 2).
+
+    Valid parameters force every weight below 1/2; a breach means the
+    parameters were corrupted and is raised as an internal inconsistency.
+    """
+    _check_event_args(size, level, params)
+    lw = LOG2 - params.eps * params.eps * size / 16.0 - _level_exponent(level, params)
+    if not (lw < -LOG2):
+        raise InternalInconsistency(
+            f"event weight exp({lw!r}) is not below 1/2; parameters violate the hypotheses"
+        )
+    return lw
+
+
+# --- reference event graph and certificate ---------------------------------
 
 
 def reference_event_graph(strata, params):
@@ -95,6 +157,11 @@ def test_array_graph_and_certificate_match_the_per_event_loop(A):
         bucket_threshold(float(s), int(k), params) for s, k in zip(strata.sums, strata.level)]
     assert graph.log_tail.tolist() == [e.log_tail for e in events]
     assert graph.log_weight.tolist() == [e.log_weight for e in events]
+    # and so does the library's scalar function, one event at a time
+    assert [certify.log_event_tail_bound(e.cols.size, e.level, params) for e in events] == [
+        e.log_tail for e in events]
+    assert [certify.log_event_weight(e.cols.size, e.level, params) for e in events] == [
+        e.log_weight for e in events]
 
     passed, margins, column_sums, level_slacks = reference_certificate(
         events, column_events, neighbors, A.m, params)

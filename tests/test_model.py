@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lowdisc.certify import build_event_graph
 from lowdisc.model import (
-    GEOMETRIC_TAIL,
     HypothesisViolation,
     InputMatrix,
     ReducedInstance,
     SignVector,
-    bucket_threshold,
+    Strata,
     compute_parameters,
     discrepancy,
     floor_neg_log2,
     floor_neg_log2_array,
-    row_threshold_budget,
     stratify,
 )
 from lowdisc.generate import random_reduced
+from test_event_graph_reference import GEOMETRIC_TAIL, row_threshold_budget
 
 
 # --- derived constants ---------------------------------------------------
@@ -130,9 +130,9 @@ def test_stratify_levels():
     A = _instance([(0, 0, 0.25), (0, 1, 0.2), (1, 2, 0.0)], 2, 3, 0.25, 1.0)
     params = compute_parameters(0.25, 1.0)
     strata = stratify(A, params)
-    d = strata.as_dict()
-    assert set(d) == {(0, 2)}  # both nonzeros at level 2; the zero is excluded
-    cols, vals, total = d[(0, 2)]
+    keys = list(zip(strata.row.tolist(), strata.level.tolist()))
+    assert set(keys) == {(0, 2)}  # both nonzeros at level 2; the zero is excluded
+    cols, total = strata.support(0), float(strata.sums[0])
     assert list(cols) == [0, 1]
     assert total == pytest.approx(0.45, rel=1e-15)
 
@@ -176,21 +176,30 @@ def test_stratify_partition_properties(seed):
 
 # --- thresholds ------------------------------------------------------------
 
+def _threshold(bucket_sum, level, params):
+    """Event-graph threshold of one single-column bucket with this sum and level."""
+    one = np.zeros(1, dtype=np.int64)
+    strata = Strata(n=1, m=1, level_floor=params.level_floor, row=one,
+                    level=np.array([level]), ptr=np.array([0, 1]), cols=one,
+                    vals=np.array([bucket_sum]), sums=np.array([bucket_sum]))
+    return float(build_event_graph(strata, params).threshold[0])
+
+
 def test_threshold_values():
     p = compute_parameters(0.25, 1.0)  # alpha=2, eps=8
-    assert bucket_threshold(0.0, 2, p) == 1.0
-    assert bucket_threshold(0.5, 2, p) == 5.0
+    assert _threshold(0.0, 2, p) == 1.0
+    assert _threshold(0.5, 2, p) == 5.0
     p2 = compute_parameters(2.0**-20, 2.0**-10)
-    got = bucket_threshold(1.0, 20, p2)
+    got = _threshold(1.0, 20, p2)
     assert got == pytest.approx(9.0 * math.sqrt(30.0) / 1024.0, rel=1e-14)
 
 
 def test_threshold_rejects_below_floor():
     p = compute_parameters(0.25, 1.0)
-    with pytest.raises(HypothesisViolation):
-        bucket_threshold(0.1, 1, p)
-    with pytest.raises(ValueError):
-        bucket_threshold(-0.1, 2, p)
+    with pytest.raises(HypothesisViolation, match="level is below the floor 2"):
+        _threshold(0.1, 1, p)
+    with pytest.raises(ValueError, match="bucket sum must be non-negative"):
+        _threshold(-0.1, 2, p)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -202,10 +211,10 @@ def test_threshold_tail_sum_within_bound(seed):
     params = compute_parameters(beta, delta)
     A = random_reduced(6, 40, beta, delta, density=0.5, seed=seed)
     strata = stratify(A, params)
+    threshold = build_event_graph(strata, params).threshold
     occupied = np.zeros(A.n)
     for b in range(len(strata)):
-        occupied[strata.row[b]] += bucket_threshold(
-            float(strata.sums[b]), int(strata.level[b]), params)
+        occupied[strata.row[b]] += threshold[b]
     full = row_threshold_budget(params)  # geometric tail over every level
     assert occupied.max(initial=0.0) <= full + 1e-12
     assert full <= params.bound + 1e-12

@@ -9,7 +9,6 @@ from lowdisc.model import (
     InputMatrix,
     ReducedInstance,
     SignVector,
-    bucket_threshold,
     compute_parameters,
     discrepancy,
     stratify,
@@ -42,7 +41,7 @@ def test_zero_matrix_returns_initial_draw():
                         np.array([]), 0.25, 1.0)
     graph, report = _prepared(A, P14)
     res = moser_tardos(A, graph, P14, seed=3, certificate=report)
-    assert res.certified and res.rounds == 0 and res.total_resamples == 0
+    assert res.certified and res.rounds == 0
     assert res.achieved == 0.0
     assert res.y == random_coloring(5, 3)  # the untouched initial draw
 
@@ -88,6 +87,8 @@ def test_uncertified_graph_rejected():
                        n_events=report.n_events, failure="forced")
     with pytest.raises(HypothesisViolation):
         moser_tardos(A, graph, P14, seed=0, certificate=bad)
+    with pytest.raises(ValueError, match="max_rounds must be non-negative"):
+        moser_tardos(A, graph, P14, seed=0, max_rounds=-3, certificate=report)
 
 
 def test_solve_is_deterministic_per_seed():
@@ -111,10 +112,10 @@ def test_certified_solve_meets_bound_seed_42():
 def test_mini_campaign_respects_resample_budget():
     A = random_reduced(8, 30, 2.0**-6, 2.0**-2, density=0.4, seed=2)
     out0 = solve_reduced(A, seed=0)
-    total = out0.result.total_resamples
+    total = out0.result.rounds
     for seed in range(1, 50):
         total += moser_tardos(A, out0.graph, out0.params, seed=seed,
-                              certificate=out0.certificate).total_resamples
+                              certificate=out0.certificate).rounds
     assert total <= max(1.0, 100.0 * out0.certificate.resample_budget)
 
 
@@ -140,7 +141,7 @@ def test_resampling_converges_under_overlap_pressure():
 def test_exhaustion_returns_best_seen_uncertified():
     H = HypergraphInstance(8, ((0, 1), (2, 3), (4, 5), (6, 7)), 2, 1)
     full = solve_hypergraph_direct(H, seed=5, imbalance_bound=0.0)
-    assert full.total_resamples > 0
+    assert full.rounds > 0
     res = solve_hypergraph_direct(H, seed=5, imbalance_bound=0.0, max_rounds=0)
     assert not res.certified
     assert res.rounds == 0
@@ -188,6 +189,12 @@ def test_direct_mode_unavailable_redirects():
     with pytest.raises(HypothesisViolation) as err:
         solve_hypergraph_direct(H, seed=0)
     assert "reduction" in str(err.value)
+    # an explicit bound skips the check, but not the argument checks
+    for bound in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="imbalance bound must be non-negative"):
+            solve_hypergraph_direct(H, seed=0, imbalance_bound=bound)
+    with pytest.raises(ValueError, match="max_rounds must be non-negative"):
+        solve_hypergraph_direct(H, seed=0, imbalance_bound=1.0, max_rounds=-3)
 
 
 def test_single_large_edge_concentrates_below_bound():
