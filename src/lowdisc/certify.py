@@ -174,37 +174,62 @@ def _raise_first(strata: Strata, params: Parameters, failures, log_weight) -> No
                       + why.format(floor=params.level_floor, lw=float(log_weight[e])))
 
 
-def _neighbor_csr(strata: Strata) -> tuple[np.ndarray, np.ndarray]:
-    """(nbr_ptr, nbr): for each event, every other event sharing a column.
+# (event, column) incidences per block of the neighbour build, whose pairs
+# are alive one block at a time
+_PAIR_BLOCK = 2**11
 
-    Each (event, column) incidence is joined with the column's event list;
-    the pairs (e, f) become keys e * B + f, which sort by event and then by
-    neighbour.  Duplicates go by sort plus an adjacent-difference mask, not
-    ``np.unique``, which under numpy 2.4 is about 50 times slower on 10^6
-    int64 keys.
+
+def _neighbor_csr(ptr: np.ndarray, cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nbr_ptr, nbr): for each event, every other event sharing a column
+    with it, ascending.
+
+    Event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]`` in ``[0, m)``, at
+    least one.  The events are taken in blocks of whole events, about
+    ``_PAIR_BLOCK`` incidences each.  Each incidence of a block is joined
+    with the events of its column; the pairs (e, f) become keys e * B + f,
+    which sort by event and then by neighbour.  Duplicates go by sort plus
+    an adjacent-difference mask, not ``np.unique``, which under numpy 2.4
+    is about 50 times slower on 10^6 int64 keys.  Only one block's pairs
+    are alive at once, not all sum(deg^2) of them.  The lists go into one
+    buffer of sum over events of min(B, pairs of the event) entries, which
+    bounds them, and the buffer is shrunk in place at the end.
     """
-    B = len(strata)
-    event = np.repeat(np.arange(B, dtype=np.int64), np.diff(strata.ptr))
-    col_ptr, order = column_groups(strata.cols, strata.m)
-    col_events = event[order]  # grouped by column
-    col_start = col_ptr[strata.cols]
-    fan = col_ptr[strata.cols + 1] - col_start  # pairs contributed by each incidence
-    pos = np.arange(int(fan.sum()), dtype=np.int64)
-    pos -= np.repeat(np.cumsum(fan) - fan - col_start, fan)
-    keys = np.repeat(event * B, fan)
-    keys += col_events[pos]
-    del pos
-    keys.sort()
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    # every event pairs with itself (its support is non-empty); drop the
-    # first copy of each key e * B + e, the others are duplicates already
-    keep[np.searchsorted(keys, np.arange(B, dtype=np.int64) * (B + 1))] = False
-    keys = keys[keep]
-    nbr_ptr = np.searchsorted(keys, np.arange(B + 1, dtype=np.int64) * B)
-    keys -= np.repeat(np.arange(B, dtype=np.int64) * B, np.diff(nbr_ptr))
-    return nbr_ptr, keys
+    B = ptr.size - 1
+    size = np.diff(ptr)
+    col_ptr, order = column_groups(cols, m)
+    col_events = np.arange(B, dtype=np.int64).repeat(size)[order]  # grouped by column
+    del order
+    deg = np.diff(col_ptr)
+    pairs = np.concatenate(([0], np.cumsum(deg[cols])))[ptr]
+    nbr = np.empty(int(np.minimum(np.diff(pairs), B).sum()), dtype=np.int64)
+    nbr_ptr = np.zeros(B + 1, dtype=np.int64)
+    a = 0
+    while a < B:
+        b = max(a + 1, int(np.searchsorted(ptr, ptr[a] + _PAIR_BLOCK, side="right")) - 1)
+        ids = np.arange(a, b, dtype=np.int64)
+        c = cols[ptr[a]:ptr[b]]
+        col_start = col_ptr[c]
+        fan = deg[c]  # pairs contributed by each incidence
+        pos = np.arange(int(fan.sum()), dtype=np.int64)
+        pos -= np.repeat(np.cumsum(fan) - fan - col_start, fan)
+        keys = np.repeat((ids * B).repeat(size[a:b]), fan)
+        keys += col_events[pos]
+        keys.sort()
+        keep = np.empty(keys.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        # every event pairs with itself (its support is non-empty); drop the
+        # first copy of each key e * B + e, the others are duplicates already
+        keep[np.searchsorted(keys, ids * (B + 1))] = False
+        keys = keys[keep]
+        n = np.diff(np.searchsorted(keys, np.arange(a, b + 1, dtype=np.int64) * B))
+        keys -= np.repeat(ids * B, n)
+        nbr[nbr_ptr[a]:nbr_ptr[a] + keys.size] = keys
+        nbr_ptr[a + 1:b + 1] = nbr_ptr[a] + np.cumsum(n)
+        a = b
+    # shrink in place, without a copy; nothing else refers to the buffer
+    nbr.resize(int(nbr_ptr[-1]), refcheck=False)
+    return nbr_ptr, nbr
 
 
 def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
@@ -226,7 +251,7 @@ def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
     log_weight = _log_bound(sizes, level_term, params, 16.0)
     _raise_first(strata, params, _event_failures(level, strata.sums, sizes, params, log_weight),
                  log_weight)
-    nbr_ptr, nbr = _neighbor_csr(strata)
+    nbr_ptr, nbr = _neighbor_csr(strata.ptr, strata.cols, strata.m)
     for a in (threshold, log_tail, log_weight, nbr_ptr, nbr):
         a.setflags(write=False)
     return EventGraph(strata=strata, threshold=threshold, log_tail=log_tail,

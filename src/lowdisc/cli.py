@@ -130,6 +130,7 @@ def cmd_solve(args) -> int:
             f"instance = hypergraph vertices={inst.n_vertices} edges={inst.n_edges} "
             f"R={inst.max_edge_size} Delta={inst.max_degree}",
             f"mode = {out.mode}",
+            f"route_reason = {out.route_reason}",
             f"direct_bound = {out.direct_bound!r}",
             f"reduced_bound = {out.reduced_bound!r}",
             f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.rounds}",
@@ -142,8 +143,10 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     inst = _load(args)
+    route_line = ""
     if isinstance(inst, HypergraphInstance):
-        route, check = hypergraph_route(inst, args.mode)
+        route, check, reason = hypergraph_route(inst, args.mode)
+        route_line = f"route_reason = {reason}\n"
         if route == "direct":
             text = (
                 "kind = symmetric-lll-check\n"
@@ -153,13 +156,13 @@ def cmd_certify(args) -> int:
                 f"dependency_degree = {check.dependency_degree}\n"
                 f"product = {check.product!r}\n"
             )
-            _emit(text, args.output)
+            _emit(text + route_line, args.output)
             return 0 if check.passed else 1
         inst = hypergraph_incidence(inst)
     validate_matrix(inst)
     A = reduce_matrix(inst)
     params, _, report = certify_reduced(A)
-    _emit(format_certificate(report, params), args.output)
+    _emit(format_certificate(report, params) + route_line, args.output)
     return 0 if report.passed else 1
 
 

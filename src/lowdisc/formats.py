@@ -162,9 +162,10 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
 
     Only a block of digits, ``+-.eE``, spaces, tabs and newlines is handed
     to numpy: on those characters every token it accepts without a warning
-    reads as ``int()`` or ``float()`` would.  Anything else (``%`` lines,
-    other line breaks, ``nan``), a numpy error or warning, or an entry that
-    fails a check returns None, and the caller reads the text line by line.
+    reads as ``int()`` or ``float()`` would.  A ``\r\n`` line break is read
+    as ``\n``.  Anything else (``%`` lines, other line breaks, a lone
+    ``\r``, ``nan``), a numpy error or warning, or an entry that fails a
+    check returns None, and the caller reads the text line by line.
     The header and the L1 norms are checked by the code that reading uses,
     so their errors are raised here as they are.
     """
@@ -178,6 +179,8 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
         return None
     declared, (n, m, expected), _ = _read_header(head)
     data = text.encode("ascii", "replace")  # one byte per character: `pos` still marks the body
+    if data.find(b"\r", pos) >= 0:  # a lone \r is left, and fails the check below
+        data, pos = data[pos:].replace(b"\r\n", b"\n"), 0
     if (declared is None or len(data.translate(None, _ENTRY_BYTES))
             != len(data[:pos].translate(None, _ENTRY_BYTES))):
         return None

@@ -67,11 +67,14 @@ class HypergraphSolveOutcome:
 
     ``mode`` records the route taken: 'direct' (one event per edge, bound
     ``direct_bound``) or 'reduce' (through the incidence matrix, bound
-    ``reduced_bound``).  ``matrix_outcome`` is filled on the reduce route.
+    ``reduced_bound``), and ``route_reason`` why, as
+    :func:`hypergraph_route` gives it.  ``matrix_outcome`` is filled on the
+    reduce route.
     """
 
     hypergraph: HypergraphInstance
     mode: str
+    route_reason: str
     direct_bound: float
     reduced_bound: float
     result: SolveResult
@@ -106,26 +109,33 @@ def solve_matrix(V: InputMatrix, seed: int = 0,
 
 
 def hypergraph_route(H: HypergraphInstance,
-                     mode: str = "auto") -> tuple[str, SymmetricLLLCheck | None]:
-    """The route, 'direct' or 'reduce', that ``mode`` takes on ``H``, and the
-    symmetric check behind it (``None`` when none was evaluated).
+                     mode: str = "auto") -> tuple[str, SymmetricLLLCheck | None, str]:
+    """The route, 'direct' or 'reduce', that ``mode`` takes on ``H``, the
+    symmetric check behind it (``None`` when none was evaluated), and the
+    reason for the route.
 
     'auto' takes the direct route exactly when :func:`verify_symmetric_lll`
-    passes, and reduces otherwise (also when R < 2 leaves the check
+    passes (reason "symmetric check passed"), and reduces otherwise
+    ("e·p·(d+1) = <product> > 1", or "R < 2" when that leaves the check
     undefined); 'direct' returns the check whether or not it passes, and
-    raises its :class:`HypothesisViolation` when R < 2.
+    raises its :class:`HypothesisViolation` when R < 2.  An explicit
+    'direct' or 'reduce' gives the reason "forced".
     """
     if mode not in ("auto", "direct", "reduce"):
         raise ValueError(f"unknown mode {mode!r} (expected auto, direct or reduce)")
     if mode == "reduce":
-        return "reduce", None
+        return "reduce", None, "forced"
     try:
         check = verify_symmetric_lll(H.max_edge_size, H.max_degree)
     except HypothesisViolation:
         if mode == "direct":
             raise
-        return "reduce", None
-    return ("direct" if check.passed or mode == "direct" else "reduce"), check
+        return "reduce", None, "R < 2"
+    if mode == "direct":
+        return "direct", check, "forced"
+    if check.passed:
+        return "direct", check, "symmetric check passed"
+    return "reduce", check, f"e·p·(d+1) = {check.product!r} > 1"
 
 
 def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
@@ -135,7 +145,7 @@ def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
     'direct' uses one event per edge and requires the symmetric condition;
     'reduce' goes through the incidence matrix.
     """
-    mode, _ = hypergraph_route(H, mode)
+    mode, _, reason = hypergraph_route(H, mode)
     if mode == "direct":
         matrix_outcome = None
         result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds)
@@ -143,6 +153,7 @@ def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
         matrix_outcome = solve_matrix(hypergraph_incidence(H), seed=seed, max_rounds=max_rounds)
         result = matrix_outcome.result
     bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
-    return HypergraphSolveOutcome(hypergraph=H, mode=mode, direct_bound=bounds["direct"],
+    return HypergraphSolveOutcome(hypergraph=H, mode=mode, route_reason=reason,
+                                  direct_bound=bounds["direct"],
                                   reduced_bound=bounds["reduced"], result=result,
                                   matrix_outcome=matrix_outcome)

@@ -95,6 +95,14 @@ class HypergraphInstance:
         flat, ptr = self.verts.tolist(), self.ptr.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
 
+    @cached_property
+    def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nbr_ptr, nbr): the other edges sharing a vertex with edge ``e``
+        are ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]``, ascending; built at the
+        first resample of a direct solve."""
+        from .certify import _neighbor_csr  # certify imports this module
+        return _neighbor_csr(self.ptr, self.verts, self.n_vertices)
+
     @property
     def n_edges(self) -> int:
         return int(self.ptr.size - 1)

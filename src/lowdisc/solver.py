@@ -5,12 +5,18 @@ support of the first violated event (in (row, level) order) until no event
 fires.  A passing certificate guarantees the loop terminates quickly and
 that the terminal assignment meets the instance bound.
 
-The loop is incremental: a redraw can change only the events and rows that
-have an entry in the redrawn columns (at most about R * Delta of them), so
-only those are summed again, exactly and from the current signs, never by
-running deltas.  Each round then costs about the same on a large instance
-as on a small one, and the trajectory is the one a full recompute per
-round would give, bit for bit.
+The loop is incremental: a redraw of an event can change only the events
+that share a column with it, its closed neighbourhood in the dependency
+graph (at most about R * Delta events), and their rows.  The touched
+events are the redrawn event's neighbour list in the dependency graph's
+CSR, with the event put in its place: on the matrix path the event
+graph's own lists, on the direct path lists built once per hypergraph at
+its first redraw.  Only those events are summed again, exactly and from
+the current signs, never by running deltas.  The redrawn signs come from
+a pool that holds the very stream ``Generator.integers`` would give.
+Each round then costs about the same on a large instance as on a small
+one, and the trajectory is the one a full recompute per round would give,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .model import (
     Parameters,
     ReducedInstance,
     SignVector,
-    column_groups,
     discrepancy,
 )
 from .certify import CertificateReport, EventGraph, verify_symmetric_lll
@@ -42,6 +47,8 @@ __all__ = [
 DEFAULT_MAX_ROUNDS = 10**6
 # most sign variables brute_force_optimum will enumerate (2^(ORACLE_CAP-1) candidates)
 ORACLE_CAP = 24
+# 64-bit outputs a sign pool draws at a time: 32 KB, 32,768 signs
+_SIGN_WORDS = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,71 +82,113 @@ class SolveResult:
                 and self.seed == other.seed)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+class _Signs:
+    """The +-1 draws that ``integers(0, 2, size=k, dtype=np.int8) * 2 - 1``
+    on ``Generator(PCG64(seed))`` makes, call after call, taken from a pool.
+
+    That call takes the top bit of one byte per draw, from the bytes of
+    ceil(k / 4) fresh 32-bit outputs, least significant byte first, and
+    PCG64 gives its 32-bit outputs as the low and then the high half of
+    each 64-bit output.  So successive calls read windows, each starting
+    on a 4-byte boundary, of the little-endian bytes of ``random_raw``.
+    The pool holds those bytes as signs, ``_SIGN_WORDS`` outputs at a time,
+    and a draw is one slice instead of one ``integers`` call, which costs
+    more than the rest of a resample round.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(seed)
+        self._pool = np.zeros(0, dtype=np.int8)
+        self._at = 0
+
+    def take(self, k: int) -> np.ndarray:
+        if self._at + k > self._pool.size:
+            raw = self._bits.random_raw(max(_SIGN_WORDS, -(-k // 8)))
+            fresh = ((raw.astype("<u8", copy=False).view(np.uint8) >> 7).view(np.int8) << 1) - 1
+            self._pool = np.concatenate((self._pool[self._at:], fresh))
+            self._at = 0
+        out = self._pool[self._at:self._at + k]
+        self._at += (k + 3) & -4
+        return out
 
 
-def _draw_signs(rng: np.random.Generator, k: int) -> np.ndarray:
-    return (rng.integers(0, 2, size=k, dtype=np.int8) << 1) - 1
-
-
-def _segments(ptr: np.ndarray, keys: np.ndarray):
-    """(at, starts, lens): the positions of the CSR segments ``keys`` of
-    ``ptr``, concatenated in key order; segment ``i`` fills
+def _segments(ptr: np.ndarray, keys: np.ndarray, lens: np.ndarray):
+    """(at, starts): the positions of the CSR segments ``keys`` of ``ptr``,
+    of lengths ``lens``, concatenated in key order; segment ``i`` fills
     ``at[starts[i]:starts[i] + lens[i]]``.  ``keys`` must be non-empty."""
-    first = ptr[keys]
-    lens = ptr[keys + 1] - first
     ends = lens.cumsum()
     starts = ends - lens
-    return (first - starts).repeat(lens) + np.arange(ends[-1]), starts, lens
+    return (ptr[keys] - starts).repeat(lens) + np.arange(ends[-1]), starts
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty integer array, ascending."""
-    a = np.sort(a)
-    keep = np.empty(a.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+def _closed(nbr_ptr: np.ndarray, nbr: np.ndarray, e: int) -> np.ndarray:
+    """The events sharing a column with ``e``, ``e`` included, ascending:
+    the neighbour list ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]`` with ``e`` put in
+    its place."""
+    near = nbr[nbr_ptr[e]:nbr_ptr[e + 1]]
+    k = int(near.searchsorted(e))
+    return np.concatenate((near[:k], (e,), near[k:]))
 
 
-def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed,
-                   max_rounds, bound, matrix=None) -> SolveResult:
+def _kept_max(kept: np.ndarray, top: int, current: float, touched: np.ndarray,
+              sums: np.ndarray) -> tuple[float, int]:
+    """(max, argmax) of ``kept`` just after ``kept[touched] = sums``, given
+    its maximum ``current`` at ``top`` before.  Exact: the untouched values
+    are at most ``current``, so only a touched maximum can raise it, and
+    only a touched ``top`` can lower it, which takes one full rescan."""
+    i = int(sums.argmax())
+    if sums[i] >= current:
+        return float(sums[i]), int(touched[i])
+    if kept[top] < current:
+        top = int(kept.argmax())
+        return float(kept[top]), top
+    return current, top
+
+
+def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed, max_rounds,
+                   bound, neighbors, matrix=None, event_row=None) -> SolveResult:
     """Shared resampling loop over events sorted by their priority order.
 
     Event ``e`` has columns ``flat_cols[ptr[e]:ptr[e + 1]]`` (ascending)
-    with coefficients from ``flat_vals``.  ``achieved`` is the largest
-    per-row |matrix @ y| when ``matrix`` is given, as
-    :func:`~lowdisc.model.discrepancy` computes it, and the largest
-    |event sum| otherwise.
+    with coefficients from ``flat_vals``.  ``neighbors()`` returns the
+    dependency graph's CSR ``(nbr_ptr, nbr)``: the other events sharing a
+    column with ``e`` are ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]``, ascending.
+    ``achieved`` is the largest per-row |matrix @ y| when ``matrix`` is
+    given, as :func:`~lowdisc.model.discrepancy` computes it, with
+    ``event_row[e]`` the row of event ``e`` (non-decreasing in ``e``, every
+    entry of the matrix in exactly one event), and the largest |event sum|
+    otherwise.
 
     Each round redraws exactly one event's support, in ascending column
     order, so the stream consumption and hence the whole trajectory is
     reproducible from ``seed``.  The |event sums|, the violated mask and
-    the |row sums| are kept from round to round.  After a redraw, only the
-    events and rows with an entry in the redrawn columns are recomputed,
-    exactly and from ``y``: the events by one ``np.add.reduceat`` over
-    their gathered segments (each segment is summed as in the full call),
-    the rows by one ``np.bincount`` over their entries in the matrix's
-    entry order (each row is summed as in ``discrepancy``).  ``achieved``
-    is then one vectorised max over the kept sums.  The column indexes
-    this needs are built at the first redraw, so a run that never
-    resamples costs one full pass.
+    the |row sums| are kept from round to round.  A redraw of ``e`` can
+    change only ``e`` and its neighbours (:func:`_closed`), and the rows
+    of those events.  They are recomputed exactly and from ``y``: the
+    events by one ``np.add.reduceat`` over their gathered segments (each
+    segment is summed as in the full call), the rows by one
+    ``np.bincount`` over their entries in the matrix's entry order (each
+    row is summed as in ``discrepancy``).  ``achieved`` is kept with its
+    argmax by :func:`_kept_max`.  ``neighbors`` is called
+    at the first redraw, so a run that never resamples costs one full
+    pass.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
-    rng = _rng(seed)
-    y = _draw_signs(rng, n_vars)
+    signs = _Signs(seed)
+    y = signs.take(n_vars).copy()
     n_events = len(thresholds)
     counts = np.zeros(n_events, dtype=np.int64)
     event_abs = (np.abs(np.add.reduceat(flat_vals * y[flat_cols], ptr[:-1]))
                  if n_events else np.zeros(0))
     violated = event_abs > thresholds
     if matrix is None:
-        current = float(event_abs.max())
+        top = int(event_abs.argmax())
+        current = float(event_abs[top])
     else:
         row_abs, current = discrepancy(matrix, y)
-    col_events = None
+        top = int(row_abs.argmax())
+    nbr = None
     rounds = 0
     best_y = y
     best_val = math.inf
@@ -152,33 +201,36 @@ def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed,
         if not any_violated or rounds >= max_rounds:
             break
         support = flat_cols[ptr[e]:ptr[e + 1]]  # ascending within the event
-        y[support] = _draw_signs(rng, support.size)
+        y[support] = signs.take(support.size)
         counts[e] += 1
         rounds += 1
-        if col_events is None:
-            col_ptr, order = column_groups(flat_cols, n_vars)
-            # int32 event ids, where they fit, halve the size of this index
-            ids = np.arange(n_events, dtype=np.int32 if n_events < 2**31 else np.int64)
-            col_events = ids.repeat(np.diff(ptr))[order]
+        if nbr is None:
+            nbr_ptr, nbr = neighbors()
+            size = np.diff(ptr)
             if matrix is not None:
-                row_col_ptr, order = column_groups(matrix.cols, matrix.m)
-                col_rows = matrix.rows[order]
                 # entries are in (row, col) order, so each row is one run
                 row_ptr = np.searchsorted(matrix.rows, np.arange(matrix.n + 1))
-        touched = _distinct(col_events[_segments(col_ptr, support)[0]])
-        at, starts, _ = _segments(ptr, touched)
+                row_size = np.diff(row_ptr)
+        touched = _closed(nbr_ptr, nbr, e)
+        at, starts = _segments(ptr, touched, size[touched])
         sums = np.abs(np.add.reduceat(flat_vals[at] * y[flat_cols[at]], starts))
         event_abs[touched] = sums
         violated[touched] = sums > thresholds[touched]
         if matrix is None:
-            current = float(event_abs.max())
+            current, top = _kept_max(event_abs, top, current, touched, sums)
         else:
-            touched = _distinct(col_rows[_segments(row_col_ptr, support)[0]])
-            at, _, lens = _segments(row_ptr, touched)
-            local = np.repeat(np.arange(touched.size), lens)
-            row_abs[touched] = np.abs(np.bincount(
-                local, weights=matrix.vals[at] * y[matrix.cols[at]], minlength=touched.size))
-            current = float(row_abs.max())
+            rows = event_row[touched]  # ascending, as ``touched`` is
+            first = np.empty(rows.size, dtype=bool)
+            first[0] = True
+            np.not_equal(rows[1:], rows[:-1], out=first[1:])
+            rows = rows[first]
+            lens = row_size[rows]
+            at, _ = _segments(row_ptr, rows, lens)
+            local = np.repeat(np.arange(rows.size), lens)
+            sums = np.abs(np.bincount(local, weights=matrix.vals[at] * y[matrix.cols[at]],
+                                      minlength=rows.size))
+            row_abs[rows] = sums
+            current, top = _kept_max(row_abs, top, current, rows, sums)
     if any_violated:
         y, current = best_y, best_val
     counts.setflags(write=False)
@@ -202,7 +254,9 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
         ])
     strata = graph.strata
     return _resample_loop(strata.ptr, strata.cols, strata.vals, graph.threshold, A.m,
-                          seed, max_rounds, params.bound, matrix=A)
+                          seed, max_rounds, params.bound,
+                          lambda: (graph.nbr_ptr, graph.nbr),
+                          matrix=A, event_row=strata.row)
 
 
 def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
@@ -233,7 +287,7 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
             raise ValueError("imbalance bound must be non-negative")
     ones = np.broadcast_to(1.0, H.verts.shape)  # every coefficient is 1; no copy
     return _resample_loop(H.ptr, H.verts, ones, np.full(H.n_edges, bound),
-                          H.n_vertices, seed, max_rounds, bound)
+                          H.n_vertices, seed, max_rounds, bound, lambda: H._neighbors)
 
 
 def brute_force_optimum(M) -> tuple[SignVector, float]:
@@ -271,4 +325,4 @@ def random_coloring(m: int, seed: int) -> SignVector:
     """Uniform i.i.d. signs, reproducible per seed."""
     if m < 1:
         raise ValueError(f"need at least one column, got {m}")
-    return SignVector(_draw_signs(_rng(seed), m))
+    return SignVector(_Signs(seed).take(m))

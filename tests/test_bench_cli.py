@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from lowdisc.certify import verify_symmetric_lll
 from lowdisc.model import HypothesisViolation
 from lowdisc.bench import BenchConfig, format_bench_report, run_benchmark
 from lowdisc.cli import main
@@ -260,3 +262,34 @@ def test_cli_certify_and_solve_take_the_direct_route_together(tmp_path, capsys):
     assert "kind = symmetric-lll-check" in capsys.readouterr().out
     assert main(["solve", str(hg)]) == 0
     assert "mode = direct" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,reason", [
+    ([], "symmetric check passed"),
+    (["--mode", "direct"], "forced"),
+    (["--mode", "reduce"], "forced"),
+])
+def test_cli_hypergraph_output_names_the_route_reason(tmp_path, capsys, argv, reason):
+    hg = tmp_path / "h.txt"
+    hg.write_text(format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
+    for command in ("certify", "solve"):
+        assert main([command, str(hg)] + argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("route_reason")] == [
+            f"route_reason = {reason}"]
+
+
+def test_cli_names_a_failed_symmetric_check(tmp_path, capsys, monkeypatch):
+    import lowdisc.pipeline as pipeline
+
+    def failing(R, D):
+        return dataclasses.replace(verify_symmetric_lll(R, D), product=1.5, passed=False)
+
+    monkeypatch.setattr(pipeline, "verify_symmetric_lll", failing)
+    hg = tmp_path / "h.txt"
+    hg.write_text(format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
+    for command in ("certify", "solve"):
+        assert main([command, str(hg)]) == 0
+        out = capsys.readouterr().out
+        assert "route_reason = e·p·(d+1) = 1.5 > 1\n" in out
+        assert ("lll-certificate" if command == "certify" else "mode = reduce") in out

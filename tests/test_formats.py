@@ -97,6 +97,35 @@ def test_canonical_files_never_reach_the_line_by_line_reader(monkeypatch):
     assert format_matrix(parse_matrix_text(reordered)) == texts[-1]
 
 
+def test_crlf_files_stay_on_the_fast_path(monkeypatch):
+    def refuse(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(formats, "_parse_lines", refuse)
+    big = format_matrix(random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1))
+    for text in (CANONICAL_MATRIX, big):
+        assert format_matrix(parse_matrix_text(text.replace("\n", "\r\n"))) == text
+
+
+@pytest.mark.parametrize("body,needle", [
+    ("1 1 0.5\r1 2 0.5\r\n2 5 0.5\r\n", "line 6: column index"),  # a lone \r breaks a line
+    ("1 1 0.5\r\n1 2 0.5\r\r\n2 5 0.5\r\n", "line 7: column index"),  # \r, then \r\n
+    ("1 1 0.5\r\n1 2 0.5\r\n2 5 0.5\r", "line 6: column index"),  # a lone \r at the end
+])
+def test_a_lone_carriage_return_gets_the_line_readers_error(body, needle):
+    text = "%%MatrixMarket matrix coordinate real general\r\n%%disc R=2 Delta=2\r\n2 3 3\r\n" + body
+    assert formats._parse_entry_block(text) is None
+    with pytest.raises(ParseError) as want:
+        formats._parse_lines(text)
+    with pytest.raises(ParseError) as got:
+        parse_matrix_text(text)
+    assert str(got.value) == str(want.value) and needle in str(got.value)
+    # valid entries split by lone \r breaks are read line by line, and read right
+    fixed = text.replace("2 5", "2 3")
+    assert formats._parse_entry_block(fixed) is None
+    assert format_matrix(parse_matrix_text(fixed)) == format_matrix(formats._parse_lines(fixed))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="a %\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029", max_size=12))
 def test_lazy_lines_split_as_splitlines(text):

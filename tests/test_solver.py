@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lowdisc import certify, solver
 from lowdisc.model import (
     HypothesisViolation,
     InputMatrix,
@@ -15,7 +17,7 @@ from lowdisc.model import (
 )
 from lowdisc.certify import build_event_graph, verify_lll_condition, verify_symmetric_lll
 from lowdisc.generate import random_hypergraph, random_reduced
-from lowdisc.pipeline import solve_reduced
+from lowdisc.pipeline import hypergraph_route, solve_hypergraph, solve_reduced
 from lowdisc.reduction import HypergraphInstance
 from lowdisc.solver import (
     brute_force_optimum,
@@ -250,6 +252,132 @@ def test_oracle_sandwich_small_instance():
     _, opt = brute_force_optimum(A)
     assert opt <= out.result.achieved + 1e-15
     assert out.result.achieved <= out.params.bound + 1e-12
+
+
+# --- the resample kernel's parts -----------------------------------------------
+
+
+def _tightened():
+    """A valid instance whose buckets of two or more entries fire whenever
+    their signs agree, so the matrix path resamples."""
+    A = random_reduced(20, 60, 2.0**-6, 2.0**-2, density=0.4, seed=0, level_spread=8)
+    params = compute_parameters(A.beta, A.delta)
+    graph, report = _prepared(A, params)
+    s = graph.strata
+    tight = np.where(np.diff(s.ptr) > 1, np.nextafter(s.sums, 0.0), s.sums)
+    return A, params, dataclasses.replace(graph, threshold=tight), report
+
+
+@st.composite
+def _supports(draw):
+    """(ptr, cols, m, supports): events with non-empty ascending supports
+    in [0, m), some columns used by no event."""
+    m = draw(st.integers(1, 12))
+    supports = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True).map(sorted),
+        min_size=1, max_size=14))
+    ptr = np.concatenate(([0], np.cumsum([len(s) for s in supports]))).astype(np.int64)
+    cols = np.array([c for s in supports for c in s], dtype=np.int64)
+    return ptr, cols, m, supports
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@settings(max_examples=60, deadline=None)
+@given(case=_supports())
+def test_neighbor_csr_and_closed_sets_match_shared_column_pairs(block, case):
+    ptr, cols, m, supports = case
+    expect = [[f for f, t in enumerate(supports) if set(s) & set(t)] for s in supports]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_PAIR_BLOCK", block)  # blocks end mid-instance
+        nbr_ptr, nbr = certify._neighbor_csr(ptr, cols, m)
+    assert nbr_ptr.dtype == nbr.dtype == np.int64
+    assert nbr_ptr.tolist() == np.cumsum([0] + [len(x) - 1 for x in expect]).tolist()
+    assert [nbr[a:b].tolist() for a, b in zip(nbr_ptr[:-1], nbr_ptr[1:])] == [
+        [f for f in x if f != e] for e, x in enumerate(expect)]
+    for e, x in enumerate(expect):  # a round's touched events: e put back in its place
+        closed = solver._closed(nbr_ptr, nbr, e)
+        assert closed.dtype == np.int64 and closed.tolist() == x
+
+
+def test_neighbors_are_built_at_the_first_redraw_and_cached_per_hypergraph(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    A, params, graph, report = _tightened()
+    build = certify._neighbor_csr
+    monkeypatch.setattr(certify, "_neighbor_csr", counted)
+    H = random_hypergraph(1000, 16, 4, seed=1)
+    assert solve_hypergraph_direct(H, seed=1, imbalance_bound=4.0, max_rounds=0).rounds == 0
+    assert calls == [] and "_neighbors" not in vars(H)
+    for seed in (1, 2):
+        result = solve_hypergraph_direct(H, seed=seed, imbalance_bound=4.0, max_rounds=30)
+        assert result.rounds == 30
+    assert len(calls) == 1 and calls[0][0] is H.ptr and calls[0][1] is H.verts
+    # the matrix path takes the event graph's own lists and builds nothing
+    assert moser_tardos(A, graph, params, seed=0, max_rounds=3, certificate=report).rounds == 3
+    assert len(calls) == 1
+
+
+def test_kept_max_rescans_only_when_the_old_maximum_drops():
+    kept = np.array([1.0, 3.0, 4.0])  # after kept[[0]] = [1.0]; it held 5.0 at top 0
+    assert solver._kept_max(kept, 0, 5.0, np.array([0]), np.array([1.0])) == (4.0, 2)
+    kept = np.array([5.0, 3.0, 1.0])  # the old maximum untouched: no rescan
+    assert solver._kept_max(kept, 0, 5.0, np.array([2]), np.array([1.0])) == (5.0, 0)
+    kept = np.array([5.0, 6.0, 1.0])  # a touched sum above it wins
+    assert solver._kept_max(kept, 0, 5.0, np.array([1]), np.array([6.0])) == (6.0, 1)
+
+
+def test_kept_max_agrees_with_a_full_recompute_every_round(monkeypatch):
+    rescans = []
+
+    def checked(kept, top, current, touched, sums):
+        out = kept_max(kept, top, current, touched, sums)
+        assert out[0] == float(kept.max()) == float(kept[out[1]])
+        rescans.append(float(sums.max()) < current and kept[top] < current)
+        return out
+
+    kept_max = solver._kept_max
+    monkeypatch.setattr(solver, "_kept_max", checked)
+    H = random_hypergraph(400, 8, 3, seed=2)
+    solve_hypergraph_direct(H, seed=4, imbalance_bound=2.0, max_rounds=300)
+    n_direct = len(rescans)
+    A, params, graph, report = _tightened()
+    assert moser_tardos(A, graph, params, seed=1, max_rounds=300,
+                        certificate=report).rounds == len(rescans) - n_direct > 0
+    assert any(rescans[:n_direct]) and any(rescans[n_direct:])
+
+
+@pytest.mark.parametrize("words", [1, 3, solver._SIGN_WORDS])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), sizes=st.lists(st.integers(0, 70), max_size=40))
+def test_sign_pool_replays_generator_integers(words, seed, sizes):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SIGN_WORDS", words)  # refills fall between and inside draws
+        signs = solver._Signs(seed)
+        for k in sizes:
+            expect = rng.integers(0, 2, size=k, dtype=np.int8) * 2 - 1
+            np.testing.assert_array_equal(signs.take(k), expect)
+
+
+# --- hypergraph routes ---------------------------------------------------------------
+
+
+def test_route_reasons():
+    H = random_hypergraph(64, 16, 4, seed=0)
+    assert hypergraph_route(H)[::2] == ("direct", "symmetric check passed")
+    assert solve_hypergraph(H, seed=1).route_reason == "symmetric check passed"
+    for mode in ("direct", "reduce"):
+        assert hypergraph_route(H, mode)[::2] == (mode, "forced")
+        assert solve_hypergraph(H, mode=mode, seed=1).route_reason == "forced"
+    H = HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1)
+    route, check, reason = hypergraph_route(H)
+    assert (route, reason) == ("reduce", f"e·p·(d+1) = {check.product!r} > 1")
+    assert check.product > 1
+    assert hypergraph_route(HypergraphInstance(2, ((0,), (1,)), 1, 1)) == ("reduce", None, "R < 2")
 
 
 # --- baseline ----------------------------------------------------------------------
