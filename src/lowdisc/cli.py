@@ -15,7 +15,8 @@ from .model import HypothesisViolation, InputMatrix, InternalInconsistency
 from .bench import BenchConfig, format_bench_report, run_benchmark
 from .formats import format_certificate, parse_instance, write_instance
 from .generate import random_hypergraph, random_matrix
-from .pipeline import certify_reduced, hypergraph_route, solve_hypergraph, solve_matrix
+from .pipeline import (certify_reduced, hypergraph_route, reduced_incidence, solve_hypergraph,
+                       solve_matrix)
 from .reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix, validate_matrix
 from .solver import DEFAULT_MAX_ROUNDS, brute_force_optimum
 
@@ -158,8 +159,9 @@ def cmd_certify(args) -> int:
             )
             _emit(text + route_line, args.output)
             return 0 if check.passed else 1
-        inst = hypergraph_incidence(inst)
-    validate_matrix(inst)
+        inst = reduced_incidence(inst, reason)
+    else:
+        validate_matrix(inst)
     A = reduce_matrix(inst)
     params, _, report = certify_reduced(A)
     _emit(format_certificate(report, params) + route_line, args.output)

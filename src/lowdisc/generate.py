@@ -3,19 +3,20 @@
 All generators re-check the invariants of what they produce instead of
 assuming them, and are deterministic per seed.
 
-The matrix generators define an instance by a dense ``n x m`` draw but
-never hold it.  The draw is ``n*m`` values in row-major order and then
-``n*m`` mask uniforms, all from one PCG64 stream; an entry is kept where
-its mask uniform is below ``density``.  Every double takes exactly one
-64-bit output, so a second generator on the same seed, advanced by ``n*m``
-outputs, starts at the mask stream (:func:`_streams`).  Both streams are
-read one block of whole rows at a time: ``_BLOCK_CELLS`` cells, or a single
-row when a row is longer (:func:`_row_blocks`).  Only the kept entries are
-stored, already in (row, col) order, so memory is O(nnz) plus one block.
-The rescaling sums are numpy's sums over the dense draw, bit for bit.
+The matrix generators keep each of the ``n*m`` cells independently with
+probability ``density`` and never visit the cells they drop.  The kept
+cells, in row-major order, are running sums of Geometric(density) gaps,
+each drawn by inversion from one uniform double (:func:`_kept_cells`; the
+skip method of Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005).  Then
+one value is drawn per kept cell.  Every draw comes from one PCG64
+``Generator`` and is built on ``Generator.random`` doubles, which numpy
+produces the same way in every version this package supports.  Time and
+memory are O(nnz), and the entries come out in (row, col) order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,9 +28,6 @@ __all__ = ["random_hypergraph", "random_matrix", "random_reduced"]
 # shrink factor applied when rescaling onto a norm budget, so recomputed
 # sums stay strictly inside the bound despite summation roundoff
 SAFETY = 1.0 + 1e-12
-
-# cells per block of rows in the matrix generators (one row if a row is longer)
-_BLOCK_CELLS = 1 << 19
 
 
 def random_hypergraph(n_vertices: int, max_edge_size: int, max_degree: int,
@@ -70,57 +68,62 @@ def random_hypergraph(n_vertices: int, max_edge_size: int, max_degree: int,
     return HypergraphInstance(n_vertices, edges, max_edge_size, max_degree)
 
 
-def _streams(seed: int, cells: int):
-    """Generators at the start of the value stream and of the mask stream."""
-    mask = np.random.PCG64(seed)
-    mask.advance(cells)
-    return np.random.Generator(np.random.PCG64(seed)), np.random.Generator(mask)
+def _kept_cells(rng, n: int, m: int, density: float):
+    """Rows and columns, in (row, col) order, of the cells that independent
+    Bernoulli(``density``) trials keep in an ``n x m`` matrix.
 
-
-def _row_blocks(n: int, m: int) -> list[tuple[int, int]]:
-    """Row ranges ``[lo, hi)`` of ``_BLOCK_CELLS`` cells (at least one whole row each).
-
-    There is always at least one block, so a negative ``n`` fails in the
-    first draw with numpy's message, as the dense draw did.
+    The kept flat cells are running sums of the gaps
+    ``1 + floor(log1p(-U) / log1p(-density))``, which are Geometric(density)
+    for uniform ``U``.  Each chunk of gaps is about one standard deviation
+    longer than the expected count of what is left, and chunks are drawn
+    until the running sum passes ``n*m``.  A gap is clamped to ``n*m``
+    before the integer cast, so the sums cannot overflow.
     """
-    step = max(1, _BLOCK_CELLS // max(m, 1))
-    return [(lo, min(n, lo + step)) for lo in range(0, max(n, 1), step)]
+    if n < 1 or m < 1:
+        raise ValueError(f"matrix shape must be at least 1x1, got {n}x{m}")
+    cells = n * m
+    if density == 1.0:  # log1p(-1) is -inf
+        return np.divmod(np.arange(cells, dtype=np.int64), m)
+    parts, last = [np.empty(0, dtype=np.int64)], -1  # density 0 keeps no cell
+    while density and last < cells:
+        mean = (cells - 1 - last) * density
+        gaps = rng.random(int(mean + math.sqrt(mean)) + 1)
+        np.log1p(np.negative(gaps, out=gaps), out=gaps)
+        with np.errstate(over="ignore"):  # a gap far past the end may be inf
+            gaps /= np.log1p(-density)
+        np.minimum(np.floor(gaps, out=gaps), cells, out=gaps)
+        flat = gaps.astype(np.int64)
+        flat += 1
+        np.cumsum(flat, out=flat)
+        flat += last
+        parts.append(flat)
+        last = int(flat[-1])
+    flat = np.concatenate(parts)
+    return np.divmod(flat[:np.searchsorted(flat, cells)], m)
 
 
-def _shrink(sums: np.ndarray, budget: float) -> np.ndarray:
-    """Factors that scale each sum above ``budget`` onto it; 1 for the others.
+def _rescale(vals: np.ndarray, groups: np.ndarray, size: int, budget: float) -> None:
+    """Scale ``vals`` in place so that no group's L1 sum exceeds ``budget``.
 
-    Only the sums above the budget are divided, so a subnormal sum cannot
-    overflow the division and raise a warning.
+    The sums are ``bincount`` sums in entry order.  Only groups above the
+    budget are divided, so a subnormal sum cannot overflow the division
+    and raise a warning.
     """
+    sums = np.bincount(groups, weights=np.abs(vals), minlength=size)
     factor = np.ones_like(sums)
     over = sums > budget
     factor[over] = budget / (sums[over] * SAFETY)
-    return factor
-
-
-def _col_sums(n: int, m: int, rows, cols, mags) -> np.ndarray:
-    """Column sums of non-negative entries, bit-identical to ``dense.sum(axis=0)``."""
-    if m == 1:  # numpy sums a lone column pairwise, not one row after another
-        dense = np.zeros((n, 1))
-        dense[rows, 0] = mags
-        return dense.sum(axis=0)
-    return np.bincount(cols, weights=mags, minlength=m)
+    vals *= factor[groups]
 
 
 def random_matrix(n: int, m: int, row_bound: float, col_bound: float,
                   density: float, seed: int) -> InputMatrix:
     """Sparse matrix with entries in [-1, 1] rescaled onto the declared budgets.
 
-    The values are uniform in [-1, 1), drawn as described in the module
-    docstring.  Rows are scaled first, then columns; both scalings only
-    shrink, so the result always passes
-    :func:`lowdisc.reduction.validate_matrix`.
-
-    A row sum is taken over the block's dense rows, zeros included: numpy
-    sums a row pairwise, and the grouping depends on where the zeros are.
-    A column sum is a ``bincount`` in (row, col) order: numpy adds the rows
-    of a dense matrix one after another, and adding 0.0 is exact.
+    Each cell is kept with probability ``density`` (see the module
+    docstring) and holds a value uniform in [-1, 1).  Rows are scaled
+    first, then columns; both scalings only shrink, so the result always
+    passes :func:`lowdisc.reduction.validate_matrix`.
     """
     if not (0.0 <= density <= 1.0):
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
@@ -129,21 +132,14 @@ def random_matrix(n: int, m: int, row_bound: float, col_bound: float,
             f"need row bound >= max(col bound, 4) and col bound >= 2, "
             f"got R={row_bound!r}, Delta={col_bound!r}"
         ])
-    values, mask = _streams(seed, n * m)
-    rows, cols, vals = [], [], []
-    for lo, hi in _row_blocks(n, m):
-        block = values.uniform(-1.0, 1.0, size=(hi - lo, m))
-        keep = mask.random(size=block.shape) < density
-        r, c = np.divmod(np.flatnonzero(keep), m)
-        v = block[r, c]  # an exact 0.0 draw is dropped by the constructor
-        np.abs(block, out=block)
-        block *= keep  # the dense rows, zeros included, whose sums numpy takes
-        rows.append(r + lo)
-        cols.append(c)
-        vals.append(v * _shrink(block.sum(axis=1), row_bound)[r])
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    vals *= _shrink(_col_sums(n, m, rows, cols, np.abs(vals)), col_bound)[cols]
-    return validate_matrix(InputMatrix(n, m, rows, cols, vals, row_bound, col_bound))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows, cols = _kept_cells(rng, n, m, density)
+    vals = rng.uniform(-1.0, 1.0, size=rows.size)  # an exact 0.0 is dropped by the constructor
+    _rescale(vals, rows, n, row_bound)
+    _rescale(vals, cols, m, col_bound)
+    V = InputMatrix(n, m, rows, cols, vals, row_bound, col_bound)
+    del rows, cols, vals  # V holds its own copies; free these before validating
+    return validate_matrix(V)
 
 
 def random_reduced(n: int, m: int, beta: float, delta: float, density: float,
@@ -152,38 +148,23 @@ def random_reduced(n: int, m: int, beta: float, delta: float, density: float,
     magnitude levels below ``beta``, columns scaled onto ``delta`` and rows
     onto 1.
 
-    The values are ``beta * 2**-u`` for ``u`` uniform in [0, level_spread),
-    drawn as described in the module docstring.  Columns are scaled first,
-    from a ``bincount`` as in :func:`random_matrix`.  The row sums are then
-    taken by scattering each block of scaled rows into one reused dense
-    buffer, so they are numpy's pairwise sums over full-width rows.
+    Each cell is kept with probability ``density`` (see the module
+    docstring) and holds ``beta * 2**-u`` for ``u`` uniform in
+    [0, ``level_spread``).  Columns are scaled first, then rows.
     """
     if not (0.0 <= density <= 1.0):
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
     compute_parameters(beta, delta)  # reject invalid (beta, delta) up front
-    values, mask = _streams(seed, n * m)
-    blocks = _row_blocks(n, m)
-    rows, cols, vals = [], [], []
-    for lo, hi in blocks:
-        # log-uniform magnitudes populate several strata, not just the top one
-        u = values.uniform(0.0, level_spread, size=(hi - lo, m))
-        r, c = np.divmod(np.flatnonzero(mask.random(size=u.shape) < density), m)
-        rows.append(r + lo)
-        cols.append(c)
-        vals.append(beta * np.exp2(-u[r, c]))
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    vals *= _shrink(_col_sums(n, m, rows, cols, vals), delta)[cols]
-    row_sums = np.empty(n)
-    buf = np.zeros((blocks[0][1], m))
-    for lo, hi in blocks:
-        part = buf[:hi - lo]
-        s = slice(*np.searchsorted(rows, (lo, hi)))
-        r, c = rows[s] - lo, cols[s]
-        part[r, c] = vals[s]
-        row_sums[lo:hi] = part.sum(axis=1)
-        part[r, c] = 0.0
-    vals *= _shrink(row_sums, 1.0)[rows]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows, cols = _kept_cells(rng, n, m, density)
+    # log-uniform magnitudes populate several strata, not just the top one
+    vals = rng.uniform(0.0, level_spread, size=rows.size)
+    np.exp2(np.negative(vals, out=vals), out=vals)
+    vals *= beta
+    _rescale(vals, cols, m, delta)
+    _rescale(vals, rows, n, 1.0)
     A = ReducedInstance(n, m, rows, cols, vals, beta, delta)
+    del rows, cols, vals  # A holds its own copies; free these before validating
     problems = A.hypothesis_violations()
     if problems:
         raise HypothesisViolation(["generator produced an invalid instance"] + problems)

@@ -138,6 +138,21 @@ def hypergraph_route(H: HypergraphInstance,
     return "reduce", check, f"e·p·(d+1) = {check.product!r} > 1"
 
 
+def reduced_incidence(H: HypergraphInstance, reason: str) -> InputMatrix:
+    """The incidence matrix of ``H``, validated for the reduce route.
+
+    When it breaks the matrix hypotheses (any R < 4 does), the first line of
+    the :class:`HypothesisViolation` names the route and ``reason``, the
+    reason :func:`hypergraph_route` gave for it.
+    """
+    try:
+        return validate_matrix(hypergraph_incidence(H))
+    except HypothesisViolation as exc:
+        raise HypothesisViolation(
+            [f"reduce route ({reason}): the incidence matrix breaks the matrix hypotheses"]
+            + exc.violations) from exc
+
+
 def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
                      max_rounds: int = DEFAULT_MAX_ROUNDS) -> HypergraphSolveOutcome:
     """Color a hypergraph by the route :func:`hypergraph_route` picks.
@@ -150,7 +165,8 @@ def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
         matrix_outcome = None
         result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds)
     else:
-        matrix_outcome = solve_matrix(hypergraph_incidence(H), seed=seed, max_rounds=max_rounds)
+        matrix_outcome = solve_matrix(reduced_incidence(H, reason), seed=seed,
+                                      max_rounds=max_rounds)
         result = matrix_outcome.result
     bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
     return HypergraphSolveOutcome(hypergraph=H, mode=mode, route_reason=reason,

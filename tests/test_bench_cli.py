@@ -8,6 +8,8 @@ from lowdisc.model import HypothesisViolation
 from lowdisc.bench import BenchConfig, format_bench_report, run_benchmark
 from lowdisc.cli import main
 from lowdisc.formats import format_hypergraph, format_matrix, parse_instance
+from lowdisc.pipeline import hypergraph_route
+from lowdisc.reduction import HypergraphInstance
 from lowdisc.generate import random_hypergraph, random_matrix
 
 
@@ -277,6 +279,18 @@ def test_cli_hypergraph_output_names_the_route_reason(tmp_path, capsys, argv, re
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("route_reason")] == [
             f"route_reason = {reason}"]
+
+
+def test_cli_names_the_route_the_matrix_path_refuses(tmp_path, capsys):
+    H = HypergraphInstance(4, ((0, 1), (2, 3)), 2, 1)
+    reason = hypergraph_route(H)[2]
+    hg = tmp_path / "h.txt"
+    hg.write_text(format_hypergraph(H))
+    for command in ("certify", "solve"):
+        assert main([command, str(hg)]) == 1  # a hypothesis violation, as before
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"hypothesis violation: reduce route ({reason}): ")
+        assert err[0].endswith("; row bound R = 2.0 < 4; column bound Delta = 1.0 < 2")
 
 
 def test_cli_names_a_failed_symmetric_check(tmp_path, capsys, monkeypatch):

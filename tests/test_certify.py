@@ -23,8 +23,10 @@ from lowdisc.certify import (
     verify_lll_condition,
     verify_symmetric_lll,
 )
-from lowdisc.generate import random_matrix, random_reduced
+from lowdisc.generate import random_reduced
 from lowdisc.reduction import reduce_matrix
+
+from test_instance_reference import reference_random_matrix
 
 P14 = compute_parameters(0.25, 1.0)            # alpha=2, eps=8, floor=2
 P20 = compute_parameters(2.0**-20, 2.0**-10)   # alpha=sqrt(30), floor=20
@@ -343,8 +345,9 @@ def test_symmetric_tail_identity():
 
 
 def test_event_graph_memory_is_bounded_by_the_neighbor_lists():
-    # the benchmark's 99k-nnz instance: 19,893 events, 983,806 neighbour entries
-    A = reduce_matrix(random_matrix(2000, 10000, 256.0, 16.0, 0.005, seed=1))
+    # the dense reference's draw at the matrix_certify shape and seed: 19,893
+    # events, 983,806 neighbour entries
+    A = reduce_matrix(reference_random_matrix(2000, 10000, 256.0, 16.0, 0.005, seed=1))
     params = compute_parameters(A.beta, A.delta)
     strata = stratify(A, params)
     tracemalloc.start()

@@ -7,7 +7,9 @@ the threshold of every bucket with two or more entries just below the
 bucket sum (as ``test_resampling_runs_on_the_graph_thresholds`` does), so
 a bucket whose signs all agree fires and the matrix path really resamples.
 Every run is capped at ``MAX_ROUNDS``; some certify and some run out of
-rounds and return the best assignment seen.
+rounds and return the best assignment seen.  The instances come from
+``reference_random_reduced``, the dense generator the grid was recorded
+with.
 
 Regenerate (only for an intended change of trajectory) with
 ``PYTHONPATH=src python tests/test_golden_matrix_resampling.py`` or
@@ -20,11 +22,11 @@ import json
 import numpy as np
 
 from lowdisc.certify import build_event_graph, verify_lll_condition
-from lowdisc.generate import random_reduced
 from lowdisc.model import compute_parameters, stratify
 from lowdisc.solver import moser_tardos
 
 from test_golden_trajectories import GOLDEN, _fingerprint, write_golden
+from test_instance_reference import reference_random_reduced
 
 KIND = "moser_tardos_tightened"
 MAX_ROUNDS = 500
@@ -38,8 +40,8 @@ GRID = [(shape, inst, seed)
 
 def tightened_run(shape, inst, seed):
     n, m, density, spread = shape
-    A = random_reduced(n, m, 2.0**-6, 2.0**-2, density=density, seed=inst,
-                       level_spread=spread)
+    A = reference_random_reduced(n, m, 2.0**-6, 2.0**-2, density=density, seed=inst,
+                                 level_spread=spread)
     params = compute_parameters(A.beta, A.delta)
     graph = build_event_graph(stratify(A, params), params)
     report = verify_lll_condition(graph, params, instance=A)

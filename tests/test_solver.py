@@ -26,6 +26,8 @@ from lowdisc.solver import (
     solve_hypergraph_direct,
 )
 
+from test_instance_reference import reference_random_reduced
+
 P14 = compute_parameters(0.25, 1.0)
 
 
@@ -61,8 +63,9 @@ def test_diagonal_events_can_never_fire():
 def test_resampling_runs_on_the_graph_thresholds():
     # tighten every threshold of a bucket with two or more entries just below
     # its sum: equal signs across such a bucket now fire, so the loop must
-    # resample until every one of them holds mixed signs
-    A = random_reduced(8, 30, 2.0**-6, 2.0**-2, density=0.3, seed=2)
+    # resample until every one of them holds mixed signs; the dense
+    # reference draws the instance, so this run's rounds stay pinned
+    A = reference_random_reduced(8, 30, 2.0**-6, 2.0**-2, density=0.3, seed=2)
     params = compute_parameters(A.beta, A.delta)
     graph, report = _prepared(A, params)
     s = graph.strata
@@ -259,8 +262,11 @@ def test_oracle_sandwich_small_instance():
 
 def _tightened():
     """A valid instance whose buckets of two or more entries fire whenever
-    their signs agree, so the matrix path resamples."""
-    A = random_reduced(20, 60, 2.0**-6, 2.0**-2, density=0.4, seed=0, level_spread=8)
+    their signs agree, so the matrix path resamples.  The instance comes
+    from the dense reference generator, so the runs that must reach
+    ``_kept_max``'s rescan branch do not depend on the library's sampler."""
+    A = reference_random_reduced(20, 60, 2.0**-6, 2.0**-2, density=0.4, seed=0,
+                                 level_spread=8)
     params = compute_parameters(A.beta, A.delta)
     graph, report = _prepared(A, params)
     s = graph.strata
@@ -378,6 +384,22 @@ def test_route_reasons():
     assert (route, reason) == ("reduce", f"e·p·(d+1) = {check.product!r} > 1")
     assert check.product > 1
     assert hypergraph_route(HypergraphInstance(2, ((0,), (1,)), 1, 1)) == ("reduce", None, "R < 2")
+
+
+@pytest.mark.parametrize("H,mode,limits", [
+    (HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1), "auto",
+     ["row bound R = 2.0 < 4", "column bound Delta = 1.0 < 2"]),
+    (HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1), "reduce",
+     ["row bound R = 2.0 < 4", "column bound Delta = 1.0 < 2"]),
+    (HypergraphInstance(2, ((0,), (1,)), 1, 1), "auto",
+     ["row bound R = 1.0 < 4", "column bound Delta = 1.0 < 2"]),
+], ids=["product-above-one", "forced", "R-below-two"])
+def test_a_reduce_route_the_matrix_path_refuses_names_its_reason(H, mode, limits):
+    reason = hypergraph_route(H, mode)[2]
+    with pytest.raises(HypothesisViolation) as err:
+        solve_hypergraph(H, mode=mode)
+    assert err.value.violations == [
+        f"reduce route ({reason}): the incidence matrix breaks the matrix hypotheses"] + limits
 
 
 # --- baseline ----------------------------------------------------------------------
