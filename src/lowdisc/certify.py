@@ -16,12 +16,23 @@ once, as an expression that takes Python numbers or numpy arrays: the event
 graph evaluates it over the ``Strata`` arrays, and the scalar functions over
 one event.  The powers of two are Python floats, one per level, so both
 give the same numbers bit for bit.
+
+The dependency product is bounded one column at a time, as in the paper's
+proof: with S_c the sum of log(1 - weight(F)) over the events F on column
+c, an event's sum over its dependents is at least the sum of S_c over its
+columns minus its own terms, since every term is at most 0 and each
+dependent is counted at least once.  That costs O(nnz) and is exact when
+no dependent shares two columns with the event.  Only an event the bound
+does not clear gets its exact sum, from the event graph's neighbour lists,
+which are built on first use: a certificate that clears on the bound and a
+solve that never redraws build no lists at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,21 +155,38 @@ class EventGraph:
     its bucket threshold, ``log_tail[e]`` and ``log_weight[e]`` its log tail
     bound and log weight.  The events sharing at least one column with
     ``e``, excluding ``e`` itself, are ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]``
-    in ascending order; :meth:`neighbors` returns that slice.
+    in ascending order; :meth:`neighbors` returns that slice.  The lists
+    are built at the first access to any of the three and cached on the
+    graph; the certificate reads them only for events its column-sum bound
+    does not clear, and the solver at its first redraw.
     """
 
     strata: Strata
     threshold: np.ndarray
     log_tail: np.ndarray
     log_weight: np.ndarray
-    nbr_ptr: np.ndarray
-    nbr: np.ndarray
 
     def __len__(self) -> int:
         return len(self.strata)
 
+    @cached_property
+    def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        lists = _neighbor_csr(self.strata.ptr, self.strata.cols, self.strata.m)
+        for a in lists:
+            a.setflags(write=False)
+        return lists
+
+    @property
+    def nbr_ptr(self) -> np.ndarray:
+        return self._neighbors[0]
+
+    @property
+    def nbr(self) -> np.ndarray:
+        return self._neighbors[1]
+
     def neighbors(self, e: int) -> np.ndarray:
-        return self.nbr[self.nbr_ptr[e]:self.nbr_ptr[e + 1]]
+        nbr_ptr, nbr = self._neighbors
+        return nbr[nbr_ptr[e]:nbr_ptr[e + 1]]
 
 
 def _event_name(strata: Strata, e: int) -> str:
@@ -233,7 +261,8 @@ def _neighbor_csr(ptr: np.ndarray, cols: np.ndarray, m: int) -> tuple[np.ndarray
 
 
 def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
-    """One event per non-empty bucket, its bounds, and its dependencies.
+    """One event per non-empty bucket and its bounds; the dependencies are
+    built on first use (see :class:`EventGraph`).
 
     Raises :class:`HypothesisViolation` for a bucket below the level floor
     and :class:`InternalInconsistency` for a weight not below 1/2, naming
@@ -251,11 +280,10 @@ def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
     log_weight = _log_bound(sizes, level_term, params, 16.0)
     _raise_first(strata, params, _event_failures(level, strata.sums, sizes, params, log_weight),
                  log_weight)
-    nbr_ptr, nbr = _neighbor_csr(strata.ptr, strata.cols, strata.m)
-    for a in (threshold, log_tail, log_weight, nbr_ptr, nbr):
+    for a in (threshold, log_tail, log_weight):
         a.setflags(write=False)
     return EventGraph(strata=strata, threshold=threshold, log_tail=log_tail,
-                      log_weight=log_weight, nbr_ptr=nbr_ptr, nbr=nbr)
+                      log_weight=log_weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +292,11 @@ class CertificateReport:
 
     ``margins`` holds the log-space slack log(weight) + sum log(1 - weight
     of dependents) - log(tail) per event; the check passes when every
-    margin clears -MARGIN_TOL.  ``resample_budget`` is the expected total
-    number of resampling steps, sum of weight/(1 - weight).
+    margin clears -MARGIN_TOL.  A margin is the column-sum lower bound of
+    that slack (see :func:`verify_lll_condition`), which is exact when no
+    dependent shares two columns with the event, and the exact slack for
+    every event the bound puts below -MARGIN_TOL.  ``resample_budget`` is
+    the expected total number of resampling steps, sum of weight/(1 - weight).
 
     Two labeled diagnostics retrace the coarse steps the exact check
     replaces: the per-level exponent inequality and the per-column weight
@@ -288,13 +319,24 @@ class CertificateReport:
 
 def verify_lll_condition(graph: EventGraph, params: Parameters,
                          instance: ReducedInstance | None = None) -> CertificateReport:
-    """Check the local-lemma condition for every event, exactly.
+    """Check the local-lemma condition for every event.
 
-    Computes each event's tail bound, weight, and the full product over its
-    true dependency neighborhood, all in log space, with no proof-style
-    relaxations.  Passing ``instance`` first re-checks its hypotheses, so a
-    failure is attributed correctly: an instance violating the hypotheses
-    raises :class:`HypothesisViolation`, while a failing margin on a valid
+    Computes each event's tail bound, weight, and product over its
+    dependency neighborhood, all in log space, with no proof-style
+    relaxations of the condition itself.  The product's log, a sum of
+    log(1 - weight(F)) over the dependents F, is first bounded from below
+    by column sums: with S_c that sum over the events on column c, it is at
+    least sum_{c in C_e} S_c - |C_e| log(1 - weight(e)), because every term
+    is at most 0 and each dependent is counted at least once.  Both sides
+    are equal when no dependent shares two columns with the event.  An event
+    the bound clears also clears exactly; an event it does not clear gets
+    its exact sum from the graph's neighbour lists, so ``passed`` is the
+    exact check's answer, and the lists are built only when some event
+    needs them.
+
+    Passing ``instance`` first re-checks its hypotheses, so a failure is
+    attributed correctly: an instance violating the hypotheses raises
+    :class:`HypothesisViolation`, while a failing margin on a valid
     instance is reported as evidence of a bug.
     """
     if instance is not None:
@@ -303,18 +345,29 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
             raise HypothesisViolation(["instance violates hypotheses"] + problems)
     strata = graph.strata
     B = len(strata)
+    size = np.diff(strata.ptr)
     log_w, log_p = graph.log_weight, graph.log_tail
     w = np.exp(log_w)
     log1m_w = np.log1p(-w)
-    owner = np.repeat(np.arange(B), np.diff(graph.nbr_ptr))
-    nbr_sums = np.bincount(owner, weights=log1m_w[graph.nbr], minlength=B)
+    col_log1m = np.bincount(strata.cols, weights=np.repeat(log1m_w, size), minlength=strata.m)
+    nbr_sums = ((np.add.reduceat(col_log1m[strata.cols], strata.ptr[:-1]) if B else np.zeros(0))
+                - size * log1m_w)
     margins = log_w + nbr_sums - log_p
+    low = np.flatnonzero(margins < -MARGIN_TOL)
+    if low.size:
+        # the exact sums of those events, each over its own neighbour list
+        nbr_ptr, nbr = graph.nbr_ptr, graph.nbr
+        lens = nbr_ptr[low + 1] - nbr_ptr[low]
+        ends = lens.cumsum()
+        at = (nbr_ptr[low] - (ends - lens)).repeat(lens) + np.arange(int(ends[-1]))
+        nbr_sums[low] = np.bincount(np.arange(low.size).repeat(lens),
+                                    weights=log1m_w[nbr[at]], minlength=low.size)
+        margins[low] = log_w[low] + nbr_sums[low] - log_p[low]
     passed = bool((margins >= -MARGIN_TOL).all())
     budget = float((w / (1.0 - w)).sum())
     level_slacks = {k: level_exponent_slack(k, params)
                     for k in sorted(set(strata.level.tolist()))}
-    column_sums = np.bincount(strata.cols, weights=np.repeat(w, np.diff(strata.ptr)),
-                              minlength=strata.m)
+    column_sums = np.bincount(strata.cols, weights=np.repeat(w, size), minlength=strata.m)
     column_ok = bool((column_sums <= 2.0 * params.beta + MARGIN_TOL).all())
     failure = None
     if not passed:

@@ -9,10 +9,10 @@ The loop is incremental: a redraw of an event can change only the events
 that share a column with it, its closed neighbourhood in the dependency
 graph (at most about R * Delta events), and their rows.  The touched
 events are the redrawn event's neighbour list in the dependency graph's
-CSR, with the event put in its place: on the matrix path the event
-graph's own lists, on the direct path lists built once per hypergraph at
-its first redraw.  Only those events are summed again, exactly and from
-the current signs, never by running deltas.  The redrawn signs come from
+CSR, with the event put in its place: the event graph's lists on the
+matrix path, the hypergraph's on the direct path, each built once, at the
+first redraw on that graph.  Only those events are summed again, exactly
+and from the current signs, never by running deltas.  The redrawn signs come from
 a pool that holds the very stream ``Generator.integers`` would give.
 Each round then costs about the same on a large instance as on a small
 one, and the trajectory is the one a full recompute per round would give,
@@ -265,10 +265,12 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
     """One event per edge: resample any edge whose color imbalance exceeds
     the bound 2*sqrt(R*ln(R*Delta)).
 
-    The symmetric local-lemma condition is checked first; when it fails the
-    caller is directed to the matrix-reduction path instead.  An explicit
-    ``imbalance_bound`` skips that check and solves against the given
-    target (useful for forcing, say, perfectly balanced edges).
+    The symmetric local-lemma condition is checked first, and a failure is
+    raised.  It fails only at R = 2 (Delta <= 2), where the incidence matrix
+    breaks the matrix hypotheses too, so the message says that neither
+    route applies.  An explicit ``imbalance_bound`` skips that check and
+    solves against the given target (useful for forcing, say, perfectly
+    balanced edges).
     """
     if H.n_edges < 1:
         raise ValueError("hypergraph has no edges; nothing to color")
@@ -278,7 +280,8 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
             raise HypothesisViolation([
                 f"symmetric local-lemma check failed: e*p*(d+1) = {check.product!r} > 1 "
                 f"(tail {check.tail!r}, dependency degree {check.dependency_degree})",
-                "direct mode unavailable; use the matrix reduction path",
+                f"the reduce route is closed too: the incidence matrix has row bound "
+                f"R = {H.max_edge_size} < 4, and the matrix hypotheses need R >= 4",
             ])
         bound = check.imbalance_bound
     else:

@@ -306,6 +306,95 @@ def test_lowered_weight_fails_and_names_the_event():
     assert "indicates a bug" in report.failure
 
 
+def _counted_neighbor_builds(monkeypatch) -> list:
+    """Every later call of ``certify._neighbor_csr``, by its arguments."""
+    calls = []
+    build = certify._neighbor_csr
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(certify, "_neighbor_csr", counted)
+    return calls
+
+
+def _exact_neighbor_sums(graph) -> np.ndarray:
+    """Each event's sum of log(1 - weight) over its neighbour list, in list
+    order: the sum the certificate falls back to."""
+    log1m_w = np.log1p(-np.exp(graph.log_weight))
+    owner = np.repeat(np.arange(len(graph)), np.diff(graph.nbr_ptr))
+    return np.bincount(owner, weights=log1m_w[graph.nbr], minlength=len(graph))
+
+
+def _shares_two_columns(graph) -> np.ndarray:
+    """Whether some neighbour of each event shares two of its columns."""
+    supports = [set(graph.strata.support(e).tolist()) for e in range(len(graph))]
+    return np.array([any(len(supports[e] & supports[f]) > 1 for f in graph.neighbors(e))
+                     for e in range(len(graph))])
+
+
+def test_a_certificate_the_bound_clears_builds_no_neighbor_lists(monkeypatch):
+    calls = _counted_neighbor_builds(monkeypatch)
+    A = random_reduced(12, 40, 2.0**-6, 2.0**-2, density=0.4, seed=3)
+    params = compute_parameters(2.0**-6, 2.0**-2)
+    graph = build_event_graph(stratify(A, params), params)
+    report = verify_lll_condition(graph, params, instance=A)
+    assert report.passed and calls == [] and "_neighbors" not in vars(graph)
+    # the bound is below the exact sum wherever a neighbour shares two
+    # columns, by weights too small to show in float64
+    assert _shares_two_columns(graph).any()
+    exact = graph.log_weight + _exact_neighbor_sums(graph) - graph.log_tail
+    np.testing.assert_allclose(report.margins, exact, rtol=1e-12, atol=0.0)
+
+
+def _heavy_graph():
+    """A graph with every weight 1/10, and the column-sum bound of each
+    event's neighbour sum, which falls short of the exact sum by 0.1 or
+    more wherever a neighbour shares two columns."""
+    A = random_reduced(12, 40, 2.0**-6, 2.0**-2, density=0.4, seed=3)
+    params = compute_parameters(2.0**-6, 2.0**-2)
+    graph = build_event_graph(stratify(A, params), params)
+    graph = dataclasses.replace(graph, log_weight=np.full(len(graph), math.log(0.1)))
+    s = graph.strata
+    size = np.diff(s.ptr)
+    log1m_w = np.log1p(-np.exp(graph.log_weight))
+    col = np.bincount(s.cols, weights=np.repeat(log1m_w, size), minlength=s.m)
+    bound = np.add.reduceat(col[s.cols], s.ptr[:-1]) - size * log1m_w
+    return A, params, graph, bound
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_events_the_bound_does_not_clear_get_the_exact_margin(monkeypatch, fail):
+    A, params, graph, bound = _heavy_graph()
+    exact = _exact_neighbor_sums(graph)
+    assert (bound <= exact + 1e-12).all()
+    chosen = np.flatnonzero(exact - bound > 0.05)[::2]
+    assert chosen.size >= 3 and _shares_two_columns(graph)[chosen].all()
+    # the bound clears every other event by 1; each chosen event's tail sits
+    # halfway between its bound and exact sums, so only the exact sum clears
+    log_tail = graph.log_weight + bound - 1.0
+    log_tail[chosen] = graph.log_weight[chosen] + (exact[chosen] + bound[chosen]) / 2.0
+    if fail:
+        log_tail[chosen[1]] = graph.log_weight[chosen[1]] + exact[chosen[1]] + 1.0
+    graph = dataclasses.replace(graph, log_tail=log_tail)
+    exact_margins = graph.log_weight + exact - log_tail
+    calls = _counted_neighbor_builds(monkeypatch)
+    report = verify_lll_condition(graph, params, instance=A)
+    assert len(calls) == 1  # the lists, built once for the chosen events
+    np.testing.assert_array_equal(report.margins[chosen], exact_margins[chosen])
+    rest = np.setdiff1d(np.arange(len(graph)), chosen)
+    np.testing.assert_allclose(report.margins[rest], 1.0, rtol=1e-12)
+    assert report.passed == bool((exact_margins >= -MARGIN_TOL).all()) == (not fail)
+    if fail:
+        e = int(np.argmin(exact_margins))
+        assert e == chosen[1] and int(np.argmin(report.margins)) == e
+        assert report.failure.startswith(f"event {e} (row=")
+        assert f"sum log(1-w) {float(exact[e])!r} " in report.failure
+    else:
+        assert report.failure is None
+
+
 def test_invalid_instance_is_distinguished_from_condition_failure():
     # column sums exceed delta: the certifier must blame the instance
     A = _reduced([[0.25], [0.25], [0.25]], 0.25, 0.5)
@@ -353,13 +442,25 @@ def test_event_graph_memory_is_bounded_by_the_neighbor_lists():
     tracemalloc.start()
     try:
         graph = build_event_graph(strata, params)
+        report = verify_lll_condition(graph, params, instance=A)
+        certify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        nbr = graph.nbr  # built here, at the first access
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert graph.nbr.size == 983_806
+    # the certificate clears on column sums and holds a few arrays over the
+    # incidences: 1.4x the Strata arrays, where the lists are 3.5x them
+    strata_bytes = sum(getattr(strata, k).nbytes
+                       for k in ("row", "level", "ptr", "cols", "vals", "sums"))
+    assert report.passed and certify_peak < 2 * strata_bytes
+    assert nbr.size == 983_806
     # joining all events at once peaks at 4.0x nbr (29.8 MiB); in blocks, at
-    # 1.5x (11.3 MiB): the output buffer, shrunk in place, and one block
-    assert peak < 2 * graph.nbr.nbytes
+    # 1.4x (10.2 MiB): the output buffer, shrunk in place, and one block
+    assert peak < 2 * nbr.nbytes
 
 
 def test_neighbor_build_holds_one_block_of_pairs_not_all_of_them():

@@ -179,9 +179,13 @@ def reference_random_hypergraph(n_vertices, max_edge_size, max_degree, seed, n_e
 
 
 def _reference_scale_axis_to(dense, axis, budget):
-    """Scale rows (axis=1 sums) or columns (axis=0 sums) onto an L1 budget, in place."""
+    """Scale rows (axis=1 sums) or columns (axis=0 sums) onto an L1 budget, in
+    place.  Only the sums above the budget are divided, so a subnormal sum
+    cannot overflow the division."""
     sums = np.abs(dense).sum(axis=axis)
-    factor = np.where(sums > budget, budget / (sums * SAFETY + (sums == 0)), 1.0)
+    factor = np.ones_like(sums)
+    over = sums > budget
+    factor[over] = budget / (sums[over] * SAFETY)
     if axis == 1:
         dense *= factor[:, None]
     else:
@@ -620,6 +624,16 @@ def test_random_reduced_validates_or_raises_what_the_reference_raises(n, m, dens
     else:
         assert got[0] == "ok" and (got[1].n, got[1].m) == (n, m)
         assert got[1].hypothesis_violations() == []
+
+
+def test_reference_scaling_divides_only_the_sums_above_the_budget():
+    # a subnormal column sum: dividing by it would overflow and warn
+    dense = np.array([[5e-324, 3.0], [0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _reference_scale_axis_to(dense, axis=0, budget=2.0)
+    assert dense[:, 0].tolist() == [5e-324, 0.0]
+    assert dense[:, 1].tolist() == [3.0 * (2.0 / (4.0 * SAFETY)), -1.0 * (2.0 / (4.0 * SAFETY))]
 
 
 @pytest.mark.parametrize("name", GENERATORS)

@@ -193,13 +193,28 @@ def test_direct_mode_unavailable_redirects():
     H = HypergraphInstance(4, ((0, 1), (2, 3)), 2, 1)
     with pytest.raises(HypothesisViolation) as err:
         solve_hypergraph_direct(H, seed=0)
-    assert "reduction" in str(err.value)
+    assert "the reduce route is closed too" in str(err.value)
     # an explicit bound skips the check, but not the argument checks
     for bound in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="imbalance bound must be non-negative"):
             solve_hypergraph_direct(H, seed=0, imbalance_bound=bound)
     with pytest.raises(ValueError, match="max_rounds must be non-negative"):
         solve_hypergraph_direct(H, seed=0, imbalance_bound=1.0, max_rounds=-3)
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_a_failed_symmetric_check_says_both_routes_are_closed(D):
+    H = HypergraphInstance(4, ((0, 1), (2, 3), (0, 2), (1, 3))[:2 * D], 2, D)
+    check = verify_symmetric_lll(2, D)
+    assert not check.passed
+    with pytest.raises(HypothesisViolation) as err:
+        solve_hypergraph_direct(H, seed=0)
+    assert err.value.violations == [
+        f"symmetric local-lemma check failed: e*p*(d+1) = {check.product!r} > 1 "
+        f"(tail {check.tail!r}, dependency degree {check.dependency_degree})",
+        "the reduce route is closed too: the incidence matrix has row bound R = 2 < 4, "
+        "and the matrix hypotheses need R >= 4",
+    ]
 
 
 def test_single_large_edge_concentrates_below_bound():
@@ -322,9 +337,13 @@ def test_neighbors_are_built_at_the_first_redraw_and_cached_per_hypergraph(monke
         result = solve_hypergraph_direct(H, seed=seed, imbalance_bound=4.0, max_rounds=30)
         assert result.rounds == 30
     assert len(calls) == 1 and calls[0][0] is H.ptr and calls[0][1] is H.verts
-    # the matrix path takes the event graph's own lists and builds nothing
-    assert moser_tardos(A, graph, params, seed=0, max_rounds=3, certificate=report).rounds == 3
-    assert len(calls) == 1
+    # the matrix path likewise: once per event graph, at its first redraw
+    assert moser_tardos(A, graph, params, seed=0, max_rounds=0, certificate=report).rounds == 0
+    assert len(calls) == 1 and "_neighbors" not in vars(graph)
+    for seed in (0, 1):
+        assert moser_tardos(A, graph, params, seed=seed, max_rounds=3,
+                            certificate=report).rounds == 3
+    assert len(calls) == 2 and calls[1][0] is graph.strata.ptr and calls[1][1] is graph.strata.cols
 
 
 def test_kept_max_rescans_only_when_the_old_maximum_drops():
