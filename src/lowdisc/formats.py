@@ -302,7 +302,7 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
     Edge-size and degree bounds are computed from the data, so they are
     tight by construction.
     """
-    edges = []
+    sizes, flat = [], []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
@@ -320,11 +320,14 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
             vs.append(v - 1)
         if len(set(vs)) != len(vs):
             raise ParseError(f"line {ln}: edge repeats a vertex")
-        edges.append(vs)
-    if not edges:
+        sizes.append(len(vs))
+        flat.extend(vs)
+    if not sizes:
         raise ParseError("line 1: no edges found")
-    degree = np.bincount(np.fromiter(chain.from_iterable(edges), np.int64))
-    return HypergraphInstance(int(degree.size), edges, max(map(len, edges)), int(degree.max()))
+    sizes, flat = np.array(sizes, dtype=np.int64), np.array(flat, dtype=np.int64)
+    degree = np.bincount(flat)
+    return HypergraphInstance._from_arrays(int(degree.size), sizes, flat, int(sizes.max()),
+                                           int(degree.max()))
 
 
 def format_hypergraph(H: HypergraphInstance) -> str:

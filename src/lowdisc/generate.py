@@ -1,17 +1,26 @@
 """Seeded random instance generators.
 
 All generators re-check the invariants of what they produce instead of
-assuming them, and are deterministic per seed.
+assuming them, and are deterministic per seed.  Each draws from one PCG64
+``Generator`` and works on whole arrays, so time and memory grow with the
+size of the instance it returns.
+
+The hypergraph generator is the configuration model: every vertex gets one
+slot per unit of degree, one shuffle of the slots is cut into edges of
+uniform random size, and a vertex drawn twice into one edge is kept once
+(:func:`random_hypergraph`).  One sort of the keys ``edge * n + vertex``
+orders each edge's vertices, and the instance is built from the edge sizes
+and that one vertex array.  Time and memory are O(n·Δ).
 
 The matrix generators keep each of the ``n*m`` cells independently with
 probability ``density`` and never visit the cells they drop.  The kept
 cells, in row-major order, are running sums of Geometric(density) gaps,
 each drawn by inversion from one uniform double (:func:`_kept_cells`; the
 skip method of Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005).  Then
-one value is drawn per kept cell.  Every draw comes from one PCG64
-``Generator`` and is built on ``Generator.random`` doubles, which numpy
-produces the same way in every version this package supports.  Time and
-memory are O(nnz), and the entries come out in (row, col) order.
+one value is drawn per kept cell.  Every draw is built on
+``Generator.random`` doubles, which numpy produces the same way in every
+version this package supports.  Time and memory are O(nnz), and the entries
+come out in (row, col) order.
 """
 
 from __future__ import annotations
@@ -32,11 +41,17 @@ SAFETY = 1.0 + 1e-12
 
 def random_hypergraph(n_vertices: int, max_edge_size: int, max_degree: int,
                       seed: int, n_edges: int | None = None) -> HypergraphInstance:
-    """Sequential edge insertion that never takes a vertex past its degree cap.
+    """Configuration-model draw: ``max_degree`` slots per vertex, shuffled and cut into edges.
 
-    The first edge has size exactly ``max_edge_size`` so the declared bound
-    is tight; later edges draw their size uniformly from what still fits.
-    Stops when no further edge fits (or after ``n_edges`` edges).
+    The first edge is ``max_edge_size`` distinct vertices, so the declared
+    bound is tight; each of them keeps one slot fewer.  The other slots are
+    shuffled once and cut, in order, into edges whose sizes are uniform in
+    [``min(2, max_edge_size)``, ``max_edge_size``]; the last edge takes what
+    is left.  A vertex drawn twice into one edge is kept once, and an edge
+    left below the least size is dropped, so no vertex passes its degree
+    cap.  ``n_edges`` keeps the first ``n_edges`` edges of this draw.  Time
+    and memory are O(``n_vertices * max_degree``) (Bollobas, European J.
+    Combin. 1, 1980).
     """
     if not (n_vertices >= max_edge_size >= 1):
         raise HypothesisViolation(
@@ -44,28 +59,57 @@ def random_hypergraph(n_vertices: int, max_edge_size: int, max_degree: int,
         )
     if max_degree < 1:
         raise HypothesisViolation([f"need degree bound >= 1, got {max_degree}"])
+    n, R = n_vertices, max_edge_size
+    min_size = 1 if R == 1 else 2
     rng = np.random.Generator(np.random.PCG64(seed))
-    degree = np.zeros(n_vertices, dtype=np.int64)
-    avail = np.arange(n_vertices)  # vertices below the cap, ascending
-    min_size = 1 if max_edge_size == 1 else 2
-    edges = []
-    while n_edges is None or len(edges) < n_edges:
-        if avail.size < min_size:
-            break
-        hi = min(max_edge_size, avail.size)
-        size = hi if not edges else int(rng.integers(min_size, hi + 1))
-        chosen = rng.choice(avail, size=size, replace=False)
-        edges.append(chosen)
-        degree[chosen] += 1
-        full = chosen[degree[chosen] == max_degree]
-        if full.size:
-            avail = np.delete(avail, np.searchsorted(avail, full))
-    if not edges:
+    first = rng.choice(n, R, replace=False)
+    slots = np.full(n, max_degree, dtype=np.int64)
+    slots[first] -= 1
+    slots = np.repeat(np.arange(n, dtype=np.int64), slots)
+    rng.shuffle(slots)  # the draw of rng.permutation(slots), without the copy
+    sizes = np.concatenate(([R], _cut_sizes(rng, slots.size, min_size, R)))
+    # key edge * n + vertex: one sort orders each edge's vertices and puts repeats side by side
+    keys = np.repeat(np.arange(0, sizes.size * n, n, dtype=np.int64), sizes)
+    keys[:R] += first
+    keys[R:] += slots[:keys.size - R]
+    del slots
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    sizes = np.diff(np.searchsorted(keys, np.arange(0, (sizes.size + 1) * n, n)))
+    keep = sizes >= min_size
+    if n_edges is not None:
+        keep &= np.cumsum(keep) <= n_edges
+    if not keep.any():
         raise HypothesisViolation(
             [f"cannot place any edge with {n_vertices} vertices, "
              f"edge size {max_edge_size}, degree {max_degree}"]
         )
-    return HypergraphInstance(n_vertices, edges, max_edge_size, max_degree)
+    np.remainder(keys, n, out=keys)
+    if not keep.all():
+        keys, sizes = keys[np.repeat(keep, sizes)], sizes[keep]
+    return HypergraphInstance._from_arrays(n, sizes, keys, R, max_degree)
+
+
+def _cut_sizes(rng, total: int, low: int, high: int) -> np.ndarray:
+    """Sizes uniform in [``low``, ``high``] that cut ``total`` slots in order.
+
+    Each chunk of sizes is about one standard deviation longer than the
+    expected count of what is left, and chunks are drawn until they cover
+    ``total``.  The last size is what is left, and is dropped if below ``low``.
+    """
+    parts, covered = [], 0
+    while covered < total:
+        mean = (total - covered) * 2 / (low + high)
+        parts.append(rng.integers(low, high + 1, int(mean + math.sqrt(mean)) + 1))
+        covered += int(parts[-1].sum())
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    sizes = np.concatenate(parts)
+    ends = np.cumsum(sizes)
+    k = int(np.searchsorted(ends, total))  # the first size that reaches the end
+    sizes = sizes[:k + 1]
+    sizes[k] = total - (ends[k - 1] if k else 0)
+    return sizes if sizes[k] >= low else sizes[:k]
 
 
 def _kept_cells(rng, n: int, m: int, density: float):

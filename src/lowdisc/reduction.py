@@ -21,6 +21,7 @@ from .model import (
     InputMatrix,
     ReducedInstance,
     SignVector,
+    coo_sorted,
     discrepancy,
 )
 
@@ -41,8 +42,10 @@ class HypergraphInstance:
 
     Edges are stored once, in CSR form: edge ``e`` is ``verts[ptr[e]:ptr[e + 1]]``,
     0-based vertex ids ascending, both arrays int64 and read-only.  Construction
-    takes any iterable of vertex iterables and rejects a hypergraph that violates
-    its own declarations; a repeated vertex or one out of range is a ``ValueError``.
+    takes any iterable of vertex iterables, flattens it to edge sizes and one
+    vertex array, and checks those arrays as the generator's and the parser's
+    arrays are checked: a hypergraph that violates its own declarations is
+    rejected, and a repeated vertex or one out of range is a ``ValueError``.
     """
 
     n_vertices: int
@@ -52,19 +55,37 @@ class HypergraphInstance:
     max_degree: int
 
     def __init__(self, n_vertices, edges, max_edge_size, max_degree):
+        edges = list(map(tuple, edges))
+        sizes = np.fromiter(map(len, edges), np.int64, len(edges))
+        verts = np.fromiter(chain.from_iterable(edges), np.int64, int(sizes.sum()))
+        self._set_csr(n_vertices, sizes, verts, max_edge_size, max_degree)
+
+    @classmethod
+    def _from_arrays(cls, n_vertices, sizes, verts, max_edge_size, max_degree):
+        """The instance whose edge ``e`` is the next ``sizes[e]`` entries of ``verts``."""
+        H = cls.__new__(cls)
+        H._set_csr(n_vertices, sizes, verts, max_edge_size, max_degree)
+        return H
+
+    def _set_csr(self, n_vertices, sizes, verts, max_edge_size, max_degree):
+        """Check int64 edge sizes and flat vertices against the declarations, and store them.
+
+        Vertices strictly ascending within every edge, as the generator makes
+        them, are stored as given; any other order is sorted first.
+        """
         if n_vertices < 1:
             raise ValueError("hypergraph needs at least one vertex")
         if max_edge_size < 1 or max_degree < 1:
             raise HypothesisViolation(
                 [f"declared bounds must be >= 1 (edge size {max_edge_size}, degree {max_degree})"]
             )
-        edges = list(map(tuple, edges))
-        sizes = np.fromiter(map(len, edges), np.int64, len(edges))
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         edge_of = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-        verts = np.fromiter(chain.from_iterable(edges), np.int64, int(ptr[-1]))
-        verts = verts[np.lexsort((verts, edge_of))]
-        repeat = np.flatnonzero((verts[1:] == verts[:-1]) & (edge_of[1:] == edge_of[:-1]))
+        if coo_sorted(edge_of, verts):  # strict order within each edge: no repeats
+            repeat = np.empty(0, dtype=np.int64)
+        else:
+            verts = verts[np.lexsort((verts, edge_of))]
+            repeat = np.flatnonzero((verts[1:] == verts[:-1]) & (edge_of[1:] == edge_of[:-1]))
         outside = np.flatnonzero((verts < 0) | (verts >= n_vertices))
         first = [int(edge_of[at[0]]) if at.size else sizes.size for at in (repeat, outside)]
         if min(first) < sizes.size:  # a repeat wins over a range fault in the same edge
@@ -183,13 +204,15 @@ def reduce_matrix(V: InputMatrix) -> ReducedInstance:
     :func:`validate_matrix` first.
     """
     R = V.row_bound
-    pos = V.vals > 0
-    neg = ~pos  # zeros are never stored
-    rows = np.concatenate([V.rows[pos], V.rows[neg] + V.n])
-    cols = np.concatenate([V.cols[pos], V.cols[neg]])
-    vals = np.concatenate([V.vals[pos] / R, -V.vals[neg] / R])
-    return ReducedInstance(2 * V.n, V.m, rows, cols, vals,
-                           beta=1.0 / R, delta=V.col_bound / R)
+    pos = np.flatnonzero(V.vals > 0)
+    order = np.concatenate((pos, np.flatnonzero(V.vals < 0)))  # zeros are never stored
+    rows = V.rows.take(order)
+    rows[pos.size:] += V.n
+    cols = V.cols.take(order)
+    vals = np.abs(V.vals.take(order))
+    vals /= R
+    del pos, order  # free these before the constructor allocates
+    return ReducedInstance(2 * V.n, V.m, rows, cols, vals, beta=1.0 / R, delta=V.col_bound / R)
 
 
 def lift_assignment(V: InputMatrix, A: ReducedInstance, y: SignVector,

@@ -11,7 +11,9 @@ resample counts and the certified flag:
   recorded with, so a change of the library's sampler leaves it as it is.
 * ``solve_hypergraph_direct`` with a forced imbalance bound, which takes
   hundreds of rounds through the shared resampling loop; the last entries
-  run out of rounds and pin the best-seen fallback.
+  run out of rounds and pin the best-seen fallback.  The hypergraphs come
+  from ``reference_random_hypergraph``, the per-edge generator the grid was
+  recorded with.
 
 The third grid, ``moser_tardos_tightened``, is defined in
 ``test_golden_matrix_resampling.py``.  Any refactor of the certificate or
@@ -26,11 +28,10 @@ import pathlib
 
 import numpy as np
 
-from lowdisc.generate import random_hypergraph
 from lowdisc.pipeline import solve_matrix
 from lowdisc.solver import solve_hypergraph_direct
 
-from test_instance_reference import reference_random_matrix
+from test_instance_reference import reference_random_hypergraph, reference_random_matrix
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_trajectories.json")
 
@@ -67,7 +68,7 @@ def matrix_trajectories() -> dict:
 def hypergraph_trajectories() -> dict:
     out = {}
     for shape, inst, seed, bound, max_rounds in HYPER_GRID:
-        H = random_hypergraph(*shape, seed=inst)
+        H = reference_random_hypergraph(*shape, seed=inst)
         res = solve_hypergraph_direct(H, seed=seed, imbalance_bound=bound,
                                       max_rounds=max_rounds)
         out[f"{shape}/{inst}/{seed}/{bound}/{max_rounds}"] = _fingerprint(res)

@@ -9,15 +9,16 @@ bit-identical instance, or the same exception type with the same message.
 The parser reads a clean entry block with ``np.loadtxt``, so the
 corruptions include spellings and line breaks on which numpy's reader and
 ``int()``/``float()`` might disagree.
-``reference_random_hypergraph`` is the generator loop that rescanned every
-vertex for each edge; the incremental generator must draw the same edges.
+``reference_random_hypergraph`` is the generator that placed one edge per
+Python step, drawing its vertices from those still below the degree cap.
 ``reference_random_matrix`` and ``reference_random_reduced`` build the whole
-dense ``n x m`` draw.  The library samples the same distribution by
-geometric skips, so its instances differ from theirs; the references still
-define the instances of the golden grids and of the tests that need one
-particular run, and the library must raise what they raise on bad
-arguments.  ``reference_format_matrix`` formats one entry per Python step;
-the block-wise emitter must write the same bytes.
+dense ``n x m`` draw.  The library samples the matrices by geometric skips
+and the hypergraphs by one shuffle of vertex slots, so its instances differ
+from the references'; the references still define the instances of the
+golden grids and of the tests that need one particular run, and the library
+must raise what they raise on bad arguments.  ``reference_format_matrix``
+formats one entry per Python step; the block-wise emitter must write the
+same bytes.
 """
 
 import hashlib
@@ -161,7 +162,13 @@ def reference_hypergraph_edges(n_vertices, edges, max_edge_size, max_degree):
 
 
 def reference_random_hypergraph(n_vertices, max_edge_size, max_degree, seed, n_edges=None):
-    """The edges the per-edge rescan placed, in drawing order."""
+    """The per-edge generator: each edge draws its size and then its vertices
+    from those still below the degree cap, rescanned for every edge."""
+    if not (n_vertices >= max_edge_size >= 1):
+        raise HypothesisViolation(
+            [f"need vertices >= edge size >= 1, got {n_vertices} and {max_edge_size}"])
+    if max_degree < 1:
+        raise HypothesisViolation([f"need degree bound >= 1, got {max_degree}"])
     rng = np.random.Generator(np.random.PCG64(seed))
     degree = np.zeros(n_vertices, dtype=np.int64)
     min_size = 1 if max_edge_size == 1 else 2
@@ -175,7 +182,11 @@ def reference_random_hypergraph(n_vertices, max_edge_size, max_degree, seed, n_e
         chosen = rng.choice(avail, size=size, replace=False)
         edges.append(chosen)
         degree[chosen] += 1
-    return tuple(tuple(sorted(int(v) for v in e)) for e in edges)
+    if not edges:
+        raise HypothesisViolation(
+            [f"cannot place any edge with {n_vertices} vertices, "
+             f"edge size {max_edge_size}, degree {max_degree}"])
+    return HypergraphInstance(n_vertices, edges, max_edge_size, max_degree)
 
 
 def _reference_scale_axis_to(dense, axis, budget):
@@ -541,13 +552,77 @@ def test_hypergraph_checks_match_per_edge_reference(n, size, degree, seed, decla
         assert want[1] == got[1]
 
 
-@settings(max_examples=80, deadline=None)
+# --- hypergraph generator: the draw's contract ------------------------------------------
+#
+# The library cuts one shuffle of vertex slots into edges, so a seed no longer
+# gives the per-edge reference's edges: it gives another hypergraph under the
+# same declarations.  These tests check that contract; the reference still
+# defines the instances of the golden grid and of the tests that need one
+# particular run.
+
+
+def csr_bytes(H):
+    return H.ptr.tobytes(), H.verts.tobytes()
+
+
+def test_random_hypergraph_same_seed_same_instance():
+    for seed in range(4):
+        assert csr_bytes(random_hypergraph(60, 6, 3, seed)) == csr_bytes(
+            random_hypergraph(60, 6, 3, seed))
+    assert len({csr_bytes(random_hypergraph(60, 6, 3, seed)) for seed in range(4)}) == 4
+
+
+@settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 300), size=st.integers(1, 20), degree=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1), n_edges=st.one_of(st.none(), st.integers(1, 200)))
-def test_random_hypergraph_draws_the_reference_edges(n, size, degree, seed, n_edges):
-    size = min(size, n)
-    H = random_hypergraph(n, size, degree, seed, n_edges=n_edges)
-    assert H.edges == reference_random_hypergraph(n, size, degree, seed, n_edges)
+       seed=st.integers(0, 2**32 - 1), k=st.integers(1, 200))
+def test_random_hypergraph_keeps_its_declarations(n, size, degree, seed, k):
+    size = min(size, n)  # so n = R and R = 1 come up often
+    H = random_hypergraph(n, size, degree, seed)
+    sizes = np.diff(H.ptr)
+    assert sizes[0] == sizes.max() == size  # the declared edge size is tight
+    assert sizes.min() >= min(2, size)
+    assert H.degrees().max() <= degree
+    assert random_hypergraph(n, size, degree, seed, n_edges=k).edges == H.edges[:k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(-2, 12), size=st.integers(-1, 14), degree=st.integers(-1, 3),
+       seed=st.integers(0, 2**32 - 1), n_edges=st.one_of(st.none(), st.integers(-2, 4)))
+def test_random_hypergraph_raises_what_the_reference_raises(n, size, degree, seed, n_edges):
+    want = outcome(reference_random_hypergraph, n, size, degree, seed, n_edges)
+    got = outcome(random_hypergraph, n, size, degree, seed, n_edges)
+    if want[0] != "ok":
+        assert got == want
+    else:
+        assert got[0] == "ok" and (n_edges is None or got[1].n_edges <= n_edges)
+
+
+def test_edge_sizes_and_vertex_degrees_are_uniform():
+    """Over a fixed set of seeds, each size of edges 1 to 9 comes up within
+    4 sigma of uniform on [2, R]: they are cut well before the last slot, and
+    with one slot per vertex no repeat shortens them.  Each vertex's mean
+    degree lies within 4 sigma of the mean over all vertices."""
+    seeds = range(500)
+    sizes = np.concatenate([np.diff(random_hypergraph(200, 5, 1, seed, n_edges=10).ptr)[1:]
+                            for seed in seeds])
+    assert sizes.size == 9 * len(seeds)
+    p = 1 / 4
+    assert np.all(np.abs(np.bincount(sizes, minlength=6)[2:] / sizes.size - p)
+                  < 4 * np.sqrt(p * (1 - p) / sizes.size))
+    degrees = np.array([random_hypergraph(30, 4, 3, seed).degrees() for seed in seeds])
+    sigma = degrees.std(ddof=1) / np.sqrt(len(seeds))
+    assert np.all(np.abs(degrees.mean(axis=0) - degrees.mean()) < 4 * sigma)
+
+
+def test_hypergraph_generator_memory_is_a_small_multiple_of_the_instance():
+    tracemalloc.start()
+    try:
+        H = random_hypergraph(200_000, 16, 4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 790_000 < H.verts.size <= 800_000
+    assert peak < 3 * (H.ptr.nbytes + H.verts.nbytes)
 
 
 # --- matrix generators: the sampler's contract ----------------------------------------
@@ -691,11 +766,11 @@ def test_generator_memory_is_a_small_multiple_of_the_instance(generate_399k):
     assert peak < 3 * (A.rows.nbytes + A.cols.nbytes + A.vals.nbytes)
 
 
-# sha256 prefixes of rows, cols and vals: CI runs them on the oldest numpy
-# pyproject.toml allows and on the newest, so a seed must give the same
-# instance on both.  The random_reduced values go through np.exp2, whose
-# last bit may differ between numpy's SIMD loops and the C library, so they
-# are pinned rounded to float32.
+# sha256 prefixes of rows, cols and vals, or of a hypergraph's ptr and verts:
+# CI runs them on the oldest numpy pyproject.toml allows and on the newest,
+# so a seed must give the same instance on both.  The random_reduced values
+# go through np.exp2, whose last bit may differ between numpy's SIMD loops
+# and the C library, so they are pinned rounded to float32.
 PINNED_STREAMS = [
     ("random_matrix", (6, 9, 8.0, 3.0, 0.3, 11),
      ("f46af4ee9404f9ab", "a5b56d495daa92a5", "ea5b0f6d73750754")),
@@ -705,13 +780,18 @@ PINNED_STREAMS = [
      ("f46af4ee9404f9ab", "a5b56d495daa92a5", "393c370b3bdca284")),
     ("random_reduced", (40, 70, 2.0**-4, 2.0**-1, 0.05, 2024),
      ("8727ec5f3c2a752c", "55f74a993b7006bd", "e879982129da713c")),
+    ("random_hypergraph", (300, 16, 4, 1), ("ac87e5d2fa1298ed", "67dccfdea2eae8b0")),
+    ("random_hypergraph", (1000, 7, 3, 2024), ("1d86ec4522554ddb", "15ae1211cd50897a")),
 ]
 
 
 def stream_digests(name, args):
     A = getattr(generate, name)(*args)
-    vals = A.vals.astype(np.float32) if name == "random_reduced" else A.vals
-    return tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (A.rows, A.cols, vals))
+    if name == "random_hypergraph":
+        arrays = A.ptr, A.verts
+    else:
+        arrays = A.rows, A.cols, A.vals.astype(np.float32) if name == "random_reduced" else A.vals
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
 
 
 @pytest.mark.parametrize("name,args,digests", PINNED_STREAMS)

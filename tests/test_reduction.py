@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lowdisc.model import (
     HypothesisViolation,
     InputMatrix,
     InternalInconsistency,
+    ReducedInstance,
     SignVector,
     compute_parameters,
     discrepancy,
@@ -92,6 +94,33 @@ def test_reduce_nonnegative_matrix_has_empty_negative_rows():
     dense = A.to_dense()
     assert (dense[3:] == 0.0).all()
     assert (dense[:3] == 0.125).all()
+
+
+def reference_reduce_matrix(V):
+    """The split by boolean masks: one masked copy per part of each array."""
+    R = V.row_bound
+    pos = V.vals > 0
+    neg = ~pos
+    rows = np.concatenate([V.rows[pos], V.rows[neg] + V.n])
+    cols = np.concatenate([V.cols[pos], V.cols[neg]])
+    vals = np.concatenate([V.vals[pos] / R, -V.vals[neg] / R])
+    return ReducedInstance(2 * V.n, V.m, rows, cols, vals, beta=1.0 / R, delta=V.col_bound / R)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 7)),
+                               st.floats(-1.0, 1.0).filter(bool), min_size=1, max_size=30),
+       signs=st.sampled_from([None, 1.0, -1.0]), R=st.sampled_from([4.0, 7.0, 1e3]))
+@example(entries={(2, 3): 0.75}, signs=None, R=4.0)
+@example(entries={(5, 7): -5e-324}, signs=None, R=7.0)
+def test_reduce_matrix_matches_the_boolean_mask_split(entries, signs, R):
+    """Bit for bit, on mixed, all-positive, all-negative and one-entry matrices."""
+    V = InputMatrix.from_entries(6, 8, [(i, j, v if signs is None else signs * abs(v))
+                                        for (i, j), v in entries.items()], R, 4.0)
+    A, B = reduce_matrix(V), reference_reduce_matrix(V)
+    assert (A.n, A.m, A.beta, A.delta) == (B.n, B.m, B.beta, B.delta)
+    for name in ("rows", "cols", "vals"):
+        assert getattr(A, name).tobytes() == getattr(B, name).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))

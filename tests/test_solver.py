@@ -26,7 +26,7 @@ from lowdisc.solver import (
     solve_hypergraph_direct,
 )
 
-from test_instance_reference import reference_random_reduced
+from test_instance_reference import reference_random_hypergraph, reference_random_reduced
 
 P14 = compute_parameters(0.25, 1.0)
 
@@ -330,7 +330,7 @@ def test_neighbors_are_built_at_the_first_redraw_and_cached_per_hypergraph(monke
     A, params, graph, report = _tightened()
     build = certify._neighbor_csr
     monkeypatch.setattr(certify, "_neighbor_csr", counted)
-    H = random_hypergraph(1000, 16, 4, seed=1)
+    H = reference_random_hypergraph(1000, 16, 4, seed=1)  # 30 rounds find no coloring
     assert solve_hypergraph_direct(H, seed=1, imbalance_bound=4.0, max_rounds=0).rounds == 0
     assert calls == [] and "_neighbors" not in vars(H)
     for seed in (1, 2):
@@ -366,7 +366,7 @@ def test_kept_max_agrees_with_a_full_recompute_every_round(monkeypatch):
 
     kept_max = solver._kept_max
     monkeypatch.setattr(solver, "_kept_max", checked)
-    H = random_hypergraph(400, 8, 3, seed=2)
+    H = reference_random_hypergraph(400, 8, 3, seed=2)  # a run that rescans
     solve_hypergraph_direct(H, seed=4, imbalance_bound=2.0, max_rounds=300)
     n_direct = len(rescans)
     A, params, graph, report = _tightened()
