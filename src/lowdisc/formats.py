@@ -37,7 +37,7 @@ _DISC_RE = re.compile(r"^%%disc\s+R=(\S+)\s+Delta=(\S+)\s*$")
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")  # as str.splitlines
 _ENTRY_BYTES = b"0123456789+-.eE \t\n"
 _ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
-_EMIT_BLOCK = 1 << 15  # entries per format call in format_matrix
+_EMIT_BLOCK = 1 << 15  # entries per format call in format_matrix, vertex ids in format_hypergraph
 
 
 class ParseError(ValueError):
@@ -331,8 +331,17 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
 
 
 def format_hypergraph(H: HypergraphInstance) -> str:
-    lines = ["e " + " ".join(str(v + 1) for v in edge) for edge in H.edges]
-    return "\n".join(lines) + "\n"
+    # as in format_matrix, one format call per block of edges; the format of
+    # a block joins one "e %d ... %d" line per edge, one string per edge size
+    sizes = np.diff(H.ptr)
+    line = {k: "e" + " %d" * k + "\n" for k in np.unique(sizes).tolist()}
+    step = max(1, _EMIT_BLOCK // int(sizes.max(initial=1)))  # edges per block
+    blocks = []
+    for k in range(0, H.n_edges, step):
+        a, b = H.ptr[k], H.ptr[min(k + step, H.n_edges)]
+        fmt = "".join(map(line.__getitem__, sizes[k:k + step].tolist()))
+        blocks.append(fmt % tuple((H.verts[a:b] + 1).tolist()))
+    return "".join(blocks) or "\n"  # no edges: one empty line
 
 
 def _sniff(text: str) -> str:

@@ -117,12 +117,19 @@ class HypergraphInstance:
         return tuple(tuple(flat[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
 
     @cached_property
-    def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nbr_ptr, nbr): the other edges sharing a vertex with edge ``e``
-        are ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]``, ascending; built at the
-        first resample of a direct solve."""
-        from .certify import _neighbor_csr  # certify imports this module
-        return _neighbor_csr(self.ptr, self.verts, self.n_vertices)
+    def _vertex_edges(self) -> np.ndarray:
+        """(n_vertices, max degree) int32: row ``v`` lists the edges that
+        hold vertex ``v``, ascending, padded with -1; built at the first
+        resample of a direct solve.  Edge ids fit int32: 2^31 edges would
+        take 16 GB of ``verts``."""
+        order = np.argsort(self.verts, kind="stable")  # incidences by vertex, edge order kept
+        degree = np.bincount(self.verts, minlength=self.n_vertices)
+        table = np.full((self.n_vertices, int(degree.max(initial=0))), -1, dtype=np.int32)
+        edge = np.searchsorted(self.ptr, order, side="right")
+        edge -= 1
+        # a row-major mask fills each row's first degree[v] slots, vertex by vertex
+        table[np.arange(table.shape[1]) < degree[:, None]] = edge
+        return table
 
     @property
     def n_edges(self) -> int:

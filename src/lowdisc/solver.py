@@ -5,24 +5,26 @@ support of the first violated event (in (row, level) order) until no event
 fires.  A passing certificate guarantees the loop terminates quickly and
 that the terminal assignment meets the instance bound.
 
-The loop is incremental: a redraw of an event can change only the events
-that share a column with it, its closed neighbourhood in the dependency
-graph (at most about R * Delta events), and their rows.  The touched
-events are the redrawn event's neighbour list in the dependency graph's
-CSR, with the event put in its place: the event graph's lists on the
-matrix path, the hypergraph's on the direct path, each built once, at the
-first redraw on that graph.  Only those events are summed again, exactly
-and from the current signs, never by running deltas.  The redrawn signs come from
-a pool that holds the very stream ``Generator.integers`` would give.
-Each round then costs about the same on a large instance as on a small
-one, and the trajectory is the one a full recompute per round would give,
-bit for bit.
+Both loops are incremental, and each round costs about the same on a large
+instance as on a small one.  On the matrix path a redraw of an event can
+change only the events that share a column with it, its closed
+neighbourhood in the event graph's CSR (at most about R * Delta events,
+built at the first redraw), and their rows; only those are summed again,
+exactly and from the current signs.  On the direct hypergraph path every
+coefficient is 1, so each edge sum is a small integer and a running sum is
+exact: a flipped vertex adds +-2 to each edge in its row of the
+hypergraph's vertex-to-edge table (built at the first redraw), and the
+first violated edge and the largest |edge sum| are kept by a heap and a
+histogram of Python ints.  The redrawn signs come from a pool that holds
+the very stream ``Generator.integers`` would give.  The trajectory is the
+one a full recompute per round would give, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -145,19 +147,18 @@ def _kept_max(kept: np.ndarray, top: int, current: float, touched: np.ndarray,
     return current, top
 
 
-def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed, max_rounds,
-                   bound, neighbors, matrix=None, event_row=None) -> SolveResult:
-    """Shared resampling loop over events sorted by their priority order.
+def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds: int,
+                   bound: float) -> SolveResult:
+    """The matrix path's resampling loop over the graph's events, in priority order.
 
-    Event ``e`` has columns ``flat_cols[ptr[e]:ptr[e + 1]]`` (ascending)
-    with coefficients from ``flat_vals``.  ``neighbors()`` returns the
-    dependency graph's CSR ``(nbr_ptr, nbr)``: the other events sharing a
-    column with ``e`` are ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]``, ascending.
-    ``achieved`` is the largest per-row |matrix @ y| when ``matrix`` is
-    given, as :func:`~lowdisc.model.discrepancy` computes it, with
-    ``event_row[e]`` the row of event ``e`` (non-decreasing in ``e``, every
-    entry of the matrix in exactly one event), and the largest |event sum|
-    otherwise.
+    Event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]`` (ascending) with
+    coefficients from ``vals``, all of ``graph.strata``, and fires when its
+    |sum| exceeds ``graph.threshold[e]``.  The other events sharing a
+    column with ``e`` are ``graph.nbr[graph.nbr_ptr[e]:graph.nbr_ptr[e + 1]]``,
+    ascending.  ``achieved`` is the largest per-row |A @ y|, as
+    :func:`~lowdisc.model.discrepancy` computes it; ``strata.row[e]`` is
+    the row of event ``e`` (non-decreasing in ``e``, every entry of ``A``
+    in exactly one event).
 
     Each round redraws exactly one event's support, in ascending column
     order, so the stream consumption and hence the whole trajectory is
@@ -169,25 +170,22 @@ def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed, max_roun
     segment is summed as in the full call), the rows by one
     ``np.bincount`` over their entries in the matrix's entry order (each
     row is summed as in ``discrepancy``).  ``achieved`` is kept with its
-    argmax by :func:`_kept_max`.  ``neighbors`` is called
-    at the first redraw, so a run that never resamples costs one full
-    pass.
+    argmax by :func:`_kept_max`.  The neighbour lists are first read at
+    the first redraw, so a run that never resamples costs one full pass.
     """
+    strata, thresholds = graph.strata, graph.threshold
+    ptr, cols, vals = strata.ptr, strata.cols, strata.vals
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
     signs = _Signs(seed)
-    y = signs.take(n_vars).copy()
+    y = signs.take(A.m).copy()
     n_events = len(thresholds)
     counts = np.zeros(n_events, dtype=np.int64)
-    event_abs = (np.abs(np.add.reduceat(flat_vals * y[flat_cols], ptr[:-1]))
+    event_abs = (np.abs(np.add.reduceat(vals * y[cols], ptr[:-1]))
                  if n_events else np.zeros(0))
     violated = event_abs > thresholds
-    if matrix is None:
-        top = int(event_abs.argmax())
-        current = float(event_abs[top])
-    else:
-        row_abs, current = discrepancy(matrix, y)
-        top = int(row_abs.argmax())
+    row_abs, current = discrepancy(A, y)
+    top = int(row_abs.argmax())
     nbr = None
     rounds = 0
     best_y = y
@@ -200,42 +198,121 @@ def _resample_loop(ptr, flat_cols, flat_vals, thresholds, n_vars, seed, max_roun
             best_y = y.copy()
         if not any_violated or rounds >= max_rounds:
             break
-        support = flat_cols[ptr[e]:ptr[e + 1]]  # ascending within the event
+        support = cols[ptr[e]:ptr[e + 1]]  # ascending within the event
         y[support] = signs.take(support.size)
         counts[e] += 1
         rounds += 1
         if nbr is None:
-            nbr_ptr, nbr = neighbors()
+            nbr_ptr, nbr = graph.nbr_ptr, graph.nbr
             size = np.diff(ptr)
-            if matrix is not None:
-                # entries are in (row, col) order, so each row is one run
-                row_ptr = np.searchsorted(matrix.rows, np.arange(matrix.n + 1))
-                row_size = np.diff(row_ptr)
+            # entries are in (row, col) order, so each row is one run
+            row_ptr = np.searchsorted(A.rows, np.arange(A.n + 1))
+            row_size = np.diff(row_ptr)
         touched = _closed(nbr_ptr, nbr, e)
         at, starts = _segments(ptr, touched, size[touched])
-        sums = np.abs(np.add.reduceat(flat_vals[at] * y[flat_cols[at]], starts))
+        sums = np.abs(np.add.reduceat(vals[at] * y[cols[at]], starts))
         event_abs[touched] = sums
         violated[touched] = sums > thresholds[touched]
-        if matrix is None:
-            current, top = _kept_max(event_abs, top, current, touched, sums)
-        else:
-            rows = event_row[touched]  # ascending, as ``touched`` is
-            first = np.empty(rows.size, dtype=bool)
-            first[0] = True
-            np.not_equal(rows[1:], rows[:-1], out=first[1:])
-            rows = rows[first]
-            lens = row_size[rows]
-            at, _ = _segments(row_ptr, rows, lens)
-            local = np.repeat(np.arange(rows.size), lens)
-            sums = np.abs(np.bincount(local, weights=matrix.vals[at] * y[matrix.cols[at]],
-                                      minlength=rows.size))
-            row_abs[rows] = sums
-            current, top = _kept_max(row_abs, top, current, rows, sums)
+        rows = strata.row[touched]  # ascending, as ``touched`` is
+        first = np.empty(rows.size, dtype=bool)
+        first[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        rows = rows[first]
+        lens = row_size[rows]
+        at, _ = _segments(row_ptr, rows, lens)
+        local = np.repeat(np.arange(rows.size), lens)
+        sums = np.abs(np.bincount(local, weights=A.vals[at] * y[A.cols[at]],
+                                  minlength=rows.size))
+        row_abs[rows] = sums
+        current, top = _kept_max(row_abs, top, current, rows, sums)
     if any_violated:
         y, current = best_y, best_val
     counts.setflags(write=False)
     return SolveResult(y=SignVector(y), certified=not any_violated, achieved=current,
                        bound=bound, rounds=rounds, resample_counts=counts, seed=seed)
+
+
+def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
+                 bound: float) -> SolveResult:
+    """The direct hypergraph path's resampling loop: one event per edge, in
+    edge order, violated when its |edge sum| exceeds ``bound``.
+
+    Every coefficient is 1, so each edge sum is an integer of at most the
+    edge size, and a running sum is exact: the trajectory is the one a
+    full recompute of every edge sum per round would give, bit for bit.
+    The signs are a ``bytearray`` of 1 and 255 (the bytes of int8 +1 and
+    -1), so a draw is copied in and the result out in one memcpy; the edge
+    sums are a list of Python ints.  A redraw compares each new sign with
+    the old one, and each flipped vertex adds +-2 to every edge in its row
+    of ``H._vertex_edges``.  That table is built at the first redraw, so a
+    run that never resamples costs one full pass.  The first violated edge
+    is the least live entry of a heap of edge ids with lazy deletion: an
+    edge is pushed when it crosses the bound and popped once it is found
+    back within it.  The largest |edge sum| is kept exactly by a histogram
+    of the |edge sums|.
+    """
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be non-negative")
+    signs = _Signs(seed)
+    y = bytearray(signs.take(H.n_vertices))
+    sums = np.add.reduceat(np.frombuffer(y, dtype=np.int8).astype(np.int64)[H.verts],
+                           H.ptr[:-1])
+    imbalance = np.abs(sums)
+    largest = int(np.diff(H.ptr).max())  # no |edge sum| exceeds the largest edge size
+    limit = int(min(bound, largest))  # an integer exceeds bound iff it exceeds limit
+    over = imbalance > limit
+    heap = np.flatnonzero(over).tolist()  # ascending, so already a heap
+    queued = bytearray(over)  # 1 for every edge id in the heap
+    hist = np.bincount(imbalance, minlength=largest + 1).tolist()
+    top = int(imbalance.max())
+    sums = sums.tolist()
+    counts = np.zeros(H.n_edges, dtype=np.int64)
+    tally, ptr, verts = memoryview(counts), memoryview(H.ptr), memoryview(H.verts)
+    table = None
+    rounds = 0
+    best_y, best_val = y, math.inf
+    while True:
+        while heap and abs(sums[heap[0]]) <= limit:
+            queued[heappop(heap)] = 0
+        if top < best_val:
+            best_val = top
+            best_y = bytes(y)
+        if not heap or rounds >= max_rounds:
+            break
+        e = heap[0]
+        if table is None:
+            width = H._vertex_edges.shape[1]
+            table = memoryview(H._vertex_edges.reshape(-1))
+        a, b = ptr[e], ptr[e + 1]
+        tally[e] += 1
+        rounds += 1
+        for v, s in zip(verts[a:b], signs.take(b - a).tobytes()):
+            if y[v] == s:
+                continue
+            y[v] = s
+            step = 2 if s == 1 else -2
+            for f in table[v * width:(v + 1) * width]:
+                if f < 0:
+                    break
+                old = sums[f]
+                sums[f] = old + step
+                hist[abs(old)] -= 1
+                new = abs(old + step)
+                hist[new] += 1
+                if new > top:
+                    top = new
+                if new > limit and not queued[f]:
+                    heappush(heap, f)
+                    queued[f] = 1
+        while not hist[top]:
+            top -= 1
+    certified = not heap
+    if not certified:
+        y, top = best_y, best_val
+    counts.setflags(write=False)
+    return SolveResult(y=SignVector(np.frombuffer(y, dtype=np.int8)), certified=certified,
+                       achieved=float(top), bound=bound, rounds=rounds,
+                       resample_counts=counts, seed=seed)
 
 
 def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
@@ -252,11 +329,7 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
         raise HypothesisViolation([
             "resampling requires a passing certificate; run verify_lll_condition first"
         ])
-    strata = graph.strata
-    return _resample_loop(strata.ptr, strata.cols, strata.vals, graph.threshold, A.m,
-                          seed, max_rounds, params.bound,
-                          lambda: (graph.nbr_ptr, graph.nbr),
-                          matrix=A, event_row=strata.row)
+    return _resample_loop(A, graph, seed, max_rounds, params.bound)
 
 
 def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
@@ -270,7 +343,9 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
     breaks the matrix hypotheses too, so the message says that neither
     route applies.  An explicit ``imbalance_bound`` skips that check and
     solves against the given target (useful for forcing, say, perfectly
-    balanced edges).
+    balanced edges).  The loop (:func:`_direct_loop`) keeps every edge sum
+    as an exact integer and updates it by +-2 per flipped vertex, so a
+    round costs a few scalar updates per vertex the redraw flips.
     """
     if H.n_edges < 1:
         raise ValueError("hypergraph has no edges; nothing to color")
@@ -288,9 +363,7 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
         bound = float(imbalance_bound)
         if not (bound >= 0.0):
             raise ValueError("imbalance bound must be non-negative")
-    ones = np.broadcast_to(1.0, H.verts.shape)  # every coefficient is 1; no copy
-    return _resample_loop(H.ptr, H.verts, ones, np.full(H.n_edges, bound),
-                          H.n_vertices, seed, max_rounds, bound, lambda: H._neighbors)
+    return _direct_loop(H, seed, max_rounds, bound)
 
 
 def brute_force_optimum(M) -> tuple[SignVector, float]:

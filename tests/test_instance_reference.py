@@ -17,8 +17,8 @@ and the hypergraphs by one shuffle of vertex slots, so its instances differ
 from the references'; the references still define the instances of the
 golden grids and of the tests that need one particular run, and the library
 must raise what they raise on bad arguments.  ``reference_format_matrix``
-formats one entry per Python step; the block-wise emitter must write the
-same bytes.
+formats one entry per Python step, and ``reference_format_hypergraph`` one
+vertex; the block-wise emitters must write the same bytes.
 """
 
 import hashlib
@@ -246,6 +246,12 @@ def reference_format_matrix(V):
     ]
     for i, j, v in zip(V.rows, V.cols, V.vals):
         lines.append(f"{int(i) + 1} {int(j) + 1} {_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_format_hypergraph(H):
+    """The emitter that formatted one vertex per Python step."""
+    lines = ["e " + " ".join(str(v + 1) for v in edge) for edge in H.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -812,3 +818,23 @@ def test_format_matrix_writes_the_reference_bytes(entries, bounds, block):
     V = InputMatrix.from_entries(7, 9, [(i, j, v) for (i, j), v in entries.items()], *bounds)
     with mock.patch.object(formats, "_EMIT_BLOCK", block):
         assert format_matrix(V).encode() == reference_format_matrix(V).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
+                      max_size=30),
+       block=st.sampled_from([1, 3, 40, formats._EMIT_BLOCK]))
+def test_format_hypergraph_writes_the_reference_bytes(edges, block):
+    size = max(map(len, edges), default=1)
+    degree = max((sum(v in e for e in edges) for v in range(12)), default=1)
+    H = HypergraphInstance(12, edges, size, max(degree, 1))
+    with mock.patch.object(formats, "_EMIT_BLOCK", block):
+        assert format_hypergraph(H).encode() == reference_format_hypergraph(H).encode()
+
+
+def test_format_hypergraph_writes_the_reference_bytes_for_a_generated_instance():
+    H = random_hypergraph(5000, 16, 4, seed=7)
+    with mock.patch.object(formats, "_EMIT_BLOCK", 1000):  # blocks of 62 edges
+        text = format_hypergraph(H)
+    assert "edges" not in vars(H)  # emitted from the CSR arrays
+    assert text.encode() == reference_format_hypergraph(H).encode()

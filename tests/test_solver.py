@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lowdisc import certify, solver
 from lowdisc.model import (
@@ -321,29 +323,64 @@ def test_neighbor_csr_and_closed_sets_match_shared_column_pairs(block, case):
 
 
 def test_neighbors_are_built_at_the_first_redraw_and_cached_per_hypergraph(monkeypatch):
-    calls = []
+    calls, tables = [], []
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
+    def counted_table(H):
+        tables.append(H)
+        return vertex_edges(H)
+
     A, params, graph, report = _tightened()
     build = certify._neighbor_csr
     monkeypatch.setattr(certify, "_neighbor_csr", counted)
+    vertex_edges = HypergraphInstance._vertex_edges.func
+    table = cached_property(counted_table)
+    table.__set_name__(HypergraphInstance, "_vertex_edges")
+    monkeypatch.setattr(HypergraphInstance, "_vertex_edges", table)
+    # the direct path: the vertex-to-edge table, and no neighbour lists at all
     H = reference_random_hypergraph(1000, 16, 4, seed=1)  # 30 rounds find no coloring
     assert solve_hypergraph_direct(H, seed=1, imbalance_bound=4.0, max_rounds=0).rounds == 0
-    assert calls == [] and "_neighbors" not in vars(H)
+    assert tables == [] and "_vertex_edges" not in vars(H)
     for seed in (1, 2):
         result = solve_hypergraph_direct(H, seed=seed, imbalance_bound=4.0, max_rounds=30)
         assert result.rounds == 30
-    assert len(calls) == 1 and calls[0][0] is H.ptr and calls[0][1] is H.verts
-    # the matrix path likewise: once per event graph, at its first redraw
+    assert len(tables) == 1 and tables[0] is H and calls == []
+    # the matrix path: once per event graph, at its first redraw
     assert moser_tardos(A, graph, params, seed=0, max_rounds=0, certificate=report).rounds == 0
-    assert len(calls) == 1 and "_neighbors" not in vars(graph)
+    assert calls == [] and "_neighbors" not in vars(graph)
     for seed in (0, 1):
         assert moser_tardos(A, graph, params, seed=seed, max_rounds=3,
                             certificate=report).rounds == 3
-    assert len(calls) == 2 and calls[1][0] is graph.strata.ptr and calls[1][1] is graph.strata.cols
+    assert len(calls) == 1 and calls[0][0] is graph.strata.ptr and calls[0][1] is graph.strata.cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(H=st.builds(reference_random_hypergraph, st.integers(10, 60), st.integers(1, 10),
+                   st.integers(1, 8), st.integers(0, 2**32 - 1)))
+@example(H=HypergraphInstance(7, [(0, 2, 5), (2, 3), (5,), (0, 2)], 3, 4))  # degree 0: 1, 4, 6
+def test_vertex_edge_table_lists_each_vertex_edges_padded_with_minus_one(H):
+    table = H._vertex_edges
+    holds = [[e for e, edge in enumerate(H.edges) if v in edge] for v in range(H.n_vertices)]
+    width = max(map(len, holds))
+    assert table.dtype == np.int32 and table.shape == (H.n_vertices, width)
+    assert table.tolist() == [row + [-1] * (width - len(row)) for row in holds]
+
+
+def test_edge_sums_beyond_the_int8_range_are_exact(monkeypatch):
+    class Red(solver._Signs):
+        def take(self, k):
+            return np.ones(k, dtype=np.int8)
+
+    monkeypatch.setattr(solver, "_Signs", Red)
+    H = HypergraphInstance(300, [range(200), range(100, 300)], 200, 2)
+    result = solve_hypergraph_direct(H, imbalance_bound=250.0)
+    assert result.certified and result.rounds == 0 and result.achieved == 200.0
+    result = solve_hypergraph_direct(H, imbalance_bound=199.5, max_rounds=1)
+    assert not result.certified and result.achieved == 200.0
+    assert result.resample_counts.tolist() == [1, 0]
 
 
 def test_kept_max_rescans_only_when_the_old_maximum_drops():
@@ -356,6 +393,28 @@ def test_kept_max_rescans_only_when_the_old_maximum_drops():
 
 
 def test_kept_max_agrees_with_a_full_recompute_every_round(monkeypatch):
+    H = reference_random_hypergraph(400, 8, 3, seed=2)  # a run whose maximum drops
+    tops = []
+
+    class Watched(solver._Signs):
+        """At each redraw's draw, the direct loop's kept maximum after the
+        round before, read from the loop's frame, against a full recompute
+        from its signs."""
+
+        def take(self, k):
+            loop = sys._getframe(1).f_locals
+            if loop.get("table") is not None:  # not the first draw of y
+                y = np.frombuffer(loop["y"], dtype=np.int8).astype(np.int64)
+                tops.append((loop["top"], int(np.abs(np.add.reduceat(y[H.verts],
+                                                                     H.ptr[:-1])).max())))
+            return super().take(k)
+
+    monkeypatch.setattr(solver, "_Signs", Watched)
+    result = solve_hypergraph_direct(H, seed=4, imbalance_bound=2.0, max_rounds=300)
+    monkeypatch.undo()
+    assert len(tops) == result.rounds > 0
+    assert all(kept == full for kept, full in tops)
+    assert any(b[0] < a[0] for a, b in zip(tops, tops[1:]))  # a round lowers the maximum
     rescans = []
 
     def checked(kept, top, current, touched, sums):
@@ -366,13 +425,10 @@ def test_kept_max_agrees_with_a_full_recompute_every_round(monkeypatch):
 
     kept_max = solver._kept_max
     monkeypatch.setattr(solver, "_kept_max", checked)
-    H = reference_random_hypergraph(400, 8, 3, seed=2)  # a run that rescans
-    solve_hypergraph_direct(H, seed=4, imbalance_bound=2.0, max_rounds=300)
-    n_direct = len(rescans)
     A, params, graph, report = _tightened()
     assert moser_tardos(A, graph, params, seed=1, max_rounds=300,
-                        certificate=report).rounds == len(rescans) - n_direct > 0
-    assert any(rescans[:n_direct]) and any(rescans[n_direct:])
+                        certificate=report).rounds == len(rescans) > 0
+    assert any(rescans)
 
 
 @pytest.mark.parametrize("words", [1, 3, solver._SIGN_WORDS])

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from lowdisc.certify import build_event_graph, verify_lll_condition
+from lowdisc.certify import build_event_graph, verify_lll_condition, verify_symmetric_lll
 from lowdisc.generate import random_hypergraph, random_reduced
 from lowdisc.model import compute_parameters, discrepancy, stratify
 from lowdisc.reduction import HypergraphInstance
@@ -108,19 +108,44 @@ def test_resampling_touches_only_the_chosen_support():
     assert_same_run(res, ref, [np.asarray(e) for e in H.edges])
 
 
-@settings(max_examples=60, deadline=None)
-@given(n_vertices=st.integers(4, 60), size=st.integers(2, 10), degree=st.integers(1, 4),
-       inst_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
-       bound=st.sampled_from([0.0, 2.0, 4.0]), max_rounds=st.integers(0, 60))
-def test_direct_solve_matches_the_reference_loop(n_vertices, size, degree, inst_seed,
-                                                 seed, bound, max_rounds):
-    assume(n_vertices >= size)
-    H = random_hypergraph(n_vertices, size, degree, inst_seed)
-    res = solve_hypergraph_direct(H, seed=seed, imbalance_bound=bound,
-                                  max_rounds=max_rounds)
-    ref = reference_direct(H, seed, bound, max_rounds)
-    assert res.bound == bound
+@settings(max_examples=80, deadline=None)
+@given(size=st.one_of(st.integers(2, 10), st.integers(120, 160)), extra=st.integers(0, 60),
+       degree=st.integers(1, 8), inst_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**32 - 1),
+       bound=st.sampled_from([None, 0.0, 2.0, 2.5, 4.0, 7.5, 12.0, 24.5]),
+       max_rounds=st.integers(0, 60))
+def test_direct_solve_matches_the_reference_loop(size, extra, degree, inst_seed, seed, bound,
+                                                 max_rounds):
+    # edges above 127 vertices overflow an int8 sum; fractional bounds and
+    # integer ones, where a sum can tie, both meet integer edge sums
+    H = random_hypergraph(size + extra, size, degree, inst_seed)
+    if bound is None:
+        check = verify_symmetric_lll(H.max_edge_size, H.max_degree)
+        assume(check.passed)
+        expect = check.imbalance_bound
+    else:
+        expect = bound
+    res = solve_hypergraph_direct(H, seed=seed, imbalance_bound=bound, max_rounds=max_rounds)
+    ref = reference_direct(H, seed, expect, max_rounds)
+    assert res.bound == expect
     assert_same_run(res, ref, [np.asarray(e) for e in H.edges])
+
+
+def test_a_cutoff_returns_the_best_assignment_seen_not_the_last():
+    H = random_hypergraph(300, 150, 8, seed=3)  # 28 edges of up to 150 vertices
+    seen = []
+
+    def achieved_fn(y):
+        seen.append(max(abs(int(y[list(edge)].sum())) for edge in H.edges))
+        return float(seen[-1])
+
+    supports = [np.asarray(edge, dtype=np.int64) for edge in H.edges]
+    ref = reference_resample(supports, [np.ones(len(e)) for e in supports], [8.0] * len(supports),
+                             H.n_vertices, 5, 40, achieved_fn)
+    res = solve_hypergraph_direct(H, seed=5, imbalance_bound=8.0, max_rounds=40)
+    assert not res.certified and res.rounds == 40
+    assert res.achieved == min(seen) < seen[-1]  # the last assignment was worse
+    assert_same_run(res, ref, supports)
 
 
 @settings(max_examples=40, deadline=None)
