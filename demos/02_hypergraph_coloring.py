@@ -1,9 +1,10 @@
 """Two-color a bounded hypergraph so every edge is nearly balanced.
 
 The direct route puts one bad event on each edge (imbalance above
-2*sqrt(R*ln(R*Delta))) and needs the symmetric local-lemma check; when that
-check fails the incidence-matrix reduction still applies.  Both guarantees
-are reported side by side.
+2*sqrt(R*ln(R*Delta))) and needs the symmetric local-lemma check.  That
+check fails only at R = 2 (Delta <= 2), where the incidence matrix breaks
+the matrix hypotheses (R >= 4) as well, so such an instance has no route
+and is rejected.  Both guarantees are reported side by side.
 """
 
 import numpy as np

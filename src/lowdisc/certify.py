@@ -43,6 +43,7 @@ from .model import (
     ReducedInstance,
     Strata,
     column_groups,
+    csr_segments,
 )
 from .reduction import hypergraph_bounds
 
@@ -358,8 +359,7 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
         # the exact sums of those events, each over its own neighbour list
         nbr_ptr, nbr = graph.nbr_ptr, graph.nbr
         lens = nbr_ptr[low + 1] - nbr_ptr[low]
-        ends = lens.cumsum()
-        at = (nbr_ptr[low] - (ends - lens)).repeat(lens) + np.arange(int(ends[-1]))
+        at, _ = csr_segments(nbr_ptr, low, lens)
         nbr_sums[low] = np.bincount(np.arange(low.size).repeat(lens),
                                     weights=log1m_w[nbr[at]], minlength=low.size)
         margins[low] = log_w[low] + nbr_sums[low] - log_p[low]

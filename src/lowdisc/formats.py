@@ -335,13 +335,13 @@ def format_hypergraph(H: HypergraphInstance) -> str:
     # a block joins one "e %d ... %d" line per edge, one string per edge size
     sizes = np.diff(H.ptr)
     line = {k: "e" + " %d" * k + "\n" for k in np.unique(sizes).tolist()}
-    step = max(1, _EMIT_BLOCK // int(sizes.max(initial=1)))  # edges per block
+    step = max(1, _EMIT_BLOCK // int(sizes.max()))  # edges per block
     blocks = []
     for k in range(0, H.n_edges, step):
         a, b = H.ptr[k], H.ptr[min(k + step, H.n_edges)]
         fmt = "".join(map(line.__getitem__, sizes[k:k + step].tolist()))
         blocks.append(fmt % tuple((H.verts[a:b] + 1).tolist()))
-    return "".join(blocks) or "\n"  # no edges: one empty line
+    return "".join(blocks)
 
 
 def _sniff(text: str) -> str:

@@ -319,6 +319,15 @@ def column_groups(cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return col_ptr, np.argsort(cols)
 
 
+def csr_segments(ptr: np.ndarray, keys: np.ndarray, lens: np.ndarray):
+    """(at, starts): the positions of the CSR segments ``keys`` of ``ptr``,
+    of lengths ``lens``, concatenated in key order; segment ``i`` fills
+    ``at[starts[i]:starts[i] + lens[i]]``.  ``keys`` must be non-empty."""
+    ends = lens.cumsum()
+    starts = ends - lens
+    return (ptr[keys] - starts).repeat(lens) + np.arange(ends[-1]), starts
+
+
 def stratify(A: ReducedInstance, params: Parameters) -> Strata:
     """Partition every stored entry of ``A`` into per-row magnitude buckets.
 

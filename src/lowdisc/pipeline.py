@@ -13,7 +13,7 @@ from .model import (
     stratify,
 )
 from .certify import (CertificateReport, EventGraph, SymmetricLLLCheck, build_event_graph,
-                      verify_lll_condition, verify_symmetric_lll)
+                      verify_lll_condition)
 from .reduction import (
     HypergraphInstance,
     LiftedReport,
@@ -23,7 +23,8 @@ from .reduction import (
     reduce_matrix,
     validate_matrix,
 )
-from .solver import DEFAULT_MAX_ROUNDS, SolveResult, moser_tardos, solve_hypergraph_direct
+from .solver import (DEFAULT_MAX_ROUNDS, SolveResult, _direct_check, moser_tardos,
+                     solve_hypergraph_direct)
 
 __all__ = [
     "ReducedSolveOutcome",
@@ -66,10 +67,10 @@ class HypergraphSolveOutcome:
     """Result of coloring a hypergraph, with both guarantees labeled.
 
     ``mode`` records the route taken: 'direct' (one event per edge, bound
-    ``direct_bound``) or 'reduce' (through the incidence matrix, bound
-    ``reduced_bound``), and ``route_reason`` why, as
-    :func:`hypergraph_route` gives it.  ``matrix_outcome`` is filled on the
-    reduce route.
+    ``direct_bound``; taken by both 'auto' and 'direct') or 'reduce' (through
+    the incidence matrix, bound ``reduced_bound``; taken only when asked
+    for), and ``route_reason`` why, as :func:`hypergraph_route` gives it.
+    ``matrix_outcome`` is filled on the reduce route.
     """
 
     hypergraph: HypergraphInstance
@@ -111,45 +112,29 @@ def solve_matrix(V: InputMatrix, seed: int = 0,
 def hypergraph_route(H: HypergraphInstance,
                      mode: str = "auto") -> tuple[str, SymmetricLLLCheck | None, str]:
     """The route, 'direct' or 'reduce', that ``mode`` takes on ``H``, the
-    symmetric check behind it (``None`` when none was evaluated), and the
-    reason for the route.
-
-    'auto' takes the direct route exactly when :func:`verify_symmetric_lll`
-    passes (reason "symmetric check passed"), and reduces otherwise
-    ("e·p·(d+1) = <product> > 1", or "R < 2" when that leaves the check
-    undefined); 'direct' returns the check whether or not it passes, and
-    raises its :class:`HypothesisViolation` when R < 2.  An explicit
-    'direct' or 'reduce' gives the reason "forced".
-    """
+    passing symmetric check behind it (``None`` on the reduce route), and
+    the reason: 'auto' and 'direct' both take the direct route ("symmetric
+    check passed", "forced"), 'reduce' the reduce route ("forced").  Where
+    the check fails, no route is open, and :func:`~lowdisc.solver._direct_check`
+    raises the violation that says so."""
     if mode not in ("auto", "direct", "reduce"):
         raise ValueError(f"unknown mode {mode!r} (expected auto, direct or reduce)")
     if mode == "reduce":
         return "reduce", None, "forced"
-    try:
-        check = verify_symmetric_lll(H.max_edge_size, H.max_degree)
-    except HypothesisViolation:
-        if mode == "direct":
-            raise
-        return "reduce", None, "R < 2"
-    if mode == "direct":
-        return "direct", check, "forced"
-    if check.passed:
-        return "direct", check, "symmetric check passed"
-    return "reduce", check, f"e·p·(d+1) = {check.product!r} > 1"
+    return "direct", _direct_check(H), "forced" if mode == "direct" else "symmetric check passed"
 
 
-def reduced_incidence(H: HypergraphInstance, reason: str) -> InputMatrix:
+def reduced_incidence(H: HypergraphInstance) -> InputMatrix:
     """The incidence matrix of ``H``, validated for the reduce route.
 
     When it breaks the matrix hypotheses (any R < 4 does), the first line of
-    the :class:`HypothesisViolation` names the route and ``reason``, the
-    reason :func:`hypergraph_route` gave for it.
+    the :class:`HypothesisViolation` names the route.
     """
     try:
         return validate_matrix(hypergraph_incidence(H))
     except HypothesisViolation as exc:
         raise HypothesisViolation(
-            [f"reduce route ({reason}): the incidence matrix breaks the matrix hypotheses"]
+            ["reduce route (forced): the incidence matrix breaks the matrix hypotheses"]
             + exc.violations) from exc
 
 
@@ -157,16 +142,16 @@ def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
                      max_rounds: int = DEFAULT_MAX_ROUNDS) -> HypergraphSolveOutcome:
     """Color a hypergraph by the route :func:`hypergraph_route` picks.
 
-    'direct' uses one event per edge and requires the symmetric condition;
-    'reduce' goes through the incidence matrix.
+    'direct' uses one event per edge, against the bound of the symmetric
+    check made there; 'reduce' goes through the incidence matrix.
     """
-    mode, _, reason = hypergraph_route(H, mode)
+    mode, check, reason = hypergraph_route(H, mode)
     if mode == "direct":
         matrix_outcome = None
-        result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds)
+        result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds,
+                                         imbalance_bound=check.imbalance_bound)
     else:
-        matrix_outcome = solve_matrix(reduced_incidence(H, reason), seed=seed,
-                                      max_rounds=max_rounds)
+        matrix_outcome = solve_matrix(reduced_incidence(H), seed=seed, max_rounds=max_rounds)
         result = matrix_outcome.result
     bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
     return HypergraphSolveOutcome(hypergraph=H, mode=mode, route_reason=reason,

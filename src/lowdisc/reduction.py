@@ -45,7 +45,8 @@ class HypergraphInstance:
     takes any iterable of vertex iterables, flattens it to edge sizes and one
     vertex array, and checks those arrays as the generator's and the parser's
     arrays are checked: a hypergraph that violates its own declarations is
-    rejected, and a repeated vertex or one out of range is a ``ValueError``.
+    rejected, and a repeated vertex, one out of range, or no edge at all is a
+    ``ValueError``.
     """
 
     n_vertices: int
@@ -75,6 +76,8 @@ class HypergraphInstance:
         """
         if n_vertices < 1:
             raise ValueError("hypergraph needs at least one vertex")
+        if sizes.size < 1:
+            raise ValueError("hypergraph has no edges; nothing to color")
         if max_edge_size < 1 or max_degree < 1:
             raise HypothesisViolation(
                 [f"declared bounds must be >= 1 (edge size {max_edge_size}, degree {max_degree})"]
@@ -255,8 +258,6 @@ def hypergraph_incidence(H: HypergraphInstance) -> InputMatrix:
     Under red = +1 and blue = -1, a row's discrepancy equals the edge's
     color imbalance |#red - #blue|.
     """
-    if H.n_edges < 1:
-        raise ValueError("hypergraph has no edges; nothing to color")
     rows = np.repeat(np.arange(H.n_edges, dtype=np.int64), np.diff(H.ptr))
     return InputMatrix(H.n_edges, H.n_vertices, rows, H.verts, np.ones(rows.size),
                        row_bound=float(H.max_edge_size), col_bound=float(H.max_degree))

@@ -33,9 +33,10 @@ from .model import (
     Parameters,
     ReducedInstance,
     SignVector,
+    csr_segments,
     discrepancy,
 )
-from .certify import CertificateReport, EventGraph, verify_symmetric_lll
+from .certify import CertificateReport, EventGraph, SymmetricLLLCheck, verify_symmetric_lll
 from .reduction import HypergraphInstance
 
 __all__ = [
@@ -112,15 +113,6 @@ class _Signs:
         out = self._pool[self._at:self._at + k]
         self._at += (k + 3) & -4
         return out
-
-
-def _segments(ptr: np.ndarray, keys: np.ndarray, lens: np.ndarray):
-    """(at, starts): the positions of the CSR segments ``keys`` of ``ptr``,
-    of lengths ``lens``, concatenated in key order; segment ``i`` fills
-    ``at[starts[i]:starts[i] + lens[i]]``.  ``keys`` must be non-empty."""
-    ends = lens.cumsum()
-    starts = ends - lens
-    return (ptr[keys] - starts).repeat(lens) + np.arange(ends[-1]), starts
 
 
 def _closed(nbr_ptr: np.ndarray, nbr: np.ndarray, e: int) -> np.ndarray:
@@ -209,7 +201,7 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
             row_ptr = np.searchsorted(A.rows, np.arange(A.n + 1))
             row_size = np.diff(row_ptr)
         touched = _closed(nbr_ptr, nbr, e)
-        at, starts = _segments(ptr, touched, size[touched])
+        at, starts = csr_segments(ptr, touched, size[touched])
         sums = np.abs(np.add.reduceat(vals[at] * y[cols[at]], starts))
         event_abs[touched] = sums
         violated[touched] = sums > thresholds[touched]
@@ -219,7 +211,7 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
         np.not_equal(rows[1:], rows[:-1], out=first[1:])
         rows = rows[first]
         lens = row_size[rows]
-        at, _ = _segments(row_ptr, rows, lens)
+        at, _ = csr_segments(row_ptr, rows, lens)
         local = np.repeat(np.arange(rows.size), lens)
         sums = np.abs(np.bincount(local, weights=A.vals[at] * y[A.cols[at]],
                                   minlength=rows.size))
@@ -332,6 +324,29 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
     return _resample_loop(A, graph, seed, max_rounds, params.bound)
 
 
+def _direct_check(H: HypergraphInstance) -> SymmetricLLLCheck:
+    """The symmetric local-lemma check that opens the direct route on ``H``.
+
+    When it fails, or is undefined (R < 2), the one
+    :class:`HypothesisViolation` raised says why, and that the reduce route
+    is closed too: the check fails only at R = 2 (Delta <= 2), and the
+    incidence matrix of any R < 4 breaks the matrix hypotheses.
+    """
+    try:
+        check = verify_symmetric_lll(H.max_edge_size, H.max_degree)
+    except HypothesisViolation as exc:
+        cause = exc.violations
+    else:
+        if check.passed:
+            return check
+        cause = [f"symmetric local-lemma check failed: e*p*(d+1) = {check.product!r} > 1 "
+                 f"(tail {check.tail!r}, dependency degree {check.dependency_degree})"]
+    raise HypothesisViolation(cause + [
+        f"the reduce route is closed too: the incidence matrix has row bound "
+        f"R = {H.max_edge_size} < 4, and the matrix hypotheses need R >= 4",
+    ])
+
+
 def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
                             max_rounds: int = DEFAULT_MAX_ROUNDS,
                             imbalance_bound: float | None = None) -> SolveResult:
@@ -339,26 +354,16 @@ def solve_hypergraph_direct(H: HypergraphInstance, seed: int = 0,
     the bound 2*sqrt(R*ln(R*Delta)).
 
     The symmetric local-lemma condition is checked first, and a failure is
-    raised.  It fails only at R = 2 (Delta <= 2), where the incidence matrix
-    breaks the matrix hypotheses too, so the message says that neither
-    route applies.  An explicit ``imbalance_bound`` skips that check and
-    solves against the given target (useful for forcing, say, perfectly
-    balanced edges).  The loop (:func:`_direct_loop`) keeps every edge sum
-    as an exact integer and updates it by +-2 per flipped vertex, so a
-    round costs a few scalar updates per vertex the redraw flips.
+    raised (:func:`_direct_check`), saying that neither route applies.  An
+    explicit ``imbalance_bound`` skips that check and solves against the
+    given target (useful for forcing, say, perfectly balanced edges, or for
+    passing on the bound of a check already made).  The loop
+    (:func:`_direct_loop`) keeps every edge sum as an exact integer and
+    updates it by +-2 per flipped vertex, so a round costs a few scalar
+    updates per vertex the redraw flips.
     """
-    if H.n_edges < 1:
-        raise ValueError("hypergraph has no edges; nothing to color")
     if imbalance_bound is None:
-        check = verify_symmetric_lll(H.max_edge_size, H.max_degree)
-        if not check.passed:
-            raise HypothesisViolation([
-                f"symmetric local-lemma check failed: e*p*(d+1) = {check.product!r} > 1 "
-                f"(tail {check.tail!r}, dependency degree {check.dependency_degree})",
-                f"the reduce route is closed too: the incidence matrix has row bound "
-                f"R = {H.max_edge_size} < 4, and the matrix hypotheses need R >= 4",
-            ])
-        bound = check.imbalance_bound
+        bound = _direct_check(H).imbalance_bound
     else:
         bound = float(imbalance_bound)
         if not (bound >= 0.0):

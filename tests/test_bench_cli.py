@@ -8,8 +8,9 @@ from lowdisc.model import HypothesisViolation
 from lowdisc.bench import BenchConfig, format_bench_report, run_benchmark
 from lowdisc.cli import main
 from lowdisc.formats import format_hypergraph, format_matrix, parse_instance
-from lowdisc.pipeline import hypergraph_route
+from lowdisc.pipeline import solve_hypergraph
 from lowdisc.reduction import HypergraphInstance
+from lowdisc.solver import solve_hypergraph_direct
 from lowdisc.generate import random_hypergraph, random_matrix
 
 
@@ -246,15 +247,45 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("mode", ["auto", "direct", "reduce"])
 def test_cli_certify_and_solve_take_one_route(tmp_path, capsys, mode):
-    # R = 1 leaves the symmetric check undefined: auto reduces, and the
-    # incidence matrix then fails the matrix hypotheses in both subcommands
+    # R = 1 leaves the symmetric check undefined, which closes the direct
+    # route (auto and direct), and the incidence matrix fails the matrix
+    # hypotheses (reduce): both subcommands stop at the same violation
     hg = tmp_path / "h.txt"
     hg.write_text("e 1\ne 2\n")
     assert main(["certify", str(hg), "--mode", mode]) == 1
     err = capsys.readouterr().err
-    assert ("need edge size >= 2" if mode == "direct" else "row bound R = 1.0 < 4") in err
+    assert ("row bound R = 1.0 < 4" if mode == "reduce" else "need edge size >= 2") in err
     assert main(["solve", str(hg), "--mode", mode]) == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("H", [
+    HypergraphInstance(2, ((0,), (1,)), 1, 1),
+    HypergraphInstance(4, ((0, 1), (2, 3)), 2, 1),
+    HypergraphInstance(4, ((0, 1), (2, 3), (0, 2), (1, 3)), 2, 2),
+], ids=["R1-D1", "R2-D1", "R2-D2"])
+def test_every_entry_point_raises_one_violation_where_no_route_is_open(tmp_path, capsys, H):
+    R, D = H.max_edge_size, H.max_degree
+    if R < 2:
+        cause = f"need edge size >= 2 and degree >= 1, got R={R}, Delta={D}"
+    else:
+        check = verify_symmetric_lll(R, D)
+        cause = (f"symmetric local-lemma check failed: e*p*(d+1) = {check.product!r} > 1 "
+                 f"(tail {check.tail!r}, dependency degree {check.dependency_degree})")
+    expected = [cause, f"the reduce route is closed too: the incidence matrix has row bound "
+                       f"R = {R} < 4, and the matrix hypotheses need R >= 4"]
+    for solve in (lambda: solve_hypergraph(H), lambda: solve_hypergraph(H, mode="direct"),
+                  lambda: solve_hypergraph_direct(H)):
+        with pytest.raises(HypothesisViolation) as err:
+            solve()
+        assert err.value.violations == expected
+    hg = tmp_path / "h.txt"
+    hg.write_text(format_hypergraph(H))
+    for argv in (["certify"], ["solve"], ["certify", "--mode", "direct"],
+                 ["solve", "--mode", "direct"]):
+        assert main(argv[:1] + [str(hg)] + argv[1:]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "hypothesis violation: " + "; ".join(expected) + "\n")
 
 
 def test_cli_certify_and_solve_take_the_direct_route_together(tmp_path, capsys):
@@ -282,28 +313,27 @@ def test_cli_hypergraph_output_names_the_route_reason(tmp_path, capsys, argv, re
 
 
 def test_cli_names_the_route_the_matrix_path_refuses(tmp_path, capsys):
-    H = HypergraphInstance(4, ((0, 1), (2, 3)), 2, 1)
-    reason = hypergraph_route(H)[2]
     hg = tmp_path / "h.txt"
-    hg.write_text(format_hypergraph(H))
+    hg.write_text(format_hypergraph(HypergraphInstance(4, ((0, 1), (2, 3)), 2, 1)))
     for command in ("certify", "solve"):
-        assert main([command, str(hg)]) == 1  # a hypothesis violation, as before
+        assert main([command, str(hg), "--mode", "reduce"]) == 1  # a hypothesis violation
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith(f"hypothesis violation: reduce route ({reason}): ")
+        assert err[0].startswith("hypothesis violation: reduce route (forced): ")
         assert err[0].endswith("; row bound R = 2.0 < 4; column bound Delta = 1.0 < 2")
 
 
 def test_cli_names_a_failed_symmetric_check(tmp_path, capsys, monkeypatch):
-    import lowdisc.pipeline as pipeline
+    import lowdisc.solver as solver
 
     def failing(R, D):
         return dataclasses.replace(verify_symmetric_lll(R, D), product=1.5, passed=False)
 
-    monkeypatch.setattr(pipeline, "verify_symmetric_lll", failing)
+    monkeypatch.setattr(solver, "verify_symmetric_lll", failing)
     hg = tmp_path / "h.txt"
     hg.write_text(format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
     for command in ("certify", "solve"):
-        assert main([command, str(hg)]) == 0
-        out = capsys.readouterr().out
-        assert "route_reason = e·p·(d+1) = 1.5 > 1\n" in out
-        assert ("lll-certificate" if command == "certify" else "mode = reduce") in out
+        assert main([command, str(hg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("hypothesis violation: symmetric local-lemma check failed: "
+                              "e*p*(d+1) = 1.5 > 1 ")

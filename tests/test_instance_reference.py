@@ -822,12 +822,12 @@ def test_format_matrix_writes_the_reference_bytes(entries, bounds, block):
 
 @settings(max_examples=100, deadline=None)
 @given(edges=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
-                      max_size=30),
+                      min_size=1, max_size=30),  # an edgeless hypergraph is never built
        block=st.sampled_from([1, 3, 40, formats._EMIT_BLOCK]))
 def test_format_hypergraph_writes_the_reference_bytes(edges, block):
-    size = max(map(len, edges), default=1)
-    degree = max((sum(v in e for e in edges) for v in range(12)), default=1)
-    H = HypergraphInstance(12, edges, size, max(degree, 1))
+    size = max(map(len, edges))
+    degree = max(sum(v in e for e in edges) for v in range(12))
+    H = HypergraphInstance(12, edges, size, degree)
     with mock.patch.object(formats, "_EMIT_BLOCK", block):
         assert format_hypergraph(H).encode() == reference_format_hypergraph(H).encode()
 

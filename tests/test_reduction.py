@@ -277,7 +277,17 @@ def test_hypergraph_csr_is_sorted_read_only_and_matches_edges():
     assert all(type(v) is int for e in H.edges for v in e)
     assert H.edges is H.edges  # built once
     np.testing.assert_array_equal(H.degrees(), [1, 1, 2, 1, 1])
-    assert HypergraphInstance(4, (), 2, 2).edges == ()
+
+
+def test_an_edgeless_hypergraph_is_rejected_at_construction():
+    # so no edgeless instance reaches the emitter, whose file the parser would refuse
+    empty = np.zeros(0, dtype=np.int64)
+    for build in (lambda: HypergraphInstance(3, [], 1, 1),
+                  lambda: HypergraphInstance._from_arrays(3, empty, empty, 1, 1)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError
+        assert str(err.value) == "hypergraph has no edges; nothing to color"
 
 
 def test_hypergraph_bounds_labeled():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lowdisc import certify, solver
+from lowdisc import certify, pipeline, solver
 from lowdisc.model import (
     HypothesisViolation,
     InputMatrix,
@@ -172,8 +172,6 @@ def test_direct_solve_desk_scale():
 
 
 def test_auto_mode_routes_on_the_symmetric_check_alone(monkeypatch):
-    import lowdisc.pipeline as pipeline
-
     H = random_hypergraph(64, 16, 4, seed=0)
     assert verify_symmetric_lll(H.max_edge_size, H.max_degree).passed
     assert pipeline.solve_hypergraph(H, mode="auto", seed=1).mode == "direct"
@@ -184,10 +182,10 @@ def test_auto_mode_routes_on_the_symmetric_check_alone(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_hypergraph_direct", broken)
     with pytest.raises(HypothesisViolation, match="unrelated failure"):
         pipeline.solve_hypergraph(H, mode="auto", seed=1)
-    # the check fails (R = 2, Delta = 1): reduce, without a direct attempt
+    # the check fails (R = 2, Delta = 1): no route is open, and no direct attempt is made
     H = HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1)
     assert not verify_symmetric_lll(2, 1).passed
-    with pytest.raises(HypothesisViolation, match="row bound R = 2.0 < 4"):
+    with pytest.raises(HypothesisViolation, match="the reduce route is closed too"):
         pipeline.solve_hypergraph(H, mode="auto", seed=1)
 
 
@@ -454,27 +452,54 @@ def test_route_reasons():
     for mode in ("direct", "reduce"):
         assert hypergraph_route(H, mode)[::2] == (mode, "forced")
         assert solve_hypergraph(H, mode=mode, seed=1).route_reason == "forced"
+    # auto takes the direct route too, so a failed check closes both, whatever the mode
     H = HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1)
-    route, check, reason = hypergraph_route(H)
-    assert (route, reason) == ("reduce", f"e·p·(d+1) = {check.product!r} > 1")
-    assert check.product > 1
-    assert hypergraph_route(HypergraphInstance(2, ((0,), (1,)), 1, 1)) == ("reduce", None, "R < 2")
+    for mode in ("auto", "direct"):
+        with pytest.raises(HypothesisViolation, match="the reduce route is closed too"):
+            hypergraph_route(H, mode)
+    assert hypergraph_route(H, "reduce") == ("reduce", None, "forced")
 
 
-@pytest.mark.parametrize("H,mode,limits", [
-    (HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1), "auto",
+def test_the_symmetric_check_fails_only_at_edge_size_two():
+    # the fact that leaves 'auto' no fallback: every failure has R < 4, which
+    # the matrix hypotheses reject, and R < 2 leaves the check undefined
+    failed = {(R, D) for R in range(2, 65) for D in range(1, 65)
+              if not verify_symmetric_lll(R, D).passed}
+    assert failed == {(2, 1), (2, 2)}
+    with pytest.raises(HypothesisViolation, match="need edge size >= 2"):
+        verify_symmetric_lll(1, 1)
+
+
+@pytest.mark.parametrize("mode", ["auto", "direct", "reduce"])
+def test_a_hypergraph_solve_makes_the_symmetric_check_at_most_once(monkeypatch, mode):
+    calls = []
+
+    def counted(R, D):
+        calls.append((R, D))
+        return verify_symmetric_lll(R, D)
+
+    for module in (certify, pipeline, solver):  # every module that binds the name
+        if hasattr(module, "verify_symmetric_lll"):
+            monkeypatch.setattr(module, "verify_symmetric_lll", counted)
+    H = random_hypergraph(64, 16, 4, seed=0)
+    out = solve_hypergraph(H, mode=mode, seed=1)
+    assert calls == ([] if mode == "reduce" else [(H.max_edge_size, H.max_degree)])
+    if mode != "reduce":  # the same run as a direct solve that makes its own check
+        assert out.result == solve_hypergraph_direct(H, seed=1)
+
+
+@pytest.mark.parametrize("H,limits", [
+    (HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1),
      ["row bound R = 2.0 < 4", "column bound Delta = 1.0 < 2"]),
-    (HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1), "reduce",
-     ["row bound R = 2.0 < 4", "column bound Delta = 1.0 < 2"]),
-    (HypergraphInstance(2, ((0,), (1,)), 1, 1), "auto",
+    (HypergraphInstance(2, ((0,), (1,)), 1, 1),
      ["row bound R = 1.0 < 4", "column bound Delta = 1.0 < 2"]),
-], ids=["product-above-one", "forced", "R-below-two"])
-def test_a_reduce_route_the_matrix_path_refuses_names_its_reason(H, mode, limits):
-    reason = hypergraph_route(H, mode)[2]
+], ids=["forced", "forced-R-below-two"])
+def test_a_reduce_route_the_matrix_path_refuses_names_its_reason(H, limits):
+    assert hypergraph_route(H, "reduce")[2] == "forced"
     with pytest.raises(HypothesisViolation) as err:
-        solve_hypergraph(H, mode=mode)
+        solve_hypergraph(H, mode="reduce")
     assert err.value.violations == [
-        f"reduce route ({reason}): the incidence matrix breaks the matrix hypotheses"] + limits
+        "reduce route (forced): the incidence matrix breaks the matrix hypotheses"] + limits
 
 
 # --- baseline ----------------------------------------------------------------------
