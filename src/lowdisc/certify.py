@@ -23,9 +23,10 @@ c, an event's sum over its dependents is at least the sum of S_c over its
 columns minus its own terms, since every term is at most 0 and each
 dependent is counted at least once.  That costs O(nnz) and is exact when
 no dependent shares two columns with the event.  Only an event the bound
-does not clear gets its exact sum, from the event graph's neighbour lists,
-which are built on first use: a certificate that clears on the bound and a
-solve that never redraws build no lists at all.
+does not clear gets its exact sum, over its neighbours as the event
+graph's column-to-event index gives them.  The index is O(nnz) and built
+on first use: a certificate that clears on the bound and a solve that
+never redraws build no index at all.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .model import (
     Parameters,
     ReducedInstance,
     Strata,
-    column_groups,
     csr_segments,
 )
 from .reduction import hypergraph_bounds
@@ -154,11 +154,11 @@ class EventGraph:
     Event ``e`` is bucket ``e`` of ``strata``: row ``strata.row[e]``, level
     ``strata.level[e]``, support ``strata.support(e)``.  ``threshold[e]`` is
     its bucket threshold, ``log_tail[e]`` and ``log_weight[e]`` its log tail
-    bound and log weight.  The events sharing at least one column with
-    ``e``, excluding ``e`` itself, are ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]``
-    in ascending order; :meth:`neighbors` returns that slice.  The lists
-    are built at the first access to any of the three and cached on the
-    graph; the certificate reads them only for events its column-sum bound
+    bound and log weight.  Two events depend on each other when their
+    supports share a column, and that relation is kept as a column-to-event
+    index, O(nnz) and built at first use: :meth:`neighbors` reads it for
+    the events sharing a column with ``e``, ``e`` excluded, in ascending
+    order.  The certificate reads it only for events its column-sum bound
     does not clear, and the solver at its first redraw.
     """
 
@@ -171,23 +171,43 @@ class EventGraph:
         return len(self.strata)
 
     @cached_property
-    def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        lists = _neighbor_csr(self.strata.ptr, self.strata.cols, self.strata.m)
-        for a in lists:
+    def _col_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(col_ptr, col_deg, col_events): the events on column ``c``, one
+        per incidence and ascending, are ``col_events[col_ptr[c]:col_ptr[c + 1]]``,
+        ``col_deg[c]`` of them.
+
+        One sort of the keys column * B + event, in place, then each key
+        mod B: two arrays over the incidences are alive at most.
+        """
+        s = self.strata
+        B = len(s)
+        col_deg = np.bincount(s.cols, minlength=s.m)
+        col_ptr = np.zeros(s.m + 1, dtype=np.int64)
+        np.cumsum(col_deg, out=col_ptr[1:])
+        col_events = s.cols * B
+        col_events += np.arange(B, dtype=np.int64).repeat(np.diff(s.ptr))
+        col_events.sort()
+        col_events %= B
+        for a in (col_ptr, col_deg, col_events):
             a.setflags(write=False)
-        return lists
+        return col_ptr, col_deg, col_events
 
-    @property
-    def nbr_ptr(self) -> np.ndarray:
-        return self._neighbors[0]
-
-    @property
-    def nbr(self) -> np.ndarray:
-        return self._neighbors[1]
+    def _closed_set(self, e: int) -> np.ndarray:
+        """The events sharing a column with ``e``, ``e`` included, ascending:
+        those on its columns, sorted, with the repeats masked out."""
+        col_ptr, col_deg, col_events = self._col_index
+        c = self.strata.cols[self.strata.ptr[e]:self.strata.ptr[e + 1]]
+        at, _ = csr_segments(col_ptr, c, col_deg[c])
+        near = col_events[at]
+        near.sort()
+        keep = np.empty(near.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(near[1:], near[:-1], out=keep[1:])
+        return near[keep]
 
     def neighbors(self, e: int) -> np.ndarray:
-        nbr_ptr, nbr = self._neighbors
-        return nbr[nbr_ptr[e]:nbr_ptr[e + 1]]
+        closed = self._closed_set(e)
+        return closed[closed != e]
 
 
 def _event_name(strata: Strata, e: int) -> str:
@@ -203,67 +223,9 @@ def _raise_first(strata: Strata, params: Parameters, failures, log_weight) -> No
                       + why.format(floor=params.level_floor, lw=float(log_weight[e])))
 
 
-# (event, column) incidences per block of the neighbour build, whose pairs
-# are alive one block at a time
-_PAIR_BLOCK = 2**11
-
-
-def _neighbor_csr(ptr: np.ndarray, cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nbr_ptr, nbr): for each event, every other event sharing a column
-    with it, ascending.
-
-    Event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]`` in ``[0, m)``, at
-    least one.  The events are taken in blocks of whole events, about
-    ``_PAIR_BLOCK`` incidences each.  Each incidence of a block is joined
-    with the events of its column; the pairs (e, f) become keys e * B + f,
-    which sort by event and then by neighbour.  Duplicates go by sort plus
-    an adjacent-difference mask, not ``np.unique``, which under numpy 2.4
-    is about 50 times slower on 10^6 int64 keys.  Only one block's pairs
-    are alive at once, not all sum(deg^2) of them.  The lists go into one
-    buffer of sum over events of min(B, pairs of the event) entries, which
-    bounds them, and the buffer is shrunk in place at the end.
-    """
-    B = ptr.size - 1
-    size = np.diff(ptr)
-    col_ptr, order = column_groups(cols, m)
-    col_events = np.arange(B, dtype=np.int64).repeat(size)[order]  # grouped by column
-    del order
-    deg = np.diff(col_ptr)
-    pairs = np.concatenate(([0], np.cumsum(deg[cols])))[ptr]
-    nbr = np.empty(int(np.minimum(np.diff(pairs), B).sum()), dtype=np.int64)
-    nbr_ptr = np.zeros(B + 1, dtype=np.int64)
-    a = 0
-    while a < B:
-        b = max(a + 1, int(np.searchsorted(ptr, ptr[a] + _PAIR_BLOCK, side="right")) - 1)
-        ids = np.arange(a, b, dtype=np.int64)
-        c = cols[ptr[a]:ptr[b]]
-        col_start = col_ptr[c]
-        fan = deg[c]  # pairs contributed by each incidence
-        pos = np.arange(int(fan.sum()), dtype=np.int64)
-        pos -= np.repeat(np.cumsum(fan) - fan - col_start, fan)
-        keys = np.repeat((ids * B).repeat(size[a:b]), fan)
-        keys += col_events[pos]
-        keys.sort()
-        keep = np.empty(keys.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        # every event pairs with itself (its support is non-empty); drop the
-        # first copy of each key e * B + e, the others are duplicates already
-        keep[np.searchsorted(keys, ids * (B + 1))] = False
-        keys = keys[keep]
-        n = np.diff(np.searchsorted(keys, np.arange(a, b + 1, dtype=np.int64) * B))
-        keys -= np.repeat(ids * B, n)
-        nbr[nbr_ptr[a]:nbr_ptr[a] + keys.size] = keys
-        nbr_ptr[a + 1:b + 1] = nbr_ptr[a] + np.cumsum(n)
-        a = b
-    # shrink in place, without a copy; nothing else refers to the buffer
-    nbr.resize(int(nbr_ptr[-1]), refcheck=False)
-    return nbr_ptr, nbr
-
-
 def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
-    """One event per non-empty bucket and its bounds; the dependencies are
-    built on first use (see :class:`EventGraph`).
+    """One event per non-empty bucket and its bounds; the dependency index
+    is built on first use (see :class:`EventGraph`).
 
     Raises :class:`HypothesisViolation` for a bucket below the level floor
     and :class:`InternalInconsistency` for a weight not below 1/2, naming
@@ -331,9 +293,9 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
     is at most 0 and each dependent is counted at least once.  Both sides
     are equal when no dependent shares two columns with the event.  An event
     the bound clears also clears exactly; an event it does not clear gets
-    its exact sum from the graph's neighbour lists, so ``passed`` is the
-    exact check's answer, and the lists are built only when some event
-    needs them.
+    its exact sum over :meth:`EventGraph.neighbors`, in ascending order, so
+    ``passed`` is the exact check's answer, and the graph's column index is
+    built only when some event needs it.
 
     Passing ``instance`` first re-checks its hypotheses, so a failure is
     attributed correctly: an instance violating the hypotheses raises
@@ -356,12 +318,11 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
     margins = log_w + nbr_sums - log_p
     low = np.flatnonzero(margins < -MARGIN_TOL)
     if low.size:
-        # the exact sums of those events, each over its own neighbour list
-        nbr_ptr, nbr = graph.nbr_ptr, graph.nbr
-        lens = nbr_ptr[low + 1] - nbr_ptr[low]
-        at, _ = csr_segments(nbr_ptr, low, lens)
+        # the exact sums of those events, each over its neighbours, ascending
+        near = [graph.neighbors(e) for e in low]
+        lens = [f.size for f in near]
         nbr_sums[low] = np.bincount(np.arange(low.size).repeat(lens),
-                                    weights=log1m_w[nbr[at]], minlength=low.size)
+                                    weights=log1m_w[np.concatenate(near)], minlength=low.size)
         margins[low] = log_w[low] + nbr_sums[low] - log_p[low]
     passed = bool((margins >= -MARGIN_TOL).all())
     budget = float((w / (1.0 - w)).sum())

@@ -308,17 +308,6 @@ class Strata:
         return self.vals[self.ptr[idx]:self.ptr[idx + 1]]
 
 
-def column_groups(cols: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(col_ptr, order): the entries of column ``c`` are ``order[col_ptr[c]:col_ptr[c + 1]]``.
-
-    ``cols`` holds one column id in ``[0, m)`` per entry.  The order of the
-    entries within one column is unspecified.
-    """
-    col_ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=m), out=col_ptr[1:])
-    return col_ptr, np.argsort(cols)
-
-
 def csr_segments(ptr: np.ndarray, keys: np.ndarray, lens: np.ndarray):
     """(at, starts): the positions of the CSR segments ``keys`` of ``ptr``,
     of lengths ``lens``, concatenated in key order; segment ``i`` fills
@@ -377,9 +366,9 @@ class SignVector:
         v = np.asarray(self.values)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("sign vector must be a non-empty 1-d sequence")
-        v = v.astype(np.int8)
         if not np.isin(v, (-1, 1)).all():
             raise ValueError("sign vector entries must be -1 or +1")
+        v = v.astype(np.int8)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

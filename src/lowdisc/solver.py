@@ -7,15 +7,15 @@ that the terminal assignment meets the instance bound.
 
 Both loops are incremental, and each round costs about the same on a large
 instance as on a small one.  On the matrix path a redraw of an event can
-change only the events that share a column with it, its closed
-neighbourhood in the event graph's CSR (at most about R * Delta events,
-built at the first redraw), and their rows; only those are summed again,
-exactly and from the current signs.  On the direct hypergraph path every
-coefficient is 1, so each edge sum is a small integer and a running sum is
-exact: a flipped vertex adds +-2 to each edge in its row of the
-hypergraph's vertex-to-edge table (built at the first redraw), and the
-first violated edge and the largest |edge sum| are kept by a heap and a
-histogram of Python ints.  The redrawn signs come from a pool that holds
+change only the events that share a column with it (at most about
+R * Delta events, read from the event graph's column-to-event index,
+which is built at the first redraw), and their rows; only those are
+summed again, exactly and from the current signs.  On the direct
+hypergraph path every coefficient is 1, so each edge sum is a small
+integer and a running sum is exact: a flipped vertex adds +-2 to each
+edge in its row of the hypergraph's vertex-to-edge table (built at the
+first redraw), and the first violated edge and the largest |edge sum|
+are kept by a heap and a histogram of Python ints.  The redrawn signs come from a pool that holds
 the very stream ``Generator.integers`` would give.  The trajectory is the
 one a full recompute per round would give, bit for bit.
 """
@@ -115,15 +115,6 @@ class _Signs:
         return out
 
 
-def _closed(nbr_ptr: np.ndarray, nbr: np.ndarray, e: int) -> np.ndarray:
-    """The events sharing a column with ``e``, ``e`` included, ascending:
-    the neighbour list ``nbr[nbr_ptr[e]:nbr_ptr[e + 1]]`` with ``e`` put in
-    its place."""
-    near = nbr[nbr_ptr[e]:nbr_ptr[e + 1]]
-    k = int(near.searchsorted(e))
-    return np.concatenate((near[:k], (e,), near[k:]))
-
-
 def _kept_max(kept: np.ndarray, top: int, current: float, touched: np.ndarray,
               sums: np.ndarray) -> tuple[float, int]:
     """(max, argmax) of ``kept`` just after ``kept[touched] = sums``, given
@@ -145,25 +136,24 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
 
     Event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]`` (ascending) with
     coefficients from ``vals``, all of ``graph.strata``, and fires when its
-    |sum| exceeds ``graph.threshold[e]``.  The other events sharing a
-    column with ``e`` are ``graph.nbr[graph.nbr_ptr[e]:graph.nbr_ptr[e + 1]]``,
-    ascending.  ``achieved`` is the largest per-row |A @ y|, as
-    :func:`~lowdisc.model.discrepancy` computes it; ``strata.row[e]`` is
-    the row of event ``e`` (non-decreasing in ``e``, every entry of ``A``
-    in exactly one event).
+    |sum| exceeds ``graph.threshold[e]``.  ``achieved`` is the largest
+    per-row |A @ y|, as :func:`~lowdisc.model.discrepancy` computes it;
+    ``strata.row[e]`` is the row of event ``e`` (non-decreasing in ``e``,
+    every entry of ``A`` in exactly one event).
 
     Each round redraws exactly one event's support, in ascending column
     order, so the stream consumption and hence the whole trajectory is
     reproducible from ``seed``.  The |event sums|, the violated mask and
     the |row sums| are kept from round to round.  A redraw of ``e`` can
-    change only ``e`` and its neighbours (:func:`_closed`), and the rows
-    of those events.  They are recomputed exactly and from ``y``: the
-    events by one ``np.add.reduceat`` over their gathered segments (each
-    segment is summed as in the full call), the rows by one
-    ``np.bincount`` over their entries in the matrix's entry order (each
-    row is summed as in ``discrepancy``).  ``achieved`` is kept with its
-    argmax by :func:`_kept_max`.  The neighbour lists are first read at
-    the first redraw, so a run that never resamples costs one full pass.
+    change only the events on its columns, which the graph's column index
+    gives, ascending and ``e`` included, and the rows of those events.
+    They are recomputed exactly and from ``y``: the events by one
+    ``np.add.reduceat`` over their gathered segments (each segment is
+    summed as in the full call), the rows by one ``np.bincount`` over
+    their entries in the matrix's entry order (each row is summed as in
+    ``discrepancy``).  ``achieved`` is kept with its
+    argmax by :func:`_kept_max`.  The column index is first read at the
+    first redraw, so a run that never resamples costs one full pass.
     """
     strata, thresholds = graph.strata, graph.threshold
     ptr, cols, vals = strata.ptr, strata.cols, strata.vals
@@ -178,7 +168,7 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
     violated = event_abs > thresholds
     row_abs, current = discrepancy(A, y)
     top = int(row_abs.argmax())
-    nbr = None
+    row_ptr = None
     rounds = 0
     best_y = y
     best_val = math.inf
@@ -194,13 +184,12 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
         y[support] = signs.take(support.size)
         counts[e] += 1
         rounds += 1
-        if nbr is None:
-            nbr_ptr, nbr = graph.nbr_ptr, graph.nbr
+        if row_ptr is None:
             size = np.diff(ptr)
             # entries are in (row, col) order, so each row is one run
             row_ptr = np.searchsorted(A.rows, np.arange(A.n + 1))
             row_size = np.diff(row_ptr)
-        touched = _closed(nbr_ptr, nbr, e)
+        touched = graph._closed_set(e)
         at, starts = csr_segments(ptr, touched, size[touched])
         sums = np.abs(np.add.reduceat(vals[at] * y[cols[at]], starts))
         event_abs[touched] = sums

@@ -1,7 +1,13 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lowdisc
 
 from lowdisc.certify import verify_symmetric_lll
 from lowdisc.model import HypothesisViolation
@@ -164,6 +170,27 @@ def test_cli_missing_file_exits_2(tmp_path):
 def test_cli_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def _run_module(*argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(lowdisc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "lowdisc.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_module_writes_a_generated_instance(tmp_path):
+    done = _run_module("gen", "--family", "hypergraph", "--vertices", "64", "--edge-size", "8",
+                       "--degree", "2", "--seed", "1", "--output", "e.txt", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    expect = format_hypergraph(random_hypergraph(64, 8, 2, seed=1))
+    assert (tmp_path / "e.txt").read_text() == expect
+
+
+def test_cli_module_prints_usage_and_rejects_an_unknown_subcommand(tmp_path):
+    done = _run_module("--help", cwd=tmp_path)
+    assert done.returncode == 0 and done.stdout.startswith("usage: ")
+    done = _run_module("frobnicate", cwd=tmp_path)
+    assert done.returncode == 2 and "invalid choice" in done.stderr
 
 
 def test_cli_oracle_cap_exits_2(tmp_path, capsys):

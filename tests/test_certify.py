@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from lowdisc.model import (
     compute_parameters,
     stratify,
 )
-from lowdisc import certify
 from lowdisc.certify import (
     MARGIN_TOL,
+    EventGraph,
     build_event_graph,
     hoeffding_tail,
     level_exponent_slack,
@@ -25,6 +26,7 @@ from lowdisc.certify import (
 )
 from lowdisc.generate import random_reduced
 from lowdisc.reduction import reduce_matrix
+from lowdisc.solver import moser_tardos
 
 from test_instance_reference import reference_random_matrix
 
@@ -163,7 +165,6 @@ def test_diagonal_instance_has_no_neighbors():
     graph = build_event_graph(stratify(A, P14), P14)
     assert len(graph) == 4
     assert all(graph.neighbors(e).size == 0 for e in range(len(graph)))
-    assert graph.nbr.size == 0
 
 
 def test_identical_support_rows_are_mutual_neighbors():
@@ -306,25 +307,28 @@ def test_lowered_weight_fails_and_names_the_event():
     assert "indicates a bug" in report.failure
 
 
-def _counted_neighbor_builds(monkeypatch) -> list:
-    """Every later call of ``certify._neighbor_csr``, by its arguments."""
-    calls = []
-    build = certify._neighbor_csr
+def _counted_index_builds(monkeypatch) -> list:
+    """Every later build of an event graph's column index, by graph."""
+    graphs = []
+    build = EventGraph._col_index.func
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(graph):
+        graphs.append(graph)
+        return build(graph)
 
-    monkeypatch.setattr(certify, "_neighbor_csr", counted)
-    return calls
+    index = cached_property(counted)
+    index.__set_name__(EventGraph, "_col_index")
+    monkeypatch.setattr(EventGraph, "_col_index", index)
+    return graphs
 
 
 def _exact_neighbor_sums(graph) -> np.ndarray:
-    """Each event's sum of log(1 - weight) over its neighbour list, in list
-    order: the sum the certificate falls back to."""
+    """Each event's sum of log(1 - weight) over its neighbours, ascending:
+    the sum the certificate falls back to."""
     log1m_w = np.log1p(-np.exp(graph.log_weight))
-    owner = np.repeat(np.arange(len(graph)), np.diff(graph.nbr_ptr))
-    return np.bincount(owner, weights=log1m_w[graph.nbr], minlength=len(graph))
+    near = [graph.neighbors(e) for e in range(len(graph))]
+    owner = np.arange(len(graph)).repeat([f.size for f in near])
+    return np.bincount(owner, weights=log1m_w[np.concatenate(near)], minlength=len(graph))
 
 
 def _shares_two_columns(graph) -> np.ndarray:
@@ -334,13 +338,13 @@ def _shares_two_columns(graph) -> np.ndarray:
                      for e in range(len(graph))])
 
 
-def test_a_certificate_the_bound_clears_builds_no_neighbor_lists(monkeypatch):
-    calls = _counted_neighbor_builds(monkeypatch)
+def test_a_certificate_the_bound_clears_builds_no_column_index(monkeypatch):
+    calls = _counted_index_builds(monkeypatch)
     A = random_reduced(12, 40, 2.0**-6, 2.0**-2, density=0.4, seed=3)
     params = compute_parameters(2.0**-6, 2.0**-2)
     graph = build_event_graph(stratify(A, params), params)
     report = verify_lll_condition(graph, params, instance=A)
-    assert report.passed and calls == [] and "_neighbors" not in vars(graph)
+    assert report.passed and calls == [] and "_col_index" not in vars(graph)
     # the bound is below the exact sum wherever a neighbour shares two
     # columns, by weights too small to show in float64
     assert _shares_two_columns(graph).any()
@@ -379,9 +383,9 @@ def test_events_the_bound_does_not_clear_get_the_exact_margin(monkeypatch, fail)
         log_tail[chosen[1]] = graph.log_weight[chosen[1]] + exact[chosen[1]] + 1.0
     graph = dataclasses.replace(graph, log_tail=log_tail)
     exact_margins = graph.log_weight + exact - log_tail
-    calls = _counted_neighbor_builds(monkeypatch)
+    calls = _counted_index_builds(monkeypatch)
     report = verify_lll_condition(graph, params, instance=A)
-    assert len(calls) == 1  # the lists, built once for the chosen events
+    assert len(calls) == 1 and calls[0] is graph  # the index, built once for the chosen events
     np.testing.assert_array_equal(report.margins[chosen], exact_margins[chosen])
     rest = np.setdiff1d(np.arange(len(graph)), chosen)
     np.testing.assert_allclose(report.margins[rest], 1.0, rtol=1e-12)
@@ -433,7 +437,7 @@ def test_symmetric_tail_identity():
         assert check.tail == pytest.approx(2.0 * (R * D) ** -2.0, rel=1e-9)
 
 
-def test_event_graph_memory_is_bounded_by_the_neighbor_lists():
+def test_event_graph_and_first_redraw_memory_grow_with_nnz():
     # the dense reference's draw at the matrix_certify shape and seed: 19,893
     # events, 983,806 neighbour entries
     A = reduce_matrix(reference_random_matrix(2000, 10000, 256.0, 16.0, 0.005, seed=1))
@@ -446,33 +450,26 @@ def test_event_graph_memory_is_bounded_by_the_neighbor_lists():
         certify_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tracemalloc.start()
-    try:
-        nbr = graph.nbr  # built here, at the first access
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # the certificate clears on column sums and holds a few arrays over the
-    # incidences: 1.4x the Strata arrays, where the lists are 3.5x them
+    # incidences: 1.4x the Strata arrays
     strata_bytes = sum(getattr(strata, k).nbytes
                        for k in ("row", "level", "ptr", "cols", "vals", "sums"))
     assert report.passed and certify_peak < 2 * strata_bytes
-    assert nbr.size == 983_806
-    # joining all events at once peaks at 4.0x nbr (29.8 MiB); in blocks, at
-    # 1.4x (10.2 MiB): the output buffer, shrunk in place, and one block
-    assert peak < 2 * nbr.nbytes
-
-
-def test_neighbor_build_holds_one_block_of_pairs_not_all_of_them():
-    B = m = 100  # every event on every column: 10^6 pairs, 10^4 of them distinct
-    ptr = np.arange(B + 1, dtype=np.int64) * m
-    cols = np.tile(np.arange(m, dtype=np.int64), B)
+    # buckets of two or more entries fire whenever their signs agree, so the
+    # solve redraws, and builds the column index there
+    s = graph.strata
+    tight = np.where(np.diff(s.ptr) > 1, np.nextafter(s.sums, 0.0), s.sums)
+    graph = dataclasses.replace(graph, threshold=tight)
     tracemalloc.start()
     try:
-        nbr_ptr, nbr = certify._neighbor_csr(ptr, cols, m)
+        result = moser_tardos(A, graph, params, seed=0, max_rounds=1, certificate=report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nbr_ptr.tolist() == list(range(0, B * (B - 1) + 1, B - 1))
-    assert nbr.tolist() == [f for e in range(B) for f in range(B) if f != e]
-    assert peak < 8e6  # the 10^6 int64 pair keys alone would take 8 MB
+    assert result.rounds == 1 and "_col_index" in vars(graph)
+    # a run that never redraws peaks at 2.6x the incidences' int64 bytes; the
+    # column index takes it to 3.3x, where the 983,806 shared-column pairs
+    # alone would take 9.9x
+    nnz_bytes = s.cols.nbytes
+    assert peak < 4 * nnz_bytes
+    assert sum(graph.neighbors(e).size for e in range(len(graph))) == 983_806

@@ -260,8 +260,10 @@ def test_discrepancy_dimension_mismatch():
 # --- structural types -------------------------------------------------------
 
 def test_sign_vector_validation():
-    with pytest.raises(ValueError):
-        SignVector([1, 0, -1])
+    # checked before the int8 cast, which would wrap 257 and 255 and truncate 1.9
+    for bad in ([1, 0, -1], [257, -1], [1.9, -1.2], [255], np.array([255], dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            SignVector(bad)
     v = SignVector([1, -1, 1, -1, 1, -1, 1])
     assert len(v) == 7
     assert set(np.asarray(v).tolist()) <= {-1, 1}

@@ -13,11 +13,17 @@ from lowdisc.model import (
     InputMatrix,
     ReducedInstance,
     SignVector,
+    Strata,
     compute_parameters,
     discrepancy,
     stratify,
 )
-from lowdisc.certify import build_event_graph, verify_lll_condition, verify_symmetric_lll
+from lowdisc.certify import (
+    EventGraph,
+    build_event_graph,
+    verify_lll_condition,
+    verify_symmetric_lll,
+)
 from lowdisc.generate import random_hypergraph, random_reduced
 from lowdisc.pipeline import hypergraph_route, solve_hypergraph, solve_reduced
 from lowdisc.reduction import HypergraphInstance
@@ -28,6 +34,7 @@ from lowdisc.solver import (
     solve_hypergraph_direct,
 )
 
+from test_certify import _counted_index_builds
 from test_instance_reference import reference_random_hypergraph, reference_random_reduced
 
 P14 = compute_parameters(0.25, 1.0)
@@ -302,43 +309,52 @@ def _supports(draw):
     return ptr, cols, m, supports
 
 
-@pytest.mark.parametrize("block", [1, 5, 64])
-@settings(max_examples=60, deadline=None)
+def _graph_on(ptr, cols, m) -> EventGraph:
+    """An event graph whose event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]``;
+    only its supports are meaningful."""
+    B = ptr.size - 1
+    strata = Strata(n=B, m=m, level_floor=0, row=np.arange(B), level=np.zeros(B, dtype=np.int64),
+                    ptr=ptr, cols=cols, vals=np.ones(cols.size), sums=np.diff(ptr) * 1.0)
+    return EventGraph(strata=strata, threshold=np.zeros(B), log_tail=np.zeros(B),
+                      log_weight=np.zeros(B))
+
+
+_B = 100  # every event on every column: each closed set gathers 10^4 incidences, 100 distinct
+
+
+@settings(max_examples=100, deadline=None)
 @given(case=_supports())
-def test_neighbor_csr_and_closed_sets_match_shared_column_pairs(block, case):
+@example(case=(np.arange(_B + 1, dtype=np.int64) * _B, np.tile(np.arange(_B, dtype=np.int64), _B),
+               _B, [list(range(_B))] * _B))
+def test_column_index_neighbors_and_closed_sets_match_shared_column_pairs(case):
     ptr, cols, m, supports = case
     expect = [[f for f, t in enumerate(supports) if set(s) & set(t)] for s in supports]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "_PAIR_BLOCK", block)  # blocks end mid-instance
-        nbr_ptr, nbr = certify._neighbor_csr(ptr, cols, m)
-    assert nbr_ptr.dtype == nbr.dtype == np.int64
-    assert nbr_ptr.tolist() == np.cumsum([0] + [len(x) - 1 for x in expect]).tolist()
-    assert [nbr[a:b].tolist() for a, b in zip(nbr_ptr[:-1], nbr_ptr[1:])] == [
-        [f for f in x if f != e] for e, x in enumerate(expect)]
-    for e, x in enumerate(expect):  # a round's touched events: e put back in its place
-        closed = solver._closed(nbr_ptr, nbr, e)
+    graph = _graph_on(ptr, cols, m)
+    col_ptr, col_deg, col_events = graph._col_index
+    assert col_ptr.dtype == col_deg.dtype == col_events.dtype == np.int64
+    assert col_deg.tolist() == np.diff(col_ptr).tolist()
+    assert [col_events[col_ptr[c]:col_ptr[c + 1]].tolist() for c in range(m)] == [
+        [e for e, s in enumerate(supports) if c in s] for c in range(m)]
+    for e, x in enumerate(expect):  # a round's touched events, e included
+        closed = graph._closed_set(e)
         assert closed.dtype == np.int64 and closed.tolist() == x
+        assert graph.neighbors(e).tolist() == [f for f in x if f != e]
 
 
-def test_neighbors_are_built_at_the_first_redraw_and_cached_per_hypergraph(monkeypatch):
-    calls, tables = [], []
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+def test_dependencies_are_indexed_at_the_first_redraw_and_cached_per_hypergraph(monkeypatch):
+    tables = []
 
     def counted_table(H):
         tables.append(H)
         return vertex_edges(H)
 
     A, params, graph, report = _tightened()
-    build = certify._neighbor_csr
-    monkeypatch.setattr(certify, "_neighbor_csr", counted)
+    calls = _counted_index_builds(monkeypatch)
     vertex_edges = HypergraphInstance._vertex_edges.func
     table = cached_property(counted_table)
     table.__set_name__(HypergraphInstance, "_vertex_edges")
     monkeypatch.setattr(HypergraphInstance, "_vertex_edges", table)
-    # the direct path: the vertex-to-edge table, and no neighbour lists at all
+    # the direct path: the vertex-to-edge table, and no column index at all
     H = reference_random_hypergraph(1000, 16, 4, seed=1)  # 30 rounds find no coloring
     assert solve_hypergraph_direct(H, seed=1, imbalance_bound=4.0, max_rounds=0).rounds == 0
     assert tables == [] and "_vertex_edges" not in vars(H)
@@ -348,11 +364,11 @@ def test_neighbors_are_built_at_the_first_redraw_and_cached_per_hypergraph(monke
     assert len(tables) == 1 and tables[0] is H and calls == []
     # the matrix path: once per event graph, at its first redraw
     assert moser_tardos(A, graph, params, seed=0, max_rounds=0, certificate=report).rounds == 0
-    assert calls == [] and "_neighbors" not in vars(graph)
+    assert calls == [] and "_col_index" not in vars(graph)
     for seed in (0, 1):
         assert moser_tardos(A, graph, params, seed=seed, max_rounds=3,
                             certificate=report).rounds == 3
-    assert len(calls) == 1 and calls[0][0] is graph.strata.ptr and calls[0][1] is graph.strata.cols
+    assert len(calls) == 1 and calls[0] is graph
 
 
 @settings(max_examples=40, deadline=None)
