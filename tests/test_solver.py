@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -339,6 +340,26 @@ def test_column_index_neighbors_and_closed_sets_match_shared_column_pairs(case):
         closed = graph._closed_set(e)
         assert closed.dtype == np.int64 and closed.tolist() == x
         assert graph.neighbors(e).tolist() == [f for f in x if f != e]
+
+
+def test_column_index_holds_the_incidences_not_the_shared_column_pairs():
+    ptr = np.arange(_B + 1, dtype=np.int64) * _B  # every event on every column: 10^6 pairs
+    graph = _graph_on(ptr, np.tile(np.arange(_B, dtype=np.int64), _B), _B)
+    tracemalloc.start()
+    try:
+        col_ptr, col_deg, col_events = graph._col_index
+        index_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        closed = graph._closed_set(_B // 2)
+        closed_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col_deg.tolist() == [_B] * _B
+    assert col_events.tolist() == list(range(_B)) * _B
+    assert closed.tolist() == list(range(_B))
+    # the index is 10^4 int64 keys (80 kB), and a closed set gathers 10^4
+    # incidences; the 10^6 int64 pair keys alone would take 8 MB
+    assert index_peak < 8e5 and closed_peak < 8e5
 
 
 def test_dependencies_are_indexed_at_the_first_redraw_and_cached_per_hypergraph(monkeypatch):
