@@ -25,8 +25,8 @@ dependent is counted at least once.  That costs O(nnz) and is exact when
 no dependent shares two columns with the event.  Only an event the bound
 does not clear gets its exact sum, over its neighbours as the event
 graph's column-to-event index gives them.  The index is O(nnz) and built
-on first use: a certificate that clears on the bound and a solve that
-never redraws build no index at all.
+on first use: a certificate that clears on the bound builds none, and the
+solver never reads it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .model import (
     Parameters,
     ReducedInstance,
     Strata,
-    csr_segments,
 )
 from .reduction import hypergraph_bounds
 
@@ -159,7 +158,7 @@ class EventGraph:
     index, O(nnz) and built at first use: :meth:`neighbors` reads it for
     the events sharing a column with ``e``, ``e`` excluded, in ascending
     order.  The certificate reads it only for events its column-sum bound
-    does not clear, and the solver at its first redraw.
+    does not clear.
     """
 
     strata: Strata
@@ -197,8 +196,10 @@ class EventGraph:
         those on its columns, sorted, with the repeats masked out."""
         col_ptr, col_deg, col_events = self._col_index
         c = self.strata.cols[self.strata.ptr[e]:self.strata.ptr[e + 1]]
-        at, _ = csr_segments(col_ptr, c, col_deg[c])
-        near = col_events[at]
+        lens = col_deg[c]
+        ends = lens.cumsum()
+        # the positions of column c's events, for each c of e in turn
+        near = col_events[(col_ptr[c] - ends + lens).repeat(lens) + np.arange(ends[-1])]
         near.sort()
         keep = np.empty(near.size, dtype=bool)
         keep[0] = True

@@ -308,15 +308,6 @@ class Strata:
         return self.vals[self.ptr[idx]:self.ptr[idx + 1]]
 
 
-def csr_segments(ptr: np.ndarray, keys: np.ndarray, lens: np.ndarray):
-    """(at, starts): the positions of the CSR segments ``keys`` of ``ptr``,
-    of lengths ``lens``, concatenated in key order; segment ``i`` fills
-    ``at[starts[i]:starts[i] + lens[i]]``.  ``keys`` must be non-empty."""
-    ends = lens.cumsum()
-    starts = ends - lens
-    return (ptr[keys] - starts).repeat(lens) + np.arange(ends[-1]), starts
-
-
 def stratify(A: ReducedInstance, params: Parameters) -> Strata:
     """Partition every stored entry of ``A`` into per-row magnitude buckets.
 
@@ -366,7 +357,7 @@ class SignVector:
         v = np.asarray(self.values)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("sign vector must be a non-empty 1-d sequence")
-        if not np.isin(v, (-1, 1)).all():
+        if not np.logical_or(v == 1, v == -1).all():
             raise ValueError("sign vector entries must be -1 or +1")
         v = v.astype(np.int8)
         v.setflags(write=False)

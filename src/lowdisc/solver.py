@@ -5,19 +5,16 @@ support of the first violated event (in (row, level) order) until no event
 fires.  A passing certificate guarantees the loop terminates quickly and
 that the terminal assignment meets the instance bound.
 
-Both loops are incremental, and each round costs about the same on a large
-instance as on a small one.  On the matrix path a redraw of an event can
-change only the events that share a column with it (at most about
-R * Delta events, read from the event graph's column-to-event index,
-which is built at the first redraw), and their rows; only those are
-summed again, exactly and from the current signs.  On the direct
-hypergraph path every coefficient is 1, so each edge sum is a small
-integer and a running sum is exact: a flipped vertex adds +-2 to each
-edge in its row of the hypergraph's vertex-to-edge table (built at the
-first redraw), and the first violated edge and the largest |edge sum|
-are kept by a heap and a histogram of Python ints.  The redrawn signs come from a pool that holds
-the very stream ``Generator.integers`` would give.  The trajectory is the
-one a full recompute per round would give, bit for bit.
+The matrix loop sums every event and every row again each round, an
+O(nnz) pass: a certified instance almost never fires, so the rounds it
+does run are few.  The direct hypergraph loop is incremental: every
+coefficient is 1, so each edge sum is a small integer and a running sum is
+exact.  A flipped vertex adds +-2 to each edge in its row of the
+hypergraph's vertex-to-edge table (built at the first redraw), and the
+first violated edge and the largest |edge sum| are kept by a heap and a
+histogram of Python ints; the trajectory is the one a full recompute per
+round would give, bit for bit.  The redrawn signs of both loops come from
+a pool that holds the very stream ``Generator.integers`` would give.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .model import (
     Parameters,
     ReducedInstance,
     SignVector,
-    csr_segments,
     discrepancy,
 )
 from .certify import CertificateReport, EventGraph, SymmetricLLLCheck, verify_symmetric_lll
@@ -115,21 +111,6 @@ class _Signs:
         return out
 
 
-def _kept_max(kept: np.ndarray, top: int, current: float, touched: np.ndarray,
-              sums: np.ndarray) -> tuple[float, int]:
-    """(max, argmax) of ``kept`` just after ``kept[touched] = sums``, given
-    its maximum ``current`` at ``top`` before.  Exact: the untouched values
-    are at most ``current``, so only a touched maximum can raise it, and
-    only a touched ``top`` can lower it, which takes one full rescan."""
-    i = int(sums.argmax())
-    if sums[i] >= current:
-        return float(sums[i]), int(touched[i])
-    if kept[top] < current:
-        top = int(kept.argmax())
-        return float(kept[top]), top
-    return current, top
-
-
 def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds: int,
                    bound: float) -> SolveResult:
     """The matrix path's resampling loop over the graph's events, in priority order.
@@ -137,23 +118,13 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
     Event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]`` (ascending) with
     coefficients from ``vals``, all of ``graph.strata``, and fires when its
     |sum| exceeds ``graph.threshold[e]``.  ``achieved`` is the largest
-    per-row |A @ y|, as :func:`~lowdisc.model.discrepancy` computes it;
-    ``strata.row[e]`` is the row of event ``e`` (non-decreasing in ``e``,
-    every entry of ``A`` in exactly one event).
+    per-row |A @ y|, as :func:`~lowdisc.model.discrepancy` computes it.
 
-    Each round redraws exactly one event's support, in ascending column
-    order, so the stream consumption and hence the whole trajectory is
-    reproducible from ``seed``.  The |event sums|, the violated mask and
-    the |row sums| are kept from round to round.  A redraw of ``e`` can
-    change only the events on its columns, which the graph's column index
-    gives, ascending and ``e`` included, and the rows of those events.
-    They are recomputed exactly and from ``y``: the events by one
-    ``np.add.reduceat`` over their gathered segments (each segment is
-    summed as in the full call), the rows by one ``np.bincount`` over
-    their entries in the matrix's entry order (each row is summed as in
-    ``discrepancy``).  ``achieved`` is kept with its
-    argmax by :func:`_kept_max`.  The column index is first read at the
-    first redraw, so a run that never resamples costs one full pass.
+    Each round sums every event by one ``np.add.reduceat`` and every row by
+    ``discrepancy``, then redraws exactly one event's support, the first
+    violated one, in ascending column order, so the stream consumption and
+    hence the whole trajectory is reproducible from ``seed``.  A round
+    costs O(nnz); on a certified instance the loop rarely runs one.
     """
     strata, thresholds = graph.strata, graph.threshold
     ptr, cols, vals = strata.ptr, strata.cols, strata.vals
@@ -161,55 +132,28 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
         raise ValueError("max_rounds must be non-negative")
     signs = _Signs(seed)
     y = signs.take(A.m).copy()
-    n_events = len(thresholds)
-    counts = np.zeros(n_events, dtype=np.int64)
-    event_abs = (np.abs(np.add.reduceat(vals * y[cols], ptr[:-1]))
-                 if n_events else np.zeros(0))
-    violated = event_abs > thresholds
-    row_abs, current = discrepancy(A, y)
-    top = int(row_abs.argmax())
-    row_ptr = None
+    counts = np.zeros(len(thresholds), dtype=np.int64)
     rounds = 0
-    best_y = y
-    best_val = math.inf
+    best_y, best_val = y, math.inf
     while True:
-        e = int(violated.argmax()) if n_events else 0
-        any_violated = bool(n_events) and bool(violated[e])
+        # with no events, one event that never fires
+        violated = (np.abs(np.add.reduceat(vals * y[cols], ptr[:-1])) > thresholds
+                    if counts.size else np.zeros(1, dtype=bool))
+        e = int(violated.argmax())
+        current = discrepancy(A, y)[1]
         if current < best_val:
-            best_val = current
-            best_y = y.copy()
-        if not any_violated or rounds >= max_rounds:
+            best_val, best_y = current, y.copy()
+        if not violated[e] or rounds >= max_rounds:
             break
-        support = cols[ptr[e]:ptr[e + 1]]  # ascending within the event
+        support = cols[ptr[e]:ptr[e + 1]]
         y[support] = signs.take(support.size)
         counts[e] += 1
         rounds += 1
-        if row_ptr is None:
-            size = np.diff(ptr)
-            # entries are in (row, col) order, so each row is one run
-            row_ptr = np.searchsorted(A.rows, np.arange(A.n + 1))
-            row_size = np.diff(row_ptr)
-        touched = graph._closed_set(e)
-        at, starts = csr_segments(ptr, touched, size[touched])
-        sums = np.abs(np.add.reduceat(vals[at] * y[cols[at]], starts))
-        event_abs[touched] = sums
-        violated[touched] = sums > thresholds[touched]
-        rows = strata.row[touched]  # ascending, as ``touched`` is
-        first = np.empty(rows.size, dtype=bool)
-        first[0] = True
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        rows = rows[first]
-        lens = row_size[rows]
-        at, _ = csr_segments(row_ptr, rows, lens)
-        local = np.repeat(np.arange(rows.size), lens)
-        sums = np.abs(np.bincount(local, weights=A.vals[at] * y[A.cols[at]],
-                                  minlength=rows.size))
-        row_abs[rows] = sums
-        current, top = _kept_max(row_abs, top, current, rows, sums)
-    if any_violated:
+    certified = not violated[e]
+    if not certified:
         y, current = best_y, best_val
     counts.setflags(write=False)
-    return SolveResult(y=SignVector(y), certified=not any_violated, achieved=current,
+    return SolveResult(y=SignVector(y), certified=certified, achieved=current,
                        bound=bound, rounds=rounds, resample_counts=counts, seed=seed)
 
 

@@ -456,7 +456,7 @@ def test_event_graph_and_first_redraw_memory_grow_with_nnz():
                        for k in ("row", "level", "ptr", "cols", "vals", "sums"))
     assert report.passed and certify_peak < 2 * strata_bytes
     # buckets of two or more entries fire whenever their signs agree, so the
-    # solve redraws, and builds the column index there
+    # solve redraws
     s = graph.strata
     tight = np.where(np.diff(s.ptr) > 1, np.nextafter(s.sums, 0.0), s.sums)
     graph = dataclasses.replace(graph, threshold=tight)
@@ -466,10 +466,10 @@ def test_event_graph_and_first_redraw_memory_grow_with_nnz():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.rounds == 1 and "_col_index" in vars(graph)
-    # a run that never redraws peaks at 2.6x the incidences' int64 bytes; the
-    # column index takes it to 3.3x, where the 983,806 shared-column pairs
-    # alone would take 9.9x
+    assert result.rounds == 1 and "_col_index" not in vars(graph)
+    # a round sums every event and row and builds no column index: the run
+    # peaks at 2.4x the incidences' int64 bytes, where the 983,806
+    # shared-column pairs alone would take 9.9x
     nnz_bytes = s.cols.nbytes
     assert peak < 4 * nnz_bytes
     assert sum(graph.neighbors(e).size for e in range(len(graph))) == 983_806

@@ -269,6 +269,16 @@ def test_sign_vector_validation():
     assert set(np.asarray(v).tolist()) <= {-1, 1}
 
 
+def test_sign_vector_takes_plus_and_minus_one_in_any_dtype_and_nothing_else():
+    for good in ([1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8),
+                 np.array([1], dtype=np.uint8), np.array([-1, 1], dtype=object)):
+        assert SignVector(good).values.tolist() == np.asarray(good).tolist()
+    for bad in ([math.nan], [1, None], [-1.0000001], np.array([1, 255], dtype=np.uint8),
+                [2**70], [1 + 1j]):
+        with pytest.raises(ValueError):
+            SignVector(bad)
+
+
 def test_coo_rejects_duplicates_and_nonfinite():
     with pytest.raises(ValueError):
         InputMatrix.from_entries(2, 2, [(0, 0, 0.5), (0, 0, 0.25)], 4.0, 2.0)

@@ -60,6 +60,20 @@ def test_zero_matrix_returns_initial_draw():
     assert res.y == random_coloring(5, 3)  # the untouched initial draw
 
 
+@pytest.mark.parametrize("max_rounds", [0, 5])
+def test_a_matrix_with_no_events_solves_in_no_rounds(max_rounds):
+    V = InputMatrix.from_entries(3, 4, [], 4.0, 2.0)
+    out = pipeline.solve_matrix(V, seed=2, max_rounds=max_rounds)
+    red = out.reduced
+    assert len(red.graph) == 0
+    res = moser_tardos(red.instance, red.graph, red.params, seed=2, max_rounds=max_rounds,
+                       certificate=red.certificate)
+    for r in (red.result, res):
+        assert r.certified and r.rounds == 0 and r.achieved == 0.0
+        assert r.resample_counts.shape == (0,)
+    assert res == red.result and out.lifted.max_disc == 0.0
+
+
 def test_diagonal_events_can_never_fire():
     A = ReducedInstance.from_dense(0.2 * np.eye(6), 0.25, 1.0)
     graph, report = _prepared(A, P14)
@@ -286,8 +300,8 @@ def test_oracle_sandwich_small_instance():
 def _tightened():
     """A valid instance whose buckets of two or more entries fire whenever
     their signs agree, so the matrix path resamples.  The instance comes
-    from the dense reference generator, so the runs that must reach
-    ``_kept_max``'s rescan branch do not depend on the library's sampler."""
+    from the dense reference generator, so the runs that must redraw do not
+    depend on the library's sampler."""
     A = reference_random_reduced(20, 60, 2.0**-6, 2.0**-2, density=0.4, seed=0,
                                  level_spread=8)
     params = compute_parameters(A.beta, A.delta)
@@ -383,13 +397,11 @@ def test_dependencies_are_indexed_at_the_first_redraw_and_cached_per_hypergraph(
         result = solve_hypergraph_direct(H, seed=seed, imbalance_bound=4.0, max_rounds=30)
         assert result.rounds == 30
     assert len(tables) == 1 and tables[0] is H and calls == []
-    # the matrix path: once per event graph, at its first redraw
-    assert moser_tardos(A, graph, params, seed=0, max_rounds=0, certificate=report).rounds == 0
+    # the matrix path sums every event each round and builds no column index
+    for seed, rounds in ((0, 0), (0, 3), (1, 3)):
+        assert moser_tardos(A, graph, params, seed=seed, max_rounds=rounds,
+                            certificate=report).rounds == rounds
     assert calls == [] and "_col_index" not in vars(graph)
-    for seed in (0, 1):
-        assert moser_tardos(A, graph, params, seed=seed, max_rounds=3,
-                            certificate=report).rounds == 3
-    assert len(calls) == 1 and calls[0] is graph
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,15 +430,6 @@ def test_edge_sums_beyond_the_int8_range_are_exact(monkeypatch):
     assert result.resample_counts.tolist() == [1, 0]
 
 
-def test_kept_max_rescans_only_when_the_old_maximum_drops():
-    kept = np.array([1.0, 3.0, 4.0])  # after kept[[0]] = [1.0]; it held 5.0 at top 0
-    assert solver._kept_max(kept, 0, 5.0, np.array([0]), np.array([1.0])) == (4.0, 2)
-    kept = np.array([5.0, 3.0, 1.0])  # the old maximum untouched: no rescan
-    assert solver._kept_max(kept, 0, 5.0, np.array([2]), np.array([1.0])) == (5.0, 0)
-    kept = np.array([5.0, 6.0, 1.0])  # a touched sum above it wins
-    assert solver._kept_max(kept, 0, 5.0, np.array([1]), np.array([6.0])) == (6.0, 1)
-
-
 def test_kept_max_agrees_with_a_full_recompute_every_round(monkeypatch):
     H = reference_random_hypergraph(400, 8, 3, seed=2)  # a run whose maximum drops
     tops = []
@@ -446,24 +449,9 @@ def test_kept_max_agrees_with_a_full_recompute_every_round(monkeypatch):
 
     monkeypatch.setattr(solver, "_Signs", Watched)
     result = solve_hypergraph_direct(H, seed=4, imbalance_bound=2.0, max_rounds=300)
-    monkeypatch.undo()
     assert len(tops) == result.rounds > 0
     assert all(kept == full for kept, full in tops)
     assert any(b[0] < a[0] for a, b in zip(tops, tops[1:]))  # a round lowers the maximum
-    rescans = []
-
-    def checked(kept, top, current, touched, sums):
-        out = kept_max(kept, top, current, touched, sums)
-        assert out[0] == float(kept.max()) == float(kept[out[1]])
-        rescans.append(float(sums.max()) < current and kept[top] < current)
-        return out
-
-    kept_max = solver._kept_max
-    monkeypatch.setattr(solver, "_kept_max", checked)
-    A, params, graph, report = _tightened()
-    assert moser_tardos(A, graph, params, seed=1, max_rounds=300,
-                        certificate=report).rounds == len(rescans) > 0
-    assert any(rescans)
 
 
 @pytest.mark.parametrize("words", [1, 3, solver._SIGN_WORDS])

@@ -1,11 +1,12 @@
-"""The incremental resampling kernel against the naive replay loop, at sizes
-where one redraw touches many events and rows.
+"""Both resampling loops against the naive replay loop, at sizes where one
+redraw changes many events and rows.
 
 At up to 400 vertices and degree 6 a redrawn edge of 16 vertices shares
-columns with up to 80 other edges; at up to 40 rows a redrawn bucket
-reaches buckets of many rows, so the kernel's recompute sets, its lazily
-built column indexes and its kept sums are exercised well beyond what the
-small cases in ``test_solver_reference.py`` reach.
+columns with up to 80 other edges, so the direct loop's running edge sums,
+its lazily built vertex-to-edge table and its kept maximum are exercised
+well beyond what the small cases in ``test_solver_reference.py`` reach; at
+up to 40 rows a redrawn bucket changes the sums of buckets on many rows,
+and the matrix loop sums them all again each round.
 """
 
 import dataclasses
