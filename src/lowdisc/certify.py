@@ -191,9 +191,9 @@ class EventGraph:
             a.setflags(write=False)
         return col_ptr, col_deg, col_events
 
-    def _closed_set(self, e: int) -> np.ndarray:
-        """The events sharing a column with ``e``, ``e`` included, ascending:
-        those on its columns, sorted, with the repeats masked out."""
+    def neighbors(self, e: int) -> np.ndarray:
+        """The events sharing a column with ``e``, ``e`` excluded, ascending:
+        those on its columns, sorted, with the repeats and ``e`` masked out."""
         col_ptr, col_deg, col_events = self._col_index
         c = self.strata.cols[self.strata.ptr[e]:self.strata.ptr[e + 1]]
         lens = col_deg[c]
@@ -201,14 +201,9 @@ class EventGraph:
         # the positions of column c's events, for each c of e in turn
         near = col_events[(col_ptr[c] - ends + lens).repeat(lens) + np.arange(ends[-1])]
         near.sort()
-        keep = np.empty(near.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(near[1:], near[:-1], out=keep[1:])
+        keep = near != e
+        keep[1:] &= near[1:] != near[:-1]
         return near[keep]
-
-    def neighbors(self, e: int) -> np.ndarray:
-        closed = self._closed_set(e)
-        return closed[closed != e]
 
 
 def _event_name(strata: Strata, e: int) -> str:

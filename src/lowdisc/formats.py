@@ -13,8 +13,8 @@ import io
 import math
 import re
 import warnings
-from itertools import chain, compress
-from operator import methodcaller
+from array import array
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -122,28 +122,6 @@ def _read_header(lines: list):
     raise ParseError(f"line {len(lines)}: missing size line")
 
 
-def _column(tokens: list, lineno: np.ndarray, what: str, dtype):
-    """``tokens`` as an array, cut before the first bad one, and that one's (line, message).
-
-    numpy converts as ``int()`` or ``float()`` would; only if that fails or
-    gives a non-finite value is the column scanned token by token.  An
-    index too large for int64 then stays a Python int for the range check.
-    """
-    try:
-        values = np.array(tokens, dtype=dtype)
-        if np.isfinite(values).all():
-            return values, None
-    except (ValueError, OverflowError):
-        pass
-    parse, values = (_parse_int if dtype is np.int64 else _parse_float), []
-    for token, ln in zip(tokens, lineno):
-        try:
-            values.append(parse(token, ln, what))
-        except ParseError as exc:
-            return np.array(values), (ln, str(exc))
-    return np.array(values), None
-
-
 def _matrix(n, m, rows, cols, vals, declared) -> InputMatrix:
     """The instance of checked 1-based entries, once its L1 norms fit the declared budgets."""
     V = InputMatrix(n, m, rows - 1, cols - 1, vals, *declared)
@@ -208,64 +186,49 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
 
 
 def _parse_lines(text: str) -> InputMatrix:
-    """Read the text line by line; an error names the first offending line.
+    """Read the text one line at a time; an error names the first offending line.
 
-    The header is read one line at a time.  The entry block is tokenised
-    once, and its entries are converted and checked as whole arrays.
+    Each entry is parsed and range-checked as its line is read.  Repeated
+    cells are looked for only after the last line, so that a bad token on
+    a later line is raised first.
     """
     lines = text.splitlines()
-    declared, (n, m, expected), ln = _read_header(lines)
-    body = lines[ln:]
-    line_of = np.arange(ln + 1, ln + 1 + len(body))
-    tokens = list(map(str.split, body))
-    count = np.fromiter(map(len, tokens), np.int64, len(tokens))
-    comment = np.fromiter(map(methodcaller("startswith", "%"), map(str.lstrip, body)),
-                          bool, len(body))
-    errors = []  # (line, rank within the line, message); the least is raised
-    for k in np.flatnonzero(comment):
-        try:
-            declared = _declare(body[k].strip(), line_of[k], declared)
-        except ParseError as exc:
-            errors.append((line_of[k], 0, str(exc)))
-            break
-    for k in np.flatnonzero((count > 0) & (count != 3) & ~comment)[:1]:
-        errors.append((line_of[k], 0, f"line {line_of[k]}: entry needs 'row col value' "
-                                      f"(3 tokens, got {count[k]})"))
-    entry = (count == 3) & ~comment
-    lineno = line_of[entry]
-    flat = list(chain.from_iterable(compress(tokens, entry)))
-    columns = []  # in the order the tokens of a line are checked
-    for rank, (what, dtype) in enumerate((("row index", np.int64), ("column index", np.int64),
-                                          ("entry value", np.float64))):
-        values, error = _column(flat[rank::3], lineno, what, dtype)
-        columns.append(values)
-        if error:
-            errors.append((error[0], rank, error[1]))
-    rows, cols, vals = columns
-    cut = min(map(len, columns))  # entries before `cut` parse in every column
-    r, c, v = rows[:cut], cols[:cut], vals[:cut]
-    bad = np.vstack([(r < 1) | (r > n), (c < 1) | (c > m), np.abs(v) > 1.0])
-    hit = bad.any(axis=0)
-    if hit.any():
-        k = int(np.argmax(hit))
-        ln = lineno[k]
-        errors.append((ln, 3, [
-            f"line {ln}: row index {int(r[k])} outside [1, {n}]",
-            f"line {ln}: column index {int(c[k])} outside [1, {m}]",
-            f"line {ln}: entry magnitude {float(v[k])!r} exceeds 1",
-        ][int(np.argmax(bad[:, k]))]))
-    if errors:
-        raise ParseError(min(errors)[2])
+    declared, (n, m, expected), start = _read_header(lines)
+    rows, cols, vals, where = array("q"), array("q"), array("d"), array("q")
+    for ln, raw in enumerate(lines[start:], start=start + 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if tokens[0].startswith("%"):
+            declared = _declare(raw.strip(), ln, declared)
+            continue
+        if len(tokens) != 3:
+            raise ParseError(f"line {ln}: entry needs 'row col value' "
+                             f"(3 tokens, got {len(tokens)})")
+        i = _parse_int(tokens[0], ln, "row index")
+        j = _parse_int(tokens[1], ln, "column index")
+        v = _parse_float(tokens[2], ln, "entry value")
+        if not 1 <= i <= n:
+            raise ParseError(f"line {ln}: row index {i} outside [1, {n}]")
+        if not 1 <= j <= m:
+            raise ParseError(f"line {ln}: column index {j} outside [1, {m}]")
+        if abs(v) > 1.0:
+            raise ParseError(f"line {ln}: entry magnitude {v!r} exceeds 1")
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+        where.append(ln)
     if declared is None:
         raise ParseError(f"line {len(lines)}: missing '%%disc R=<num> Delta=<num>' header")
-    if lineno.size != expected:
-        raise ParseError(f"line {len(lines)}: expected {expected} entries, found {lineno.size}")
+    if len(where) != expected:
+        raise ParseError(f"line {len(lines)}: expected {expected} entries, found {len(where)}")
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     order = np.lexsort((cols, rows))  # stable: a repeat sorts after its first occurrence
     repeat = (np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)
     if repeat.any():
         k = int(order[1:][repeat].min())
-        raise ParseError(f"line {lineno[k]}: duplicate entry ({rows[k]}, {cols[k]})")
-    return _matrix(n, m, rows, cols, vals, declared)
+        raise ParseError(f"line {where[k]}: duplicate entry ({rows[k]}, {cols[k]})")
+    return _matrix(n, m, rows, cols, np.array(vals, dtype=np.float64), declared)
 
 
 def parse_matrix_text(text: str) -> InputMatrix:
@@ -274,9 +237,9 @@ def parse_matrix_text(text: str) -> InputMatrix:
     The header is read one line at a time.  The entry block is then read
     by one ``np.loadtxt`` call and checked as whole arrays.  A block that
     numpy might read differently from ``int()`` and ``float()``, or one
-    that fails any check, is read again line by line, so that an error
-    names the first offending line exactly as a line-by-line reading
-    would.  Blank and ``%`` lines may appear anywhere.
+    that fails any check, is read again by a plain loop over its lines,
+    which raises at the first offending line.  Blank and ``%`` lines may
+    appear anywhere.
     """
     V = _parse_entry_block(text)
     return _parse_lines(text) if V is None else V
@@ -302,7 +265,7 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
     Edge-size and degree bounds are computed from the data, so they are
     tight by construction.
     """
-    sizes, flat = [], []
+    sizes, flat = array("q"), array("q")
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
@@ -317,14 +280,18 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
             v = _parse_int(t, ln, "vertex id")
             if v < 1:
                 raise ParseError(f"line {ln}: vertex ids are 1-based, got {v}")
-            vs.append(v - 1)
+            vs.append(v)
         if len(set(vs)) != len(vs):
             raise ParseError(f"line {ln}: edge repeats a vertex")
+        try:
+            flat.extend(vs)
+        except OverflowError:
+            raise ParseError(f"line {ln}: vertex id {max(vs)} exceeds 2^63 - 1") from None
         sizes.append(len(vs))
-        flat.extend(vs)
     if not sizes:
         raise ParseError("line 1: no edges found")
-    sizes, flat = np.array(sizes, dtype=np.int64), np.array(flat, dtype=np.int64)
+    sizes, flat = np.frombuffer(sizes, dtype=np.int64), np.frombuffer(flat, dtype=np.int64)
+    flat -= 1  # 0-based
     degree = np.bincount(flat)
     return HypergraphInstance._from_arrays(int(degree.size), sizes, flat, int(sizes.max()),
                                            int(degree.max()))

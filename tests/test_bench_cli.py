@@ -163,6 +163,14 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     assert "magnitude" in capsys.readouterr().err
 
 
+def test_cli_vertex_id_beyond_int64_exits_2_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "huge.txt"
+    bad.write_text("e 1 2\ne 1 99999999999999999999999\n")
+    assert main(["solve", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: vertex id ") and err.count("\n") == 1
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.mtx")]) == 2
 

@@ -78,6 +78,17 @@ def test_matrix_parse_errors_name_the_line(text, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("first,second", [("0", "0.5"), ("0.5", "0"), ("0", "-0.0")])
+def test_a_cell_repeated_as_an_explicit_zero_is_a_duplicate(first, second):
+    # InputMatrix drops explicit zeros, so the repeat must be caught while reading
+    text = ("%%MatrixMarket matrix coordinate real general\n%%disc R=4 Delta=2\n2 2 2\n"
+            f"1 1 {first}\n1 1 {second}\n")
+    for parse in (parse_matrix_text, formats._parse_lines):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == "line 5: duplicate entry (1, 1)"
+
+
 def test_canonical_files_never_reach_the_line_by_line_reader(monkeypatch):
     def refuse(text):
         raise AssertionError("read line by line")
@@ -180,6 +191,8 @@ def test_hypergraph_roundtrip_bit_identical():
     ("e 1 0\n", "1-based"),
     ("e 1 1\n", "repeats"),
     ("e 1 x\n", "integer"),
+    ("e 1 2\ne 1 99999999999999999999999\n",
+     "line 2: vertex id 99999999999999999999999 exceeds 2^63 - 1"),
 ])
 def test_hypergraph_parse_errors(text, needle):
     with pytest.raises(ParseError) as err:
@@ -292,6 +305,32 @@ def test_parser_memory_grows_with_nnz_not_with_tokens(tmp_path):
             tracemalloc.stop()
         assert 20_000 < V.nnz < 40_000
         assert peak < 6 * len(text)  # a Python string per token alone takes about 7x the text
+
+
+def test_line_reader_memory_grows_with_nnz_not_with_tokens():
+    lines = format_matrix(random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1)).splitlines()
+    text = "\n".join(lines[:3] + ["% a comment sends the file to the line reader"] + lines[3:])
+    assert formats._parse_entry_block(text) is None
+    tracemalloc.start()
+    try:
+        V = parse_matrix_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 20_000 < V.nnz < 40_000
+    assert peak < 8 * len(text)  # the token matrix the line reader once built peaked at 19.5x
+
+
+def test_edge_list_parser_memory_grows_with_the_ids():
+    text = format_hypergraph(random_hypergraph(200000, 16, 4, seed=7))
+    tracemalloc.start()
+    try:
+        H = parse_hypergraph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.verts.size > 700_000
+    assert peak < 5 * len(text)  # a Python list of the ids took about 8x the text
 
 
 def test_random_matrix_rejects_bad_budgets():

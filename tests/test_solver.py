@@ -334,7 +334,7 @@ def _graph_on(ptr, cols, m) -> EventGraph:
                       log_weight=np.zeros(B))
 
 
-_B = 100  # every event on every column: each closed set gathers 10^4 incidences, 100 distinct
+_B = 100  # every event on every column: each neighbour set is gathered from 10^4 incidences, 100 distinct
 
 
 @settings(max_examples=100, deadline=None)
@@ -350,10 +350,10 @@ def test_column_index_neighbors_and_closed_sets_match_shared_column_pairs(case):
     assert col_deg.tolist() == np.diff(col_ptr).tolist()
     assert [col_events[col_ptr[c]:col_ptr[c + 1]].tolist() for c in range(m)] == [
         [e for e, s in enumerate(supports) if c in s] for c in range(m)]
-    for e, x in enumerate(expect):  # a round's touched events, e included
-        closed = graph._closed_set(e)
-        assert closed.dtype == np.int64 and closed.tolist() == x
-        assert graph.neighbors(e).tolist() == [f for f in x if f != e]
+    for e, x in enumerate(expect):  # the closed set of e: e and its neighbours
+        near = graph.neighbors(e)
+        assert near.dtype == np.int64 and sorted(near.tolist() + [e]) == x
+        assert near.tolist() == [f for f in x if f != e]
 
 
 def test_column_index_holds_the_incidences_not_the_shared_column_pairs():
@@ -364,16 +364,16 @@ def test_column_index_holds_the_incidences_not_the_shared_column_pairs():
         col_ptr, col_deg, col_events = graph._col_index
         index_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        closed = graph._closed_set(_B // 2)
-        closed_peak = tracemalloc.get_traced_memory()[1]
+        near = graph.neighbors(_B // 2)
+        near_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert col_deg.tolist() == [_B] * _B
     assert col_events.tolist() == list(range(_B)) * _B
-    assert closed.tolist() == list(range(_B))
-    # the index is 10^4 int64 keys (80 kB), and a closed set gathers 10^4
-    # incidences; the 10^6 int64 pair keys alone would take 8 MB
-    assert index_peak < 8e5 and closed_peak < 8e5
+    assert near.tolist() == [e for e in range(_B) if e != _B // 2]
+    # the index is 10^4 int64 keys (80 kB), and one event's neighbours are
+    # gathered from 10^4 incidences; the 10^6 int64 pair keys alone would take 8 MB
+    assert index_peak < 8e5 and near_peak < 8e5
 
 
 def test_dependencies_are_indexed_at_the_first_redraw_and_cached_per_hypergraph(monkeypatch):
