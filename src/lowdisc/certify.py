@@ -322,8 +322,9 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
         margins[low] = log_w[low] + nbr_sums[low] - log_p[low]
     passed = bool((margins >= -MARGIN_TOL).all())
     budget = float((w / (1.0 - w)).sum())
-    level_slacks = {k: level_exponent_slack(k, params)
-                    for k in sorted(set(strata.level.tolist()))}
+    low = int(strata.level.min(initial=0))  # the occupied levels, ascending
+    occupied = np.flatnonzero(np.bincount(strata.level - low)) + low
+    level_slacks = {k: level_exponent_slack(k, params) for k in occupied.tolist()}
     column_sums = np.bincount(strata.cols, weights=np.repeat(w, size), minlength=strata.m)
     column_ok = bool((column_sums <= 2.0 * params.beta + MARGIN_TOL).all())
     failure = None

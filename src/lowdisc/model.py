@@ -97,18 +97,15 @@ def _as_coo(n, m, rows, cols, vals, *, allow_negative):
             raise ValueError(
                 f"negative entry {float(vals[j])!r} at ({int(rows[j])}, {int(cols[j])})"
             )
-    keep = vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]  # copies: the caller's stay writable
-    if not coo_sorted(rows, cols):
+    if not coo_sorted(rows, cols):  # a repeated cell is a repeat even where a value is 0
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
         if dup.any():
             j = int(np.argmax(dup))
             raise ValueError(f"duplicate entry at ({rows[j]}, {cols[j]})")
-    for a in (rows, cols, vals):
-        a.setflags(write=False)
-    return rows, cols, vals
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]  # copies: the caller's stay writable
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +126,31 @@ class _CooMatrix:
     allow_negative = True
 
     def __post_init__(self):
-        coo = _as_coo(self.n, self.m, self.rows, self.cols, self.vals,
-                      allow_negative=self.allow_negative)
-        for name, a in zip(("rows", "cols", "vals"), coo):
+        self._seal(*_as_coo(self.n, self.m, self.rows, self.cols, self.vals,
+                            allow_negative=self.allow_negative))
+
+    @classmethod
+    def _from_arrays(cls, n, m, rows, cols, vals, *bounds):
+        """The matrix over arrays that already hold what construction checks.
+
+        ``rows`` and ``cols`` are int64, ``vals`` float64, all three fresh,
+        1-d and of equal length; the cells are in range and in strict (row,
+        col) order, and the values finite and of the allowed sign.  Only zero
+        values, such as entries that underflowed in a rescaling, are dropped
+        here; the bounds are checked as the constructor checks them.
+        """
+        M = cls.__new__(cls)
+        vars(M).update(zip((f.name for f in fields(cls)), (n, m, rows, cols, vals, *bounds)))
+        keep = vals != 0.0
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        M._seal(rows, cols, vals)
+        return M
+
+    def _seal(self, rows, cols, vals):
+        """Store the normalized entries read-only, and check the two bounds."""
+        for name, a in zip(("rows", "cols", "vals"), (rows, cols, vals)):
+            a.setflags(write=False)
             object.__setattr__(self, name, a)
         for f in fields(self)[5:]:  # the subclass's two bounds
             b = float(getattr(self, f.name))
@@ -162,11 +181,14 @@ class _CooMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
+    def _magnitudes(self) -> np.ndarray:
+        return np.abs(self.vals) if self.allow_negative else self.vals
+
     def row_l1(self) -> np.ndarray:
-        return np.bincount(self.rows, weights=np.abs(self.vals), minlength=self.n)
+        return np.bincount(self.rows, weights=self._magnitudes(), minlength=self.n)
 
     def col_l1(self) -> np.ndarray:
-        return np.bincount(self.cols, weights=np.abs(self.vals), minlength=self.m)
+        return np.bincount(self.cols, weights=self._magnitudes(), minlength=self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,11 +330,43 @@ class Strata:
         return self.vals[self.ptr[idx]:self.ptr[idx + 1]]
 
 
+def _bucket_order(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of the non-empty int64 ``keys``, all in
+    [0, ``span``), and the keys in that order.
+
+    With b the bit length of the largest entry index, one plain sort of the
+    packed keys ``(key << b) | index`` does it where ``span * 2^b <= 2^63``:
+    the packed keys are distinct, so the sort need not be stable, their low b
+    bits give the order back and a shift the keys.  Wider keys take a stable
+    argsort.
+    """
+    shift = (keys.size - 1).bit_length()
+    if (span - 1).bit_length() + shift > 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = keys << shift
+    packed |= np.arange(keys.size, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return order, packed
+
+
 def stratify(A: ReducedInstance, params: Parameters) -> Strata:
     """Partition every stored entry of ``A`` into per-row magnitude buckets.
 
     Zero entries are never stored, so every entry lands in exactly one
     bucket.  An entry above ``params.beta`` means the instance is corrupt.
+
+    With L the number of levels from the lowest occupied one to the highest,
+    an entry's bucket key is ``row * L + (level - lowest)``.  ``A`` is in
+    (row, col) order, so the stable order of the keys keeps the columns
+    ascending within each bucket.  It is found by one sort of packed keys
+    (see :func:`_bucket_order`) while ``n * L * 2^b <= 2^63``, b the bit
+    length of ``nnz - 1``; levels run from 2 to 1074, so that holds for any
+    L once ``n * nnz <= 2^51``.  Beyond that a stable argsort finds the same
+    order.  Only the columns and values are gathered; each bucket's row and
+    level are read off its key.
     """
     if A.vals.size and float(A.vals.max()) > params.beta:
         j = int(np.argmax(A.vals))
@@ -326,21 +380,25 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
                       row=empty_i, level=empty_i, ptr=np.zeros(1, dtype=np.int64),
                       cols=empty_i, vals=np.zeros(0), sums=np.zeros(0))
     levels = floor_neg_log2_array(A.vals)
-    # A is in (row, col) order, so a stable sort by (row, level) keeps the
-    # columns ascending within each bucket; with L the level span, the key
-    # row * L + (level - low) stays below n * L and cannot overflow
-    low = levels.min()
-    order = np.argsort(A.rows * (int(levels.max() - low) + 1) + (levels - low), kind="stable")
-    r, k, c, v = A.rows[order], levels[order], A.cols[order], A.vals[order]
-    change = np.empty(r.size, dtype=bool)
-    change[0] = True
-    change[1:] = (r[1:] != r[:-1]) | (k[1:] != k[:-1])
-    starts = np.flatnonzero(change)
-    ptr = np.append(starts, r.size).astype(np.int64)
-    sums = np.add.reduceat(v, starts)
-    if int(k[starts].min()) < params.level_floor:
+    low = int(levels.min())
+    if low < params.level_floor:
         raise InternalInconsistency("bucket below the level floor despite entries <= beta")
-    row, level = r[starts], k[starts]
+    span = int(levels.max()) - low + 1
+    levels -= low
+    keys = A.rows * span  # below n * span, so no overflow
+    keys += levels
+    del levels
+    order, keys = _bucket_order(keys, A.n * span)
+    change = np.empty(keys.size, dtype=bool)
+    change[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    head = keys[starts]
+    row, level = head // span, head % span + low
+    del keys  # free the sorted keys before the two gathers
+    c, v = A.cols[order], A.vals[order]
+    ptr = np.append(starts, v.size).astype(np.int64)
+    sums = np.add.reduceat(v, starts)
     for a in (c, v, ptr, sums, row, level):
         a.setflags(write=False)
     return Strata(n=A.n, m=A.m, level_floor=params.level_floor,

@@ -168,16 +168,15 @@ def validate_matrix(V: InputMatrix) -> InputMatrix:
     Delta >= 2) instead of failing on the first.
     """
     problems = []
-    if V.vals.size:
-        mags = np.abs(V.vals)
-        bad = np.flatnonzero(mags > 1.0)
-        if bad.size:
-            j = int(bad[0])
-            problems.append(
-                f"entry ({int(V.rows[j])}, {int(V.cols[j])}) = {float(V.vals[j])!r} has "
-                f"magnitude above 1 ({bad.size} entries in violation)"
-            )
-    row = V.row_l1()
+    mags = np.abs(V.vals)  # one pass, for the entry check and both L1 norms
+    bad = np.flatnonzero(mags > 1.0)
+    if bad.size:
+        j = int(bad[0])
+        problems.append(
+            f"entry ({int(V.rows[j])}, {int(V.cols[j])}) = {float(V.vals[j])!r} has "
+            f"magnitude above 1 ({bad.size} entries in violation)"
+        )
+    row = np.bincount(V.rows, weights=mags, minlength=V.n)
     bad = np.flatnonzero(row > V.row_bound * (1.0 + REL_TOL))
     if bad.size:
         i = int(bad[0])
@@ -185,7 +184,8 @@ def validate_matrix(V: InputMatrix) -> InputMatrix:
             f"row {i} L1 norm {float(row[i])!r} exceeds declared bound {V.row_bound!r}"
             f" ({bad.size} rows in violation)"
         )
-    col = V.col_l1()
+    col = np.bincount(V.cols, weights=mags, minlength=V.m)
+    del mags
     bad = np.flatnonzero(col > V.col_bound * (1.0 + REL_TOL))
     if bad.size:
         j = int(bad[0])
@@ -212,6 +212,13 @@ def reduce_matrix(V: InputMatrix) -> ReducedInstance:
     Row i of the result holds max(V[i], 0)/R, row n+i holds max(-V[i], 0)/R;
     the entry bound becomes 1/R and the column-sum bound Delta/R.  Call
     :func:`validate_matrix` first.
+
+    The entries of ``V`` are checked and in (row, col) order already, and
+    so are the reduced ones: the positive parts keep their order, and the
+    negative parts follow on rows n to 2n - 1.  So the result is built
+    without the constructor's second normalisation; it only drops entries
+    that underflow to 0 in |v|/R (``5e-324 / 4``), and, for R < 1, rejects
+    those that overflow, as ``ReducedInstance(...)`` of the same arrays would.
     """
     R = V.row_bound
     pos = np.flatnonzero(V.vals > 0)
@@ -221,8 +228,10 @@ def reduce_matrix(V: InputMatrix) -> ReducedInstance:
     cols = V.cols.take(order)
     vals = np.abs(V.vals.take(order))
     vals /= R
-    del pos, order  # free these before the constructor allocates
-    return ReducedInstance(2 * V.n, V.m, rows, cols, vals, beta=1.0 / R, delta=V.col_bound / R)
+    del pos, order  # free these before the checks below allocate
+    if R < 1.0 and not np.isfinite(vals).all():
+        raise ValueError("non-finite entry value")
+    return ReducedInstance._from_arrays(2 * V.n, V.m, rows, cols, vals, 1.0 / R, V.col_bound / R)
 
 
 def lift_assignment(V: InputMatrix, A: ReducedInstance, y: SignVector,

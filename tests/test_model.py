@@ -17,6 +17,7 @@ from lowdisc.model import (
     floor_neg_log2_array,
     stratify,
 )
+from lowdisc.model import _bucket_order
 from lowdisc.generate import random_reduced
 from test_event_graph_reference import GEOMETRIC_TAIL, row_threshold_budget
 
@@ -318,19 +319,68 @@ def test_stratify_orders_entries_as_lexsort_does(n, m, density, spread, seed):
     np.testing.assert_array_equal(np.repeat(s.row, np.diff(s.ptr)), A.rows[order])
     np.testing.assert_array_equal(s.cols, A.cols[order])
     np.testing.assert_array_equal(s.vals, A.vals[order])
+    if A.nnz:  # and every array is the one a stable argsort and a reduceat give
+        want = reference_strata(A)
+        for name, b in want.items():
+            a = getattr(s, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable, name
+
+
+def reference_strata(A):
+    """The bucket arrays by a stable argsort of the (row, level) key and one reduceat."""
+    levels = floor_neg_log2_array(A.vals)
+    low = levels.min()
+    order = np.argsort(A.rows * (levels.max() - low + 1) + (levels - low), kind="stable")
+    r, k, c, v = A.rows[order], levels[order], A.cols[order], A.vals[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (k[1:] != k[:-1])])
+    return {"row": r[starts], "level": k[starts], "ptr": np.append(starts, r.size),
+            "cols": c, "vals": v, "sums": np.add.reduceat(v, starts)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.integers(0, 40), min_size=1, max_size=300))
+def test_bucket_order_is_the_stable_argsort_on_both_branches(keys):
+    keys = np.array(keys, dtype=np.int64)
+    want = np.argsort(keys, kind="stable")
+    # a span that leaves room for the indices packs the keys; 2^62 does not
+    # once there are 3 keys or more, and takes the stable argsort
+    for span in (41, 2**62):
+        order, ordered = _bucket_order(keys.copy(), span)
+        assert order.dtype == ordered.dtype == np.int64
+        np.testing.assert_array_equal(order, want)
+        np.testing.assert_array_equal(ordered, keys[want])
+
+
+def test_bucket_order_packs_keys_up_to_exactly_63_bits():
+    # 3 keys take 2 index bits: a key below 2^61 packs into 63 bits, and 2^61
+    # would pack into the sign bit, so that span must take the stable argsort
+    for span in (2**61, 2**61 + 1):
+        keys = np.array([span - 1, 0, span - 1], dtype=np.int64)
+        order, ordered = _bucket_order(keys, span)
+        assert order.tolist() == [1, 0, 2] and ordered.tolist() == [0, span - 1, span - 1]
+
+
+def test_a_zero_repeats_a_cell_as_any_value_does():
+    for vals in ([0.0, 0.5], [0.5, 0.0], [0.0, 0.0], [0.25, 0.5]):
+        with pytest.raises(ValueError, match=r"duplicate entry at \(0, 0\)"):
+            InputMatrix(2, 2, [0, 0], [0, 0], vals, 4.0, 2.0)
+        with pytest.raises(ValueError, match=r"duplicate entry at \(1, 0\)"):
+            ReducedInstance.from_entries(2, 2, [(1, 0, abs(vals[0])), (0, 1, 0.25),
+                                                (1, 0, abs(vals[1]))], 0.25, 1.0)
 
 
 def reference_coo_order(rows, cols, vals):
-    """The lexsort path of ``_as_coo``: zeros dropped, then sorted, the first repeat named."""
-    keep = vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    """The lexsort path of ``_as_coo``: sorted, the first repeat named (a zero
+    repeats a cell as any value does), then zeros dropped."""
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
     if dup.any():
         j = int(np.argmax(dup))
         raise ValueError(f"duplicate entry at ({rows[j]}, {cols[j]})")
-    return rows, cols, vals
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
 
 
 @settings(max_examples=200, deadline=None)

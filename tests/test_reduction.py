@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_reduce_nonnegative_matrix_has_empty_negative_rows():
     assert (dense[:3] == 0.125).all()
 
 
-def reference_reduce_matrix(V):
+def reference_reduced_arrays(V):
     """The split by boolean masks: one masked copy per part of each array."""
     R = V.row_bound
     pos = V.vals > 0
@@ -104,7 +105,11 @@ def reference_reduce_matrix(V):
     rows = np.concatenate([V.rows[pos], V.rows[neg] + V.n])
     cols = np.concatenate([V.cols[pos], V.cols[neg]])
     vals = np.concatenate([V.vals[pos] / R, -V.vals[neg] / R])
-    return ReducedInstance(2 * V.n, V.m, rows, cols, vals, beta=1.0 / R, delta=V.col_bound / R)
+    return 2 * V.n, V.m, rows, cols, vals, 1.0 / R, V.col_bound / R
+
+
+def reference_reduce_matrix(V):
+    return ReducedInstance(*reference_reduced_arrays(V))
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,6 +126,50 @@ def test_reduce_matrix_matches_the_boolean_mask_split(entries, signs, R):
     assert (A.n, A.m, A.beta, A.delta) == (B.n, B.m, B.beta, B.delta)
     for name in ("rows", "cols", "vals"):
         assert getattr(A, name).tobytes() == getattr(B, name).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.dictionaries(
+           st.tuples(st.integers(0, 5), st.integers(0, 7)),
+           st.one_of(st.floats(-1.0, 1.0),
+                     st.sampled_from([5e-324, -5e-324, 1e-323, -2e-323, 1.5e308, -1.5e308])),
+           max_size=30),
+       negative_rows=st.sets(st.integers(0, 5)),
+       R=st.sampled_from([4.0, 7.0, 2.0**60, 0.5, 1e-300]))
+@example(entries={(0, 0): 5e-324, (3, 5): -5e-324, (5, 7): 1e-323}, negative_rows=set(),
+         R=4.0)  # every entry vanishes in |v| / R
+@example(entries={(k, k): -0.5 for k in range(6)}, negative_rows=set(), R=4.0)
+@example(entries={(1, 2): 1.5e308}, negative_rows=set(), R=0.5)  # overflows
+def test_reduce_matrix_builds_what_the_constructor_builds_of_the_same_arrays(
+        entries, negative_rows, R):
+    """Bytes, dtypes, read-only flags and bounds, or the same error."""
+    V = InputMatrix.from_entries(6, 8, [(i, j, -abs(v) if i in negative_rows else v)
+                                        for (i, j), v in entries.items()], R, 4.0)
+    given = []  # copies of the arrays reduce_matrix hands to the internal constructor
+    build = ReducedInstance._from_arrays
+
+    def keep_copies(*args):
+        given.append([a.copy() if isinstance(a, np.ndarray) else a for a in args])
+        return build(*args)
+
+    # at R < 1, |v| / R may overflow, with numpy's warning, into the error both raise
+    with mock.patch.object(ReducedInstance, "_from_arrays", keep_copies), \
+            np.errstate(over="ignore"):
+        try:
+            A = reduce_matrix(V)
+        except ValueError as exc:  # an overflow is raised before the instance is built
+            A = exc
+        arrays = given[0] if given else reference_reduced_arrays(V)
+    try:
+        B = ReducedInstance(*arrays)
+    except ValueError as exc:
+        assert isinstance(A, ValueError) and str(A) == str(exc)
+        return
+    assert (A.n, A.m, A.beta, A.delta) == (B.n, B.m, B.beta, B.delta)
+    for name in ("rows", "cols", "vals"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(4))
