@@ -28,7 +28,7 @@ print(f"  tail per edge p = {check.tail:.3e}, dependency degree d = {check.depen
 bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
 print(f"guarantees: direct {bounds['direct']:.2f}, via reduction {bounds['reduced']:.2f}")
 
-out = solve_hypergraph(H, mode="auto", seed=11)
+out = solve_hypergraph(H, seed=11)
 y = np.asarray(out.result.y)
 imbalances = np.array([abs(int(y[list(e)].sum())) for e in H.edges])
 print(f"\nsolved via mode={out.mode}: certified={out.result.certified}, "

@@ -15,18 +15,15 @@ from .model import HypothesisViolation, InputMatrix, InternalInconsistency
 from .bench import BenchConfig, format_bench_report, run_benchmark
 from .formats import format_certificate, parse_instance, write_instance
 from .generate import random_hypergraph, random_matrix
-from .pipeline import (certify_reduced, hypergraph_route, reduced_incidence, solve_hypergraph,
-                       solve_matrix)
+from .pipeline import certify_reduced, reduced_incidence, solve_hypergraph, solve_matrix
 from .reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix, validate_matrix
-from .solver import DEFAULT_MAX_ROUNDS, brute_force_optimum
+from .solver import DEFAULT_MAX_ROUNDS, _direct_check, brute_force_optimum
 
 __all__ = ["main", "run"]
 
 
 _FLAGS = {
     "--seed": dict(type=int, default=0, help="base seed for all randomness"),
-    "--format": dict(choices=("auto", "matrix", "hypergraph"), default="auto",
-                     help="input file format (default: sniff)"),
     "--max-rounds": dict(type=int, default=DEFAULT_MAX_ROUNDS, help="resampling round cap"),
     "--output": dict(default=None, help="write the report/instance here"),
 }
@@ -46,15 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="solve an instance file and report the discrepancy")
     p.add_argument("input")
-    p.add_argument("--mode", choices=("auto", "direct", "reduce"), default="auto",
+    p.add_argument("--mode", choices=("direct", "reduce"), default="direct",
                    help="hypergraph route (matrices always reduce)")
-    _common(p, "--seed", "--format", "--max-rounds", "--output")
+    _common(p, "--seed", "--max-rounds", "--output")
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("certify", help="verify the local-lemma condition for an instance")
     p.add_argument("input")
-    p.add_argument("--mode", choices=("auto", "direct", "reduce"), default="auto")
-    _common(p, "--format", "--output")
+    p.add_argument("--mode", choices=("direct", "reduce"), default="direct")
+    _common(p, "--output")
     p.set_defaults(func=cmd_certify)
 
     p = subs.add_parser("gen", help="generate a random instance file")
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("oracle", help="exhaustive optimum of a small instance")
     p.add_argument("input")
-    _common(p, "--format", "--output")
+    _common(p, "--output")
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -101,13 +98,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args):
-    fmt = None if args.format == "auto" else args.format
-    return parse_instance(args.input, fmt)
-
-
 def cmd_solve(args) -> int:
-    inst = _load(args)
+    inst = parse_instance(args.input)
     lines = []
     if isinstance(inst, InputMatrix):
         out = solve_matrix(inst, seed=args.seed, max_rounds=args.max_rounds)
@@ -130,7 +122,6 @@ def cmd_solve(args) -> int:
             f"instance = hypergraph vertices={inst.n_vertices} edges={inst.n_edges} "
             f"R={inst.max_edge_size} Delta={inst.max_degree}",
             f"mode = {out.mode}",
-            f"route_reason = {out.route_reason}",
             f"direct_bound = {out.direct_bound!r}",
             f"reduced_bound = {out.reduced_bound!r}",
             f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.rounds}",
@@ -141,28 +132,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    inst = _load(args)
-    route_line = ""
+    inst = parse_instance(args.input)
     if isinstance(inst, HypergraphInstance):
-        route, check, reason = hypergraph_route(inst, args.mode)  # raises if no route is open
-        route_line = f"route_reason = {reason}\n"
-        if route == "direct":
-            text = (
-                "kind = symmetric-lll-check\n"
-                "passed = true\n"
-                f"imbalance_bound = {check.imbalance_bound!r}\n"
-                f"tail = {check.tail!r}\n"
-                f"dependency_degree = {check.dependency_degree}\n"
-                f"product = {check.product!r}\n"
-            )
-            _emit(text + route_line, args.output)
+        if args.mode == "direct":
+            check = _direct_check(inst)  # raises where no route is open
+            _emit("kind = symmetric-lll-check\n"
+                  "passed = true\n"
+                  f"imbalance_bound = {check.imbalance_bound!r}\n"
+                  f"tail = {check.tail!r}\n"
+                  f"dependency_degree = {check.dependency_degree}\n"
+                  f"product = {check.product!r}\n", args.output)
             return 0
         inst = reduced_incidence(inst)
     else:
         validate_matrix(inst)
     A = reduce_matrix(inst)
     params, _, report = certify_reduced(A)
-    _emit(format_certificate(report, params) + route_line, args.output)
+    _emit(format_certificate(report, params), args.output)
     return 0 if report.passed else 1
 
 
@@ -193,7 +179,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _load(args)
+    inst = parse_instance(args.input)
     matrix = inst if isinstance(inst, InputMatrix) else hypergraph_incidence(inst)
     y, opt = brute_force_optimum(matrix)
     text = (f"optimum = {opt!r}\n"
@@ -216,7 +202,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         sys.stderr.write(f"internal inconsistency (bug): {exc}\n")
         return 1
-    except (FileNotFoundError, ValueError) as exc:  # ParseError is a ValueError too
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError too
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

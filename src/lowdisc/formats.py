@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import REL_TOL, InputMatrix, coo_sorted
+from .model import REL_TOL, InputMatrix
 from .reduction import HypergraphInstance
 
 __all__ = [
@@ -122,11 +122,10 @@ def _read_header(lines: list):
     raise ParseError(f"line {len(lines)}: missing size line")
 
 
-def _matrix(n, m, rows, cols, vals, declared) -> InputMatrix:
-    """The instance of checked 1-based entries, once its L1 norms fit the declared budgets."""
-    V = InputMatrix(n, m, rows - 1, cols - 1, vals, *declared)
-    for what, l1, name, bound in (("row", V.row_l1(), "R", declared[0]),
-                                  ("column", V.col_l1(), "Delta", declared[1])):
+def _check_norms(V: InputMatrix) -> InputMatrix:
+    """``V``, once its L1 norms fit the declared budgets."""
+    for what, l1, name, bound in (("row", V.row_l1(), "R", V.row_bound),
+                                  ("column", V.col_l1(), "Delta", V.col_bound)):
         bad = np.flatnonzero(l1 > bound * (1.0 + REL_TOL))
         if bad.size:
             i = int(bad[0])
@@ -142,8 +141,9 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
     to numpy: on those characters every token it accepts without a warning
     reads as ``int()`` or ``float()`` would.  A ``\r\n`` line break is read
     as ``\n``.  Anything else (``%`` lines, other line breaks, a lone
-    ``\r``, ``nan``), a numpy error or warning, or an entry that fails a
-    check returns None, and the caller reads the text line by line.
+    ``\r``, ``nan``), a numpy error or warning, an entry of magnitude
+    above 1, or one that :class:`InputMatrix` rejects (out of range, a
+    repeated cell) returns None, and the caller reads the text line by line.
     The header and the L1 norms are checked by the code that reading uses,
     so their errors are raised here as they are.
     """
@@ -172,17 +172,13 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
             return None
     if caught or entries.size != expected:
         return None
-    rows, cols, vals = entries["row"], entries["col"], entries["val"]
-    if not ((np.abs(vals) <= 1.0).all()  # false for nan too
-            and rows.min(initial=1) >= 1 and rows.max(initial=n) <= n
-            and cols.min(initial=1) >= 1 and cols.max(initial=m) <= m):
+    if not (np.abs(entries["val"]) <= 1.0).all():  # false for nan too
         return None
-    if not coo_sorted(rows, cols):
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if not coo_sorted(rows, cols):  # a repeated cell
-            return None
-    return _matrix(n, m, rows, cols, vals, declared)
+    try:
+        V = InputMatrix(n, m, entries["row"] - 1, entries["col"] - 1, entries["val"], *declared)
+    except ValueError:
+        return None
+    return _check_norms(V)
 
 
 def _parse_lines(text: str) -> InputMatrix:
@@ -228,7 +224,8 @@ def _parse_lines(text: str) -> InputMatrix:
     if repeat.any():
         k = int(order[1:][repeat].min())
         raise ParseError(f"line {where[k]}: duplicate entry ({rows[k]}, {cols[k]})")
-    return _matrix(n, m, rows, cols, np.array(vals, dtype=np.float64), declared)
+    return _check_norms(InputMatrix(n, m, rows - 1, cols - 1,
+                                    np.array(vals, dtype=np.float64), *declared))
 
 
 def parse_matrix_text(text: str) -> InputMatrix:
@@ -318,19 +315,16 @@ def _sniff(text: str) -> str:
             return "matrix"
         if not line or line[0] in "#%":
             continue
-        return "hypergraph" if line.split()[0] == "e" else "matrix"
+        return "hypergraph" if line.startswith("e") else "matrix"
     raise ParseError("line 1: empty input")
 
 
-def parse_instance(path, fmt: str | None = None):
-    """Read an instance file; ``fmt`` is 'matrix', 'hypergraph' or None to sniff."""
+def parse_instance(path):
+    """Read an instance file, a matrix or an edge list as :func:`_sniff` tells them apart."""
     text = Path(path).read_text()
-    kind = fmt or _sniff(text)
-    if kind == "matrix":
+    if _sniff(text) == "matrix":
         return parse_matrix_text(text)
-    if kind == "hypergraph":
-        return parse_hypergraph_text(text)
-    raise ParseError(f"unknown format {kind!r} (expected 'matrix' or 'hypergraph')")
+    return parse_hypergraph_text(text)
 
 
 def write_instance(instance, path) -> None:

@@ -12,8 +12,7 @@ from .model import (
     compute_parameters,
     stratify,
 )
-from .certify import (CertificateReport, EventGraph, SymmetricLLLCheck, build_event_graph,
-                      verify_lll_condition)
+from .certify import CertificateReport, EventGraph, build_event_graph, verify_lll_condition
 from .reduction import (
     HypergraphInstance,
     LiftedReport,
@@ -23,8 +22,7 @@ from .reduction import (
     reduce_matrix,
     validate_matrix,
 )
-from .solver import (DEFAULT_MAX_ROUNDS, SolveResult, _direct_check, moser_tardos,
-                     solve_hypergraph_direct)
+from .solver import DEFAULT_MAX_ROUNDS, SolveResult, moser_tardos, solve_hypergraph_direct
 
 __all__ = [
     "ReducedSolveOutcome",
@@ -33,7 +31,6 @@ __all__ = [
     "certify_reduced",
     "solve_reduced",
     "solve_matrix",
-    "hypergraph_route",
     "solve_hypergraph",
 ]
 
@@ -67,15 +64,12 @@ class HypergraphSolveOutcome:
     """Result of coloring a hypergraph, with both guarantees labeled.
 
     ``mode`` records the route taken: 'direct' (one event per edge, bound
-    ``direct_bound``; taken by both 'auto' and 'direct') or 'reduce' (through
-    the incidence matrix, bound ``reduced_bound``; taken only when asked
-    for), and ``route_reason`` why, as :func:`hypergraph_route` gives it.
-    ``matrix_outcome`` is filled on the reduce route.
+    ``direct_bound``) or 'reduce' (through the incidence matrix, bound
+    ``reduced_bound``).  ``matrix_outcome`` is filled on the reduce route.
     """
 
     hypergraph: HypergraphInstance
     mode: str
-    route_reason: str
     direct_bound: float
     reduced_bound: float
     result: SolveResult
@@ -109,21 +103,6 @@ def solve_matrix(V: InputMatrix, seed: int = 0,
     return MatrixSolveOutcome(matrix=V, reduced=reduced, lifted=lifted)
 
 
-def hypergraph_route(H: HypergraphInstance,
-                     mode: str = "auto") -> tuple[str, SymmetricLLLCheck | None, str]:
-    """The route, 'direct' or 'reduce', that ``mode`` takes on ``H``, the
-    passing symmetric check behind it (``None`` on the reduce route), and
-    the reason: 'auto' and 'direct' both take the direct route ("symmetric
-    check passed", "forced"), 'reduce' the reduce route ("forced").  Where
-    the check fails, no route is open, and :func:`~lowdisc.solver._direct_check`
-    raises the violation that says so."""
-    if mode not in ("auto", "direct", "reduce"):
-        raise ValueError(f"unknown mode {mode!r} (expected auto, direct or reduce)")
-    if mode == "reduce":
-        return "reduce", None, "forced"
-    return "direct", _direct_check(H), "forced" if mode == "direct" else "symmetric check passed"
-
-
 def reduced_incidence(H: HypergraphInstance) -> InputMatrix:
     """The incidence matrix of ``H``, validated for the reduce route.
 
@@ -134,27 +113,27 @@ def reduced_incidence(H: HypergraphInstance) -> InputMatrix:
         return validate_matrix(hypergraph_incidence(H))
     except HypothesisViolation as exc:
         raise HypothesisViolation(
-            ["reduce route (forced): the incidence matrix breaks the matrix hypotheses"]
+            ["reduce route: the incidence matrix breaks the matrix hypotheses"]
             + exc.violations) from exc
 
 
-def solve_hypergraph(H: HypergraphInstance, mode: str = "auto", seed: int = 0,
+def solve_hypergraph(H: HypergraphInstance, mode: str = "direct", seed: int = 0,
                      max_rounds: int = DEFAULT_MAX_ROUNDS) -> HypergraphSolveOutcome:
-    """Color a hypergraph by the route :func:`hypergraph_route` picks.
+    """Color a hypergraph by the route ``mode`` names.
 
     'direct' uses one event per edge, against the bound of the symmetric
-    check made there; 'reduce' goes through the incidence matrix.
+    check, which also raises the violation where no route is open; 'reduce'
+    goes through the incidence matrix.
     """
-    mode, check, reason = hypergraph_route(H, mode)
     if mode == "direct":
         matrix_outcome = None
-        result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds,
-                                         imbalance_bound=check.imbalance_bound)
-    else:
+        result = solve_hypergraph_direct(H, seed=seed, max_rounds=max_rounds)
+    elif mode == "reduce":
         matrix_outcome = solve_matrix(reduced_incidence(H), seed=seed, max_rounds=max_rounds)
         result = matrix_outcome.result
+    else:
+        raise ValueError(f"unknown mode {mode!r} (expected direct or reduce)")
     bounds = hypergraph_bounds(H.max_edge_size, H.max_degree)
-    return HypergraphSolveOutcome(hypergraph=H, mode=mode, route_reason=reason,
-                                  direct_bound=bounds["direct"],
+    return HypergraphSolveOutcome(hypergraph=H, mode=mode, direct_bound=bounds["direct"],
                                   reduced_bound=bounds["reduced"], result=result,
                                   matrix_outcome=matrix_outcome)

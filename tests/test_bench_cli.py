@@ -262,14 +262,32 @@ def test_cli_value_error_exits_2_with_one_line(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "{tmp}"],
+    ["solve", "{tmp}/h.txt", "--output", "{tmp}"],
+    ["certify", "{tmp}/h.txt", "--output", "{tmp}"],
+    ["gen", "--family", "matrix", "--output", "{tmp}"],
+], ids=["solve-input", "solve-output", "certify-output", "gen-output"])
+def test_cli_a_directory_for_a_file_exits_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "h.txt").write_text(format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["h.txt"]
+
+
+@pytest.mark.parametrize("argv", [
     ["certify", "in.mtx", "--seed", "1"],
     ["certify", "in.mtx", "--max-rounds", "5"],
+    ["solve", "in.mtx", "--format", "matrix"],
+    ["certify", "in.mtx", "--mode", "auto"],
     ["gen", "--family", "matrix", "--output", "x.mtx", "--format", "matrix"],
     ["gen", "--family", "matrix", "--output", "x.mtx", "--max-rounds", "5"],
     ["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--seed", "1"],
     ["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--format", "matrix"],
     ["oracle", "in.mtx", "--seed", "1"],
     ["oracle", "in.mtx", "--max-rounds", "5"],
+    ["oracle", "in.mtx", "--format", "matrix"],
     ["gen", "--family", "matrix"],
 ])
 def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path, monkeypatch, capsys):
@@ -280,10 +298,10 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(argv, tmp_path, monkeypatc
 
 
 
-@pytest.mark.parametrize("mode", ["auto", "direct", "reduce"])
+@pytest.mark.parametrize("mode", ["direct", "reduce"])
 def test_cli_certify_and_solve_take_one_route(tmp_path, capsys, mode):
     # R = 1 leaves the symmetric check undefined, which closes the direct
-    # route (auto and direct), and the incidence matrix fails the matrix
+    # route, and the incidence matrix fails the matrix
     # hypotheses (reduce): both subcommands stop at the same violation
     hg = tmp_path / "h.txt"
     hg.write_text("e 1\ne 2\n")
@@ -332,28 +350,13 @@ def test_cli_certify_and_solve_take_the_direct_route_together(tmp_path, capsys):
     assert "mode = direct" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv,reason", [
-    ([], "symmetric check passed"),
-    (["--mode", "direct"], "forced"),
-    (["--mode", "reduce"], "forced"),
-])
-def test_cli_hypergraph_output_names_the_route_reason(tmp_path, capsys, argv, reason):
-    hg = tmp_path / "h.txt"
-    hg.write_text(format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
-    for command in ("certify", "solve"):
-        assert main([command, str(hg)] + argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if line.startswith("route_reason")] == [
-            f"route_reason = {reason}"]
-
-
 def test_cli_names_the_route_the_matrix_path_refuses(tmp_path, capsys):
     hg = tmp_path / "h.txt"
     hg.write_text(format_hypergraph(HypergraphInstance(4, ((0, 1), (2, 3)), 2, 1)))
     for command in ("certify", "solve"):
         assert main([command, str(hg), "--mode", "reduce"]) == 1  # a hypothesis violation
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("hypothesis violation: reduce route (forced): ")
+        assert err[0].startswith("hypothesis violation: reduce route: ")
         assert err[0].endswith("; row bound R = 2.0 < 4; column bound Delta = 1.0 < 2")
 
 

@@ -220,11 +220,16 @@ def test_parse_instance_sniffs_format(tmp_path):
     assert isinstance(parse_instance(mp), InputMatrix)
     hp = tmp_path / "inst.hg"
     hp.write_text("e 1 2\n")
-    H = parse_instance(hp)
-    assert H.edges == ((0, 1),)
-    assert isinstance(parse_instance(hp, "hypergraph"), type(H))
-    with pytest.raises(ParseError):
-        parse_instance(mp, "nonsense")
+    assert parse_instance(hp).edges == ((0, 1),)
+
+
+@pytest.mark.parametrize("text,line", [("e1 2\n", 1), ("# c\n\neach 1 2\n", 3)])
+def test_a_first_data_line_opening_with_e_is_read_as_an_edge_list(tmp_path, text, line):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        parse_instance(path)
+    assert str(err.value) == f"line {line}: expected an 'e v1 v2 ...' edge line"
 
 
 def test_write_instance_roundtrip(tmp_path):

@@ -26,7 +26,7 @@ from lowdisc.certify import (
     verify_symmetric_lll,
 )
 from lowdisc.generate import random_hypergraph, random_reduced
-from lowdisc.pipeline import hypergraph_route, solve_hypergraph, solve_reduced
+from lowdisc.pipeline import solve_hypergraph, solve_reduced
 from lowdisc.reduction import HypergraphInstance
 from lowdisc.solver import (
     brute_force_optimum,
@@ -193,22 +193,22 @@ def test_direct_solve_desk_scale():
         assert abs(int(y[list(edge)].sum())) <= lam
 
 
-def test_auto_mode_routes_on_the_symmetric_check_alone(monkeypatch):
+def test_direct_mode_routes_on_the_symmetric_check_alone(monkeypatch):
     H = random_hypergraph(64, 16, 4, seed=0)
     assert verify_symmetric_lll(H.max_edge_size, H.max_degree).passed
-    assert pipeline.solve_hypergraph(H, mode="auto", seed=1).mode == "direct"
+    assert pipeline.solve_hypergraph(H, seed=1).mode == "direct"
+    # the check fails (R = 2, Delta = 1): no route is open, and the direct solve says so
+    closed = HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1)
+    assert not verify_symmetric_lll(2, 1).passed
+    with pytest.raises(HypothesisViolation, match="the reduce route is closed too"):
+        pipeline.solve_hypergraph(closed, mode="direct", seed=1)
     # a checked instance whose direct solve fails must not fall back silently
     def broken(*args, **kwargs):
         raise HypothesisViolation(["unrelated failure"])
 
     monkeypatch.setattr(pipeline, "solve_hypergraph_direct", broken)
     with pytest.raises(HypothesisViolation, match="unrelated failure"):
-        pipeline.solve_hypergraph(H, mode="auto", seed=1)
-    # the check fails (R = 2, Delta = 1): no route is open, and no direct attempt is made
-    H = HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1)
-    assert not verify_symmetric_lll(2, 1).passed
-    with pytest.raises(HypothesisViolation, match="the reduce route is closed too"):
-        pipeline.solve_hypergraph(H, mode="auto", seed=1)
+        pipeline.solve_hypergraph(H, mode="direct", seed=1)
 
 
 def test_direct_mode_unavailable_redirects():
@@ -470,23 +470,15 @@ def test_sign_pool_replays_generator_integers(words, seed, sizes):
 # --- hypergraph routes ---------------------------------------------------------------
 
 
-def test_route_reasons():
+@pytest.mark.parametrize("mode", ["auto", "Direct", ""])
+def test_a_hypergraph_solve_takes_only_direct_or_reduce(mode):
     H = random_hypergraph(64, 16, 4, seed=0)
-    assert hypergraph_route(H)[::2] == ("direct", "symmetric check passed")
-    assert solve_hypergraph(H, seed=1).route_reason == "symmetric check passed"
-    for mode in ("direct", "reduce"):
-        assert hypergraph_route(H, mode)[::2] == (mode, "forced")
-        assert solve_hypergraph(H, mode=mode, seed=1).route_reason == "forced"
-    # auto takes the direct route too, so a failed check closes both, whatever the mode
-    H = HypergraphInstance(8, ((0, 1), (2, 3)), 2, 1)
-    for mode in ("auto", "direct"):
-        with pytest.raises(HypothesisViolation, match="the reduce route is closed too"):
-            hypergraph_route(H, mode)
-    assert hypergraph_route(H, "reduce") == ("reduce", None, "forced")
+    with pytest.raises(ValueError, match="expected direct or reduce"):
+        solve_hypergraph(H, mode=mode)
 
 
 def test_the_symmetric_check_fails_only_at_edge_size_two():
-    # the fact that leaves 'auto' no fallback: every failure has R < 4, which
+    # the fact that leaves no hypergraph route open: every failure has R < 4, which
     # the matrix hypotheses reject, and R < 2 leaves the check undefined
     failed = {(R, D) for R in range(2, 65) for D in range(1, 65)
               if not verify_symmetric_lll(R, D).passed}
@@ -495,7 +487,7 @@ def test_the_symmetric_check_fails_only_at_edge_size_two():
         verify_symmetric_lll(1, 1)
 
 
-@pytest.mark.parametrize("mode", ["auto", "direct", "reduce"])
+@pytest.mark.parametrize("mode", ["direct", "reduce"])
 def test_a_hypergraph_solve_makes_the_symmetric_check_at_most_once(monkeypatch, mode):
     calls = []
 
@@ -518,13 +510,12 @@ def test_a_hypergraph_solve_makes_the_symmetric_check_at_most_once(monkeypatch, 
      ["row bound R = 2.0 < 4", "column bound Delta = 1.0 < 2"]),
     (HypergraphInstance(2, ((0,), (1,)), 1, 1),
      ["row bound R = 1.0 < 4", "column bound Delta = 1.0 < 2"]),
-], ids=["forced", "forced-R-below-two"])
+], ids=["R2-D1", "R1-D1"])
 def test_a_reduce_route_the_matrix_path_refuses_names_its_reason(H, limits):
-    assert hypergraph_route(H, "reduce")[2] == "forced"
     with pytest.raises(HypothesisViolation) as err:
         solve_hypergraph(H, mode="reduce")
     assert err.value.violations == [
-        "reduce route (forced): the incidence matrix breaks the matrix hypotheses"] + limits
+        "reduce route: the incidence matrix breaks the matrix hypotheses"] + limits
 
 
 # --- baseline ----------------------------------------------------------------------
