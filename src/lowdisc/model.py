@@ -65,9 +65,24 @@ def floor_neg_log2(x: float) -> int:
 
 
 def floor_neg_log2_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`floor_neg_log2` for arrays of positive floats."""
-    mant, exp = np.frexp(x)
-    return np.where(mant == 0.5, 1 - exp, -exp).astype(np.int64)
+    """Vectorized :func:`floor_neg_log2` for arrays of positive finite floats.
+
+    A normal float with bits ``b`` (exponent field ``b >> 52``) has level
+    ``1022 - ((b - 1) >> 52)``: a power of two borrows from its exponent
+    field, so it lands one level lower than the other floats of its
+    binade.  That is one int64 temporary.  Subnormals (``b < 2**52``) keep
+    the ``frexp`` rule.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    bits = x.view(np.int64)
+    levels = bits - 1
+    levels >>= 52
+    np.subtract(1022, levels, out=levels)
+    if bits.size and bits.min() < 2**52:
+        tiny = bits < 2**52
+        mant, exp = np.frexp(x[tiny])
+        levels[tiny] = np.where(mant == 0.5, 1 - exp, -exp)
+    return levels
 
 
 def coo_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:

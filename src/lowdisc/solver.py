@@ -10,11 +10,13 @@ O(nnz) pass: a certified instance almost never fires, so the rounds it
 does run are few.  The direct hypergraph loop is incremental: every
 coefficient is 1, so each edge sum is a small integer and a running sum is
 exact.  A flipped vertex adds +-2 to each edge in its row of the
-hypergraph's vertex-to-edge table (built at the first redraw), and the
-first violated edge and the largest |edge sum| are kept by a heap and a
-histogram of Python ints; the trajectory is the one a full recompute per
-round would give, bit for bit.  The redrawn signs of both loops come from
-a pool that holds the very stream ``Generator.integers`` would give.
+hypergraph's vertex-to-edge table (built at the first redraw).  A heap
+keeps the first violated edge, and a histogram of the |edge sums| over
+the bound keeps the largest one while any edge is violated; a certified
+exit finds the largest |edge sum| in one pass.  The trajectory is the one
+a full recompute per round would give, bit for bit.  The redrawn signs of
+both loops come from one pool of bytes that holds the very stream
+``Generator.integers`` would give.
 """
 
 from __future__ import annotations
@@ -91,20 +93,21 @@ class _Signs:
     each 64-bit output.  So successive calls read windows, each starting
     on a 4-byte boundary, of the little-endian bytes of ``random_raw``.
     The pool holds those bytes as signs, ``_SIGN_WORDS`` outputs at a time,
-    and a draw is one slice instead of one ``integers`` call, which costs
-    more than the rest of a resample round.
+    in a ``bytes`` object of 1 and 255 (the bytes of int8 +1 and -1).  A
+    draw is one slice of it: the direct loop reads it as Python ints with
+    no numpy call, and the numpy callers view it with ``np.frombuffer``.
     """
 
     def __init__(self, seed: int):
         self._bits = np.random.PCG64(seed)
-        self._pool = np.zeros(0, dtype=np.int8)
+        self._pool = b""
         self._at = 0
 
-    def take(self, k: int) -> np.ndarray:
-        if self._at + k > self._pool.size:
+    def take(self, k: int) -> bytes:
+        if self._at + k > len(self._pool):
             raw = self._bits.random_raw(max(_SIGN_WORDS, -(-k // 8)))
             fresh = ((raw.astype("<u8", copy=False).view(np.uint8) >> 7).view(np.int8) << 1) - 1
-            self._pool = np.concatenate((self._pool[self._at:], fresh))
+            self._pool = self._pool[self._at:] + fresh.tobytes()
             self._at = 0
         out = self._pool[self._at:self._at + k]
         self._at += (k + 3) & -4
@@ -131,7 +134,7 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
     signs = _Signs(seed)
-    y = signs.take(A.m).copy()
+    y = np.frombuffer(signs.take(A.m), dtype=np.int8).copy()
     counts = np.zeros(len(thresholds), dtype=np.int64)
     rounds = 0
     best_y, best_val = y, math.inf
@@ -146,7 +149,7 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
         if not violated[e] or rounds >= max_rounds:
             break
         support = cols[ptr[e]:ptr[e + 1]]
-        y[support] = signs.take(support.size)
+        y[support] = np.frombuffer(signs.take(support.size), dtype=np.int8)
         counts[e] += 1
         rounds += 1
     certified = not violated[e]
@@ -155,6 +158,12 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
     counts.setflags(write=False)
     return SolveResult(y=SignVector(y), certified=certified, achieved=current,
                        bound=bound, rounds=rounds, resample_counts=counts, seed=seed)
+
+
+def _edge_sums(H: HypergraphInstance, y: bytearray) -> np.ndarray:
+    """Every edge sum of the signs ``y`` (bytes of int8 +-1), exact in int64."""
+    return np.add.reduceat(np.frombuffer(y, dtype=np.int8)[H.verts], H.ptr[:-1],
+                           dtype=np.int64)
 
 
 def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
@@ -166,30 +175,35 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
     edge size, and a running sum is exact: the trajectory is the one a
     full recompute of every edge sum per round would give, bit for bit.
     The signs are a ``bytearray`` of 1 and 255 (the bytes of int8 +1 and
-    -1), so a draw is copied in and the result out in one memcpy; the edge
-    sums are a list of Python ints.  A redraw compares each new sign with
-    the old one, and each flipped vertex adds +-2 to every edge in its row
-    of ``H._vertex_edges``.  That table is built at the first redraw, so a
-    run that never resamples costs one full pass.  The first violated edge
-    is the least live entry of a heap of edge ids with lazy deletion: an
-    edge is pushed when it crosses the bound and popped once it is found
-    back within it.  The largest |edge sum| is kept exactly by a histogram
-    of the |edge sums|.
+    -1), and each draw is a ``bytes`` slice of the sign pool, so a round
+    makes no numpy call; the edge sums are a list of Python ints.  A
+    redraw compares each new sign with the old one, and each flipped
+    vertex adds +-2 to every edge in its row of ``H._vertex_edges``.  That
+    table is built at the first redraw, so a run that never resamples
+    costs one full pass.  The first violated edge is the least live entry
+    of a heap of edge ids with lazy deletion: an edge is pushed when it
+    crosses the bound and popped once it is found back within it.  A
+    histogram counts only the |edge sums| over the bound, plus one count
+    at the bound as a floor, so the kept maximum ``top`` is exact whenever
+    some edge is over the bound: at every best-seen update and at an
+    uncertified exit.  A certified exit finds ``achieved`` in one pass
+    over the final signs.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
     signs = _Signs(seed)
     y = bytearray(signs.take(H.n_vertices))
-    sums = np.add.reduceat(np.frombuffer(y, dtype=np.int8).astype(np.int64)[H.verts],
-                           H.ptr[:-1])
+    sums = _edge_sums(H, y)
     imbalance = np.abs(sums)
     largest = int(np.diff(H.ptr).max())  # no |edge sum| exceeds the largest edge size
     limit = int(min(bound, largest))  # an integer exceeds bound iff it exceeds limit
+    low = -limit
     over = imbalance > limit
     heap = np.flatnonzero(over).tolist()  # ascending, so already a heap
     queued = bytearray(over)  # 1 for every edge id in the heap
-    hist = np.bincount(imbalance, minlength=largest + 1).tolist()
-    top = int(imbalance.max())
+    hist = np.bincount(imbalance[over], minlength=largest + 1).tolist()
+    hist[limit] = 1  # the floor of top, never decremented
+    top = max(int(imbalance.max()), limit)
     sums = sums.tolist()
     counts = np.zeros(H.n_edges, dtype=np.int64)
     tally, ptr, verts = memoryview(counts), memoryview(H.ptr), memoryview(H.verts)
@@ -199,11 +213,11 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
     while True:
         while heap and abs(sums[heap[0]]) <= limit:
             queued[heappop(heap)] = 0
+        if not heap or rounds >= max_rounds:
+            break
         if top < best_val:
             best_val = top
             best_y = bytes(y)
-        if not heap or rounds >= max_rounds:
-            break
         e = heap[0]
         if table is None:
             width = H._vertex_edges.shape[1]
@@ -211,7 +225,7 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
         a, b = ptr[e], ptr[e + 1]
         tally[e] += 1
         rounds += 1
-        for v, s in zip(verts[a:b], signs.take(b - a).tobytes()):
+        for v, s in zip(verts[a:b], signs.take(b - a)):
             if y[v] == s:
                 continue
             y[v] = s
@@ -220,19 +234,23 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
                 if f < 0:
                     break
                 old = sums[f]
-                sums[f] = old + step
-                hist[abs(old)] -= 1
-                new = abs(old + step)
-                hist[new] += 1
-                if new > top:
-                    top = new
-                if new > limit and not queued[f]:
-                    heappush(heap, f)
-                    queued[f] = 1
+                sums[f] = new = old + step
+                if not low <= old <= limit:
+                    hist[abs(old)] -= 1
+                if not low <= new <= limit:
+                    new = abs(new)
+                    hist[new] += 1
+                    if new > top:
+                        top = new
+                    if not queued[f]:
+                        heappush(heap, f)
+                        queued[f] = 1
         while not hist[top]:
             top -= 1
     certified = not heap
-    if not certified:
+    if certified:
+        top = int(np.abs(_edge_sums(H, y)).max())
+    elif top >= best_val:  # the last assignment is no better than the best seen
         y, top = best_y, best_val
     counts.setflags(write=False)
     return SolveResult(y=SignVector(np.frombuffer(y, dtype=np.int8)), certified=certified,
@@ -339,4 +357,4 @@ def random_coloring(m: int, seed: int) -> SignVector:
     """Uniform i.i.d. signs, reproducible per seed."""
     if m < 1:
         raise ValueError(f"need at least one column, got {m}")
-    return SignVector(_Signs(seed).take(m))
+    return SignVector(np.frombuffer(_Signs(seed).take(m), dtype=np.int8))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lowdisc.certify import build_event_graph
 from lowdisc.model import (
@@ -112,9 +112,18 @@ def test_floor_neg_log2_rejects():
             floor_neg_log2(bad)
 
 
-def test_floor_neg_log2_array_matches_scalar():
-    xs = np.array([0.25, 0.2, 1.0, 0.5, 3.0, 2.0**-40, 0.7])
-    assert list(floor_neg_log2_array(xs)) == [floor_neg_log2(x) for x in xs]
+_POWERS_OF_TWO = [2.0**-k for k in range(1075)]  # 1 down to the least subnormal
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(min_value=5e-324, allow_infinity=False), max_size=40))
+@example(xs=[0.25, 0.2, 1.0, 0.5, 3.0, 2.0, 2.0**-40, 0.7, 5e-324, 3 * 5e-324, 2.0**-1022,
+             np.nextafter(2.0**-1022, 0.0), np.nextafter(2.0**-1022, 1.0), 1.7976931348623157e308])
+@example(xs=_POWERS_OF_TWO)
+def test_floor_neg_log2_array_matches_scalar(xs):
+    levels = floor_neg_log2_array(np.array(xs, dtype=np.float64))
+    assert levels.dtype == np.int64
+    assert levels.tolist() == [floor_neg_log2(x) for x in xs]
 
 
 # --- stratification -------------------------------------------------------

@@ -419,7 +419,7 @@ def test_vertex_edge_table_lists_each_vertex_edges_padded_with_minus_one(H):
 def test_edge_sums_beyond_the_int8_range_are_exact(monkeypatch):
     class Red(solver._Signs):
         def take(self, k):
-            return np.ones(k, dtype=np.int8)
+            return b"\x01" * k
 
     monkeypatch.setattr(solver, "_Signs", Red)
     H = HypergraphInstance(300, [range(200), range(100, 300)], 200, 2)
@@ -464,7 +464,7 @@ def test_sign_pool_replays_generator_integers(words, seed, sizes):
         signs = solver._Signs(seed)
         for k in sizes:
             expect = rng.integers(0, 2, size=k, dtype=np.int8) * 2 - 1
-            np.testing.assert_array_equal(signs.take(k), expect)
+            np.testing.assert_array_equal(np.frombuffer(signs.take(k), dtype=np.int8), expect)
 
 
 # --- hypergraph routes ---------------------------------------------------------------

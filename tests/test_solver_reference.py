@@ -12,7 +12,7 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lowdisc.certify import build_event_graph, verify_lll_condition, verify_symmetric_lll
 from lowdisc.generate import random_hypergraph, random_reduced
@@ -114,6 +114,9 @@ def test_resampling_touches_only_the_chosen_support():
        seed=st.integers(0, 2**32 - 1),
        bound=st.sampled_from([None, 0.0, 2.0, 2.5, 4.0, 7.5, 12.0, 24.5]),
        max_rounds=st.integers(0, 60))
+# the cutoff falls on the round that lowers the maximum from 4 to 3, so the
+# last assignment, still violated, is the best one seen
+@example(size=4, extra=20, degree=4, inst_seed=0, seed=2, bound=2.5, max_rounds=7)
 def test_direct_solve_matches_the_reference_loop(size, extra, degree, inst_seed, seed, bound,
                                                  max_rounds):
     # edges above 127 vertices overflow an int8 sum; fractional bounds and
