@@ -13,9 +13,9 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
-from .model import HypothesisViolation, discrepancy
+from .model import discrepancy
+from .formats import _format_record, _format_value
 from .generate import random_hypergraph, random_matrix
 from .pipeline import solve_hypergraph, solve_matrix
 from .reduction import hypergraph_incidence
@@ -35,7 +35,8 @@ class BenchConfig:
 
     Matrix sizes are (n, m, R, Delta) tuples, hypergraph sizes
     (vertices, R, Delta).  The exhaustive oracle mode is allowed only when
-    every instance has at most ``ORACLE_CAP`` sign variables.
+    every instance has at most ``ORACLE_CAP`` sign variables.  A configuration
+    that breaks any of these raises one ``ValueError`` naming every problem.
     """
 
     family: str
@@ -44,12 +45,10 @@ class BenchConfig:
     modes: tuple
     density: float = 0.2
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    output: str | None = None
-    csv_output: str | None = None
 
     def __post_init__(self):
         if self.family not in ("matrix", "hypergraph"):
-            raise HypothesisViolation([f"unknown family {self.family!r}"])
+            raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "sizes", tuple(tuple(int(x) for x in s) for s in self.sizes))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -80,7 +79,7 @@ class BenchConfig:
                         f"size {s!r} has {n_vars}"
                     )
         if problems:
-            raise HypothesisViolation(problems)
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -161,45 +160,25 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     if probe:
         # a measurement only: worst observed optimum / sqrt(R)
         agg["probe_max_optimum_over_sqrtR"] = max(probe)
-    report = BenchReport(config=config, rows=tuple(rows), aggregates=agg,
-                         wall=time.perf_counter() - t0)
-    if config.output:
-        Path(config.output).write_text(format_bench_report(report))
-    if config.csv_output:
-        Path(config.csv_output).write_text(_format_csv(report))
-    return report
-
-
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return BenchReport(config=config, rows=tuple(rows), aggregates=agg,
+                       wall=time.perf_counter() - t0)
 
 
 def format_bench_report(report: BenchReport) -> str:
     """Key/value header, one key=value row line per (size, seed, mode)."""
     cfg = report.config
-    lines = [
-        "kind = benchmark-report",
-        f"family = {cfg.family}",
-        f"sizes = {';'.join(_size_token(cfg.family, s) for s in cfg.sizes)}",
-        f"seeds = {','.join(str(s) for s in cfg.seeds)}",
-        f"modes = {','.join(cfg.modes)}",
-        f"density = {cfg.density!r}",
-        f"max_rounds = {cfg.max_rounds}",
-        f"wall = {report.wall!r}",
-    ]
-    for key in sorted(report.aggregates):
-        lines.append(f"{key} = {_render(report.aggregates[key])}")
-    lines.append("")
+    header = dict(kind="benchmark-report", family=cfg.family,
+                  sizes=";".join(_size_token(cfg.family, s) for s in cfg.sizes),
+                  seeds=",".join(map(str, cfg.seeds)), modes=",".join(cfg.modes),
+                  density=cfg.density, max_rounds=cfg.max_rounds, wall=report.wall)
+    header.update(sorted(report.aggregates.items()))
+    lines = []
     for row in report.rows:
-        parts = [f"{k}={_render(row[k])}" for k in ROW_FIELDS if k != "error"]
+        parts = [f"{k}={_format_value(row[k])}" for k in ROW_FIELDS if k != "error"]
         if row["error"] != "-":
             parts.append(f'error="{row["error"]}"')
-        lines.append("row " + " ".join(parts))
-    return "\n".join(lines) + "\n"
+        lines.append("row " + " ".join(parts) + "\n")
+    return _format_record(header) + "\n" + "".join(lines)
 
 
 def _format_csv(report: BenchReport) -> str:
@@ -207,5 +186,5 @@ def _format_csv(report: BenchReport) -> str:
     writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
     writer.writeheader()
     for row in report.rows:
-        writer.writerow({k: _render(row[k]) for k in ROW_FIELDS})
+        writer.writerow({k: _format_value(row[k]) for k in ROW_FIELDS})
     return buf.getvalue()

@@ -8,12 +8,13 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .model import HypothesisViolation, InputMatrix, InternalInconsistency
-from .bench import BenchConfig, format_bench_report, run_benchmark
-from .formats import format_certificate, parse_instance, write_instance
+from .bench import BenchConfig, _format_csv, format_bench_report, run_benchmark
+from .formats import _format_record, format_certificate, parse_instance, write_instance
 from .generate import random_hypergraph, random_matrix
 from .pipeline import certify_reduced, reduced_incidence, solve_hypergraph, solve_matrix
 from .reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix, validate_matrix
@@ -100,34 +101,31 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_solve(args) -> int:
     inst = parse_instance(args.input)
-    lines = []
     if isinstance(inst, InputMatrix):
         out = solve_matrix(inst, seed=args.seed, max_rounds=args.max_rounds)
         res = out.result
-        lines += [
-            f"instance = matrix {inst.n}x{inst.m} nnz={inst.nnz} R={inst.row_bound!r} Delta={inst.col_bound!r}",
-            f"certificate: events={out.certificate.n_events} min_margin={out.certificate.min_margin!r}",
-            f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.rounds}",
-            f"reduced_discrepancy = {res.achieved!r} (bound {res.bound!r})",
-            f"lifted_discrepancy = {out.lifted.max_disc!r}",
-            f"proven_bound = {out.lifted.proven_bound!r}",
-            f"apriori_bound = {out.lifted.apriori_bound!r}",
-            f"effective_bound = {out.lifted.effective_bound!r}",
-        ]
+        cert, lifted = out.certificate, out.lifted
+        record = dict(kind="matrix-solve", n=inst.n, m=inst.m, nnz=inst.nnz,
+                      R=inst.row_bound, Delta=inst.col_bound, events=cert.n_events,
+                      min_margin=cert.min_margin, eps=out.reduced.params.eps,
+                      resample_budget=cert.resample_budget, certified=res.certified,
+                      seed=res.seed, resamples=res.rounds, reduced_discrepancy=res.achieved,
+                      reduced_discrepancy_bound=res.bound, lifted_discrepancy=lifted.max_disc,
+                      proven_bound=lifted.proven_bound, apriori_bound=lifted.apriori_bound,
+                      effective_bound=lifted.effective_bound)
     else:
         out = solve_hypergraph(inst, mode=args.mode, seed=args.seed,
                                max_rounds=args.max_rounds)
         res = out.result
-        lines += [
-            f"instance = hypergraph vertices={inst.n_vertices} edges={inst.n_edges} "
-            f"R={inst.max_edge_size} Delta={inst.max_degree}",
-            f"mode = {out.mode}",
-            f"direct_bound = {out.direct_bound!r}",
-            f"reduced_bound = {out.reduced_bound!r}",
-            f"solve: certified={str(res.certified).lower()} seed={res.seed} resamples={res.rounds}",
-            f"max_edge_imbalance = {res.achieved!r} (bound {res.bound!r})",
-        ]
-    _emit("\n".join(lines) + "\n", args.output)
+        # on the reduce route, res belongs to the reduced instance: take the lifted run's numbers
+        lifted = out.matrix_outcome.lifted if out.matrix_outcome else None
+        record = dict(kind="hypergraph-solve", vertices=inst.n_vertices, edges=inst.n_edges,
+                      R=inst.max_edge_size, Delta=inst.max_degree, mode=out.mode,
+                      direct_bound=out.direct_bound, reduced_bound=out.reduced_bound,
+                      certified=res.certified, seed=res.seed, resamples=res.rounds,
+                      max_edge_imbalance=lifted.max_disc if lifted else res.achieved,
+                      imbalance_bound=lifted.proven_bound if lifted else res.bound)
+    _emit(_format_record(record), args.output)
     return 0 if res.certified else 1
 
 
@@ -136,12 +134,8 @@ def cmd_certify(args) -> int:
     if isinstance(inst, HypergraphInstance):
         if args.mode == "direct":
             check = _direct_check(inst)  # raises where no route is open
-            _emit("kind = symmetric-lll-check\n"
-                  "passed = true\n"
-                  f"imbalance_bound = {check.imbalance_bound!r}\n"
-                  f"tail = {check.tail!r}\n"
-                  f"dependency_degree = {check.dependency_degree}\n"
-                  f"product = {check.product!r}\n", args.output)
+            _emit(_format_record({"kind": "symmetric-lll-check", "passed": check.passed,
+                                  **dataclasses.asdict(check)}), args.output)
             return 0
         inst = reduced_incidence(inst)
     else:
@@ -169,11 +163,11 @@ def cmd_bench(args) -> int:
     seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     config = BenchConfig(family=args.family, sizes=sizes, seeds=seeds, modes=modes,
-                         density=args.density, max_rounds=args.max_rounds,
-                         output=args.output, csv_output=args.csv)
+                         density=args.density, max_rounds=args.max_rounds)
     report = run_benchmark(config)
-    if not args.output:
-        sys.stdout.write(format_bench_report(report))
+    if args.csv:
+        Path(args.csv).write_text(_format_csv(report))
+    _emit(format_bench_report(report), args.output)
     bad = report.aggregates["failed"] + report.aggregates["uncertified"]
     return 0 if bad == 0 else 1
 
@@ -182,9 +176,8 @@ def cmd_oracle(args) -> int:
     inst = parse_instance(args.input)
     matrix = inst if isinstance(inst, InputMatrix) else hypergraph_incidence(inst)
     y, opt = brute_force_optimum(matrix)
-    text = (f"optimum = {opt!r}\n"
-            f"signs = {' '.join(str(int(s)) for s in y.values)}\n")
-    _emit(text, args.output)
+    signs = " ".join(map(str, y.values.tolist()))
+    _emit(_format_record(dict(kind="oracle", optimum=opt, signs=signs)), args.output)
     return 0
 
 

@@ -336,26 +336,31 @@ def write_instance(instance, path) -> None:
         raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
+def _format_value(value) -> str:
+    """A bool as true/false, a float (numpy's too) as its repr, anything else by str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _format_record(record: dict) -> str:
+    """One ``key = value`` line per field of ``record``, in insertion order."""
+    return "".join(f"{key} = {_format_value(value)}\n" for key, value in record.items())
+
+
 def format_certificate(report, params) -> str:
     """Render a certificate report as machine-parseable key = value lines."""
-    max_col = float(report.column_weight_sums.max()) if report.column_weight_sums.size else 0.0
-    lines = [
-        "kind = lll-certificate",
-        f"passed = {str(report.passed).lower()}",
-        f"events = {report.n_events}",
-        f"min_margin = {report.min_margin!r}",
-        f"resample_budget = {report.resample_budget!r}",
-        f"column_weight_ok = {str(report.column_weight_ok).lower()}",
-        f"max_column_weight = {max_col!r}",
-        f"beta = {params.beta!r}",
-        f"delta = {params.delta!r}",
-        f"alpha = {params.alpha!r}",
-        f"eps = {params.eps!r}",
-        f"level_floor = {params.level_floor}",
-        f"bound = {params.bound!r}",
-    ]
+    sums = report.column_weight_sums
+    record = dict(kind="lll-certificate", passed=report.passed, events=report.n_events,
+                  min_margin=report.min_margin, resample_budget=report.resample_budget,
+                  column_weight_ok=report.column_weight_ok,
+                  max_column_weight=float(sums.max()) if sums.size else 0.0,
+                  beta=params.beta, delta=params.delta, alpha=params.alpha, eps=params.eps,
+                  level_floor=params.level_floor, bound=params.bound)
     for k in sorted(report.level_slacks):
-        lines.append(f"level_slack_{k} = {report.level_slacks[k]!r}")
+        record[f"level_slack_{k}"] = report.level_slacks[k]
     if report.failure:
-        lines.append(f"failure = {report.failure}")
-    return "\n".join(lines) + "\n"
+        record["failure"] = report.failure
+    return _format_record(record)

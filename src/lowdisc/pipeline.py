@@ -65,7 +65,11 @@ class HypergraphSolveOutcome:
 
     ``mode`` records the route taken: 'direct' (one event per edge, bound
     ``direct_bound``) or 'reduce' (through the incidence matrix, bound
-    ``reduced_bound``).  ``matrix_outcome`` is filled on the reduce route.
+    ``reduced_bound``).  ``matrix_outcome`` is filled on the reduce route,
+    and there ``result`` belongs to the reduced instance: its ``achieved``
+    and ``bound`` are the reduced discrepancy and bound.  The largest
+    |edge sum| and its proven bound are ``matrix_outcome.lifted.max_disc``
+    and ``.proven_bound``.
     """
 
     hypergraph: HypergraphInstance

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lowdisc
@@ -14,31 +16,36 @@ from lowdisc.model import HypothesisViolation
 from lowdisc.bench import BenchConfig, format_bench_report, run_benchmark
 from lowdisc.cli import main
 from lowdisc.formats import format_hypergraph, format_matrix, parse_instance
-from lowdisc.pipeline import solve_hypergraph
-from lowdisc.reduction import HypergraphInstance
-from lowdisc.solver import solve_hypergraph_direct
+from lowdisc.pipeline import certify_reduced, solve_hypergraph, solve_matrix
+from lowdisc.reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix
+from lowdisc.solver import brute_force_optimum, solve_hypergraph_direct
 from lowdisc.generate import random_hypergraph, random_matrix
 
 
 # --- campaign configuration -------------------------------------------------
 
+# a bad configuration is a usage error, not a broken hypothesis of the mathematics
+
 def test_config_rejects_empty_grid():
-    with pytest.raises(HypothesisViolation) as err:
-        BenchConfig(family="matrix", sizes=(), seeds=(0,), modes=("reduce",))
-    assert "size grid is empty" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        BenchConfig(family="matrix", sizes=(), seeds=(), modes=("reduce",))
+    assert not isinstance(err.value, HypothesisViolation)
+    assert str(err.value) == "size grid is empty; seed list is empty"
 
 
 def test_config_rejects_oracle_beyond_cap():
-    with pytest.raises(HypothesisViolation) as err:
+    with pytest.raises(ValueError) as err:
         BenchConfig(family="matrix", sizes=((4, 30, 8, 2),), seeds=(0,),
                     modes=("oracle",))
+    assert not isinstance(err.value, HypothesisViolation)
     assert "oracle" in str(err.value)
 
 
 def test_config_rejects_direct_for_matrices():
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(ValueError) as err:
         BenchConfig(family="matrix", sizes=((4, 10, 8, 2),), seeds=(0,),
                     modes=("direct",))
+    assert not isinstance(err.value, HypothesisViolation)
 
 
 # --- campaigns ----------------------------------------------------------------
@@ -98,13 +105,16 @@ def test_failed_rows_recorded_and_campaign_continues():
 
 
 def test_report_text_and_csv(tmp_path):
+    # the library only renders; the command line writes --output and --csv
+    config = BenchConfig(family="matrix", sizes=((4, 8, 6, 2),), seeds=(0,),
+                         modes=("reduce",))
+    expect = format_bench_report(run_benchmark(config))
     out = tmp_path / "report.txt"
     csv_out = tmp_path / "rows.csv"
-    config = BenchConfig(family="matrix", sizes=((4, 8, 6, 2),), seeds=(0,),
-                         modes=("reduce",), output=str(out), csv_output=str(csv_out))
-    report = run_benchmark(config)
+    assert main(["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--modes", "reduce",
+                 "--output", str(out), "--csv", str(csv_out)]) == 0
     text = out.read_text()
-    assert text == format_bench_report(report)
+    assert re.sub("wall( = |=).*", "", text) == re.sub("wall( = |=).*", "", expect)
     assert text.startswith("kind = benchmark-report")
     row_lines = [l for l in text.splitlines() if l.startswith("row ")]
     assert len(row_lines) == 1
@@ -129,11 +139,11 @@ def test_cli_gen_certify_solve_oracle(tmp_path, capsys):
     report = tmp_path / "solve.txt"
     assert main(["solve", str(inst), "--seed", "5", "--output", str(report)]) == 0
     body = report.read_text()
-    assert "certified=true" in body and "lifted_discrepancy" in body
+    assert "\ncertified = true\n" in body and "\nlifted_discrepancy = " in body
 
     assert main(["oracle", str(inst)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("optimum = ")
+    assert out.startswith("kind = oracle\noptimum = ")
 
 
 def test_cli_solve_hypergraph_direct(tmp_path, capsys):
@@ -244,11 +254,135 @@ def test_cli_solves_an_edge_list_opening_with_a_percent_comment(tmp_path, capsys
     hg = tmp_path / "h.txt"
     hg.write_text("% c\n" + format_hypergraph(random_hypergraph(64, 16, 4, seed=0)))
     assert main(["solve", str(hg)]) == 0
-    assert "instance = hypergraph" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("kind = hypergraph-solve\nvertices = 64\n")
+
+
+# --- one key = value record per subcommand ---------------------------------------
+
+def _read_record(text):
+    """The ``key = value`` lines of ``text``, in order; each splits once, and no key repeats."""
+    record = {}
+    for line in text.splitlines():
+        parts = line.split(" = ")
+        assert len(parts) == 2, line
+        assert parts[0] not in record, line
+        record[parts[0]] = parts[1]
+    return record
+
+
+def _matrix_solve(V):
+    out = solve_matrix(V)
+    res, cert, lifted = out.result, out.certificate, out.lifted
+    return dict(kind="matrix-solve", n=V.n, m=V.m, nnz=V.nnz, R=V.row_bound,
+                Delta=V.col_bound, events=cert.n_events, min_margin=cert.min_margin,
+                eps=out.reduced.params.eps, resample_budget=cert.resample_budget,
+                certified=res.certified, seed=0, resamples=res.rounds,
+                reduced_discrepancy=res.achieved, reduced_discrepancy_bound=res.bound,
+                lifted_discrepancy=lifted.max_disc, proven_bound=lifted.proven_bound,
+                apriori_bound=lifted.apriori_bound, effective_bound=lifted.effective_bound)
+
+
+def _hypergraph_solve(H, mode):
+    out = solve_hypergraph(H, mode=mode)
+    achieved, bound = out.result.achieved, out.result.bound
+    if mode == "reduce":
+        lifted = out.matrix_outcome.lifted
+        achieved, bound = lifted.max_disc, lifted.proven_bound
+    return dict(kind="hypergraph-solve", vertices=H.n_vertices, edges=H.n_edges,
+                R=H.max_edge_size, Delta=H.max_degree, mode=mode,
+                direct_bound=out.direct_bound, reduced_bound=out.reduced_bound,
+                certified=out.result.certified, seed=0, resamples=out.result.rounds,
+                max_edge_imbalance=achieved, imbalance_bound=bound)
+
+
+def _certificate(V):
+    params, _, report = certify_reduced(reduce_matrix(V))
+    record = dict(kind="lll-certificate", passed=report.passed, events=report.n_events,
+                  min_margin=report.min_margin, resample_budget=report.resample_budget,
+                  column_weight_ok=report.column_weight_ok,
+                  max_column_weight=float(report.column_weight_sums.max()),
+                  beta=params.beta, delta=params.delta, alpha=params.alpha, eps=params.eps,
+                  level_floor=params.level_floor, bound=params.bound)
+    record.update((f"level_slack_{k}", v) for k, v in sorted(report.level_slacks.items()))
+    return record
+
+
+def _oracle(V):
+    y, opt = brute_force_optimum(V)
+    return dict(kind="oracle", optimum=opt, signs=" ".join(map(str, y.values.tolist())))
+
+
+def _bench_header(config):
+    aggregates = run_benchmark(config).aggregates
+    return dict(kind="benchmark-report", family="matrix", sizes="n=4,m=8,R=6,Delta=2",
+                seeds="0", modes="reduce,baseline", density=config.density,
+                max_rounds=config.max_rounds, wall=float, **dict(sorted(aggregates.items())))
+
+
+_H = random_hypergraph(200, 16, 4, seed=7)
+_V = random_matrix(12, 60, 8.0, 2.0, 0.3, seed=1)
+_SMALL = random_matrix(4, 10, 6.0, 2.0, 0.5, seed=3)
+_BENCH = ["--family", "matrix", "--sizes", "4,8,6,2", "--modes", "reduce,baseline"]
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["solve", "x.mtx"], lambda: _matrix_solve(_V)),
+    (["solve", "h.txt", "--mode", "direct"], lambda: _hypergraph_solve(_H, "direct")),
+    (["solve", "h.txt", "--mode", "reduce"], lambda: _hypergraph_solve(_H, "reduce")),
+    (["certify", "x.mtx"], lambda: _certificate(_V)),
+    (["certify", "h.txt", "--mode", "direct"], lambda: {
+        "kind": "symmetric-lll-check", "passed": True,
+        **dataclasses.asdict(verify_symmetric_lll(_H.max_edge_size, _H.max_degree))}),
+    (["certify", "h.txt", "--mode", "reduce"], lambda: _certificate(hypergraph_incidence(_H))),
+    (["oracle", "s.mtx"], lambda: _oracle(_SMALL)),
+    (["bench", *_BENCH], lambda: _bench_header(BenchConfig(
+        family="matrix", sizes=((4, 8, 6, 2),), seeds=(0,), modes=("reduce", "baseline")))),
+], ids=["solve-matrix", "solve-direct", "solve-reduce", "certify-matrix", "certify-direct",
+        "certify-reduce", "oracle", "bench-header"])
+def test_every_subcommand_prints_one_record_the_library_agrees_with(
+        argv, expect, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.mtx").write_text(format_matrix(_V))
+    (tmp_path / "h.txt").write_text(format_hypergraph(_H))
+    (tmp_path / "s.mtx").write_text(format_matrix(_SMALL))
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    if argv[0] == "bench":
+        text = text.split("\n\n", 1)[0]
+    record = _read_record(text)
+    want = expect()
+    assert list(record) == list(want) and list(record)[0] == "kind"
+    for key, value in want.items():
+        if value is float:  # a wall time: any float
+            float(record[key])
+        elif isinstance(value, bool):
+            assert record[key] == str(value).lower(), key
+        elif isinstance(value, float):
+            assert float(record[key]) == value, key
+        else:
+            assert record[key] == str(value), key
+
+
+def test_cli_reduce_route_reports_the_largest_edge_sum_of_its_signs(tmp_path, capsys):
+    # the reduce route's result belongs to the reduced instance, whose
+    # discrepancy is the largest |edge sum| scaled by 1/R: the record
+    # must report the hypergraph's own imbalance, and the lifted bound
+    hg = tmp_path / "h.txt"
+    hg.write_text(format_hypergraph(_H))
+    assert main(["solve", str(hg), "--mode", "reduce"]) == 0
+    record = _read_record(capsys.readouterr().out)
+    y = np.asarray(solve_hypergraph(_H, mode="reduce").result.y, dtype=np.int64)
+    largest = max(abs(int(y[_H.verts[a:b]].sum())) for a, b in zip(_H.ptr[:-1], _H.ptr[1:]))
+    assert float(record["max_edge_imbalance"]) == largest == 7
+    assert largest <= float(record["imbalance_bound"]) == 2.0 * _H.max_edge_size * 7 / 16
 
 
 @pytest.mark.parametrize("argv", [
     ["bench", "--family", "matrix", "--sizes", "4,a,6,2"],
+    ["bench", "--family", "matrix", "--sizes", "4,8,6"],
+    ["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--modes", "frob"],
+    ["bench", "--family", "matrix", "--sizes", "4,30,6,2", "--modes", "oracle"],
+    ["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--seeds", ","],
     ["gen", "--family", "matrix", "--density", "2", "--output", "{tmp}/x.mtx"],
     ["solve", "{tmp}/h.txt", "--mode", "direct", "--max-rounds", "-3"],
 ])
