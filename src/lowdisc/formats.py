@@ -5,6 +5,16 @@ Matrices travel as Matrix Market coordinate-real files carrying a mandatory
 as plain edge lists, one ``e v1 v2 ...`` line per edge with 1-based vertex
 ids.  Emission is canonical (sorted coordinates, 17-significant-digit
 floats) so that parse and emit round-trip bit-identically.
+
+A matrix's entry lines are exactly ``"%d %d %.17g\\n"`` of each 1-based
+triple, built in numpy arrays one block at a time.  The ids go through a
+table of four-digit ASCII words.  A value v = M·2^q whose rounded exponent X
+lies in [-4, 0] (|v| from 1e-4 to below 10, printed in fixed notation: all
+of a valid matrix's entries from 1e-4 up) gets its 17 significant digits
+D = round-half-even(M·5^s / 2^(-q-s)), s = 16 - X, in exact uint64
+arithmetic (Steele & White 1990; Adams, "Ryū", 2018).  Every other value
+(below 1e-4, subnormal, or 10 and above in an unvalidated matrix) is
+formatted by Python's ``%`` operator, in one call per block.
 """
 
 from __future__ import annotations
@@ -14,7 +24,6 @@ import math
 import re
 import warnings
 from array import array
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +46,39 @@ _DISC_RE = re.compile(r"^%%disc\s+R=(\S+)\s+Delta=(\S+)\s*$")
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")  # as str.splitlines
 _ENTRY_BYTES = b"0123456789+-.eE \t\n"
 _ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
-_EMIT_BLOCK = 1 << 15  # entries per format call in format_matrix, vertex ids in format_hypergraph
+_EMIT_BLOCK = 1 << 15  # entries per block in format_matrix, vertex ids in format_hypergraph
+# format_matrix builds each entry line from 4-byte words: "0000".."9999" with
+# leading (ids) or trailing (values) zeros as 0 bytes, the value heads of
+# _format_entries, and the uint64 constants of the digit arithmetic
+_WORD = np.dtype("=u4")
+_SPACE, _NEWLINE = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=_WORD)
+
+
+def _word_tables():
+    """(id words, digit words, value heads); see _format_entries."""
+    full = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # "0000".."9999"
+    for j in range(4):
+        full[..., j] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+    full = full.reshape(10000, 4)
+    lead, trail = full != ord("0"), full != ord("0")  # shown: after the first or up to the last nonzero
+    for j in range(1, 4):
+        lead[:, j] |= lead[:, j - 1]
+        trail[:, 3 - j] |= trail[:, 4 - j]
+    x, neg, d0, more = np.ix_(range(-4, 1), range(2), range(10), range(2))
+    heads = [np.where(neg, ord("-"), 0), np.where(x < 0, ord("0"), 0), np.where(x < 0, ord("."), 0),
+             *(np.where(x <= -z, ord("0"), 0) for z in (2, 3, 4)), ord("0") + d0,
+             np.where((x == 0) & (more == 1), ord("."), 0)]
+    heads = np.stack(np.broadcast_arrays(*heads), axis=-1).astype(np.uint8)
+    return (np.concatenate([full, full * lead]).view(_WORD).ravel(),
+            np.concatenate([full, full * trail]).view(_WORD).ravel(), heads.reshape(-1, 8).view(_WORD))
+
+
+_ID_WORDS, _DIGIT_WORDS, _VALUE_HEADS = _word_tables()
+_POW5_HI, _POW5_LO = (np.array([(5**s >> shift) & 0xFFFFFFFF for s in range(23)], dtype=np.uint64)
+                      for shift in (32, 0))
+_U1, _U32, _U52, _U64, _LOW32, _EXP_MASK, _FRACTION, _HIDDEN, _HALF, _E16, _E17 = (
+    np.uint64(c) for c in (1, 32, 52, 64, 0xFFFFFFFF, 0x7FF, (1 << 52) - 1, 1 << 52,
+                           0x3FE0000000000000, 10**16, 10**17))
 
 
 class ParseError(ValueError):
@@ -242,17 +283,122 @@ def parse_matrix_text(text: str) -> InputMatrix:
     return _parse_lines(text) if V is None else V
 
 
+def _scaled_floor(M, e, X):
+    """floor(v·10^(16 - X)) of v = M·2^(e - 1075), and whether it rounds up, half to even.
+
+    The product M·5^s (s = 16 - X) has at most 104 bits; it is built exactly
+    from 32-bit halves as a high and a low uint64 word, then shifted right by
+    k = 1075 - e - s.  Every operand is uint64 (numpy would take uint64 with
+    int64 to float64); the callers keep s in [14, 22] and k in (0, 64).
+    """
+    s = 16 - X
+    k = (1059 - e + X).astype(np.uint64)
+    ph, pl = _POW5_HI[s], _POW5_LO[s]
+    mh, ml = M >> _U32, M & _LOW32
+    low = ml * pl
+    mid = mh * pl + ml * ph  # below 2^54
+    lo = low + (mid << _U32)  # mod 2^64
+    hi = mh * ph + (mid >> _U32) + (lo < low)
+    floor = (hi << (_U64 - k)) | (lo >> k)
+    rest, half = lo & ((_U1 << k) - _U1), _U1 << (k - _U1)
+    return floor, (rest > half) | ((rest == half) & (floor & _U1).astype(bool))
+
+
+def _fixed_digits(vals):
+    """(fast, D, X): where ``fast``, ``"%.17g"`` prints the value in fixed notation.
+
+    X in [-4, 0] is the exponent of the rounded value and D its 17
+    significant digits, an integer in [10^16, 10^17); elsewhere both are
+    placeholders.  X comes from ``np.log10`` and is moved until
+    floor(|v|·10^(16 - X)) has 17 digits, and D is that floor rounded.  The
+    rounding never carries to 10^17: the double next below 10^(X+1) lies
+    more than 11 units of the 17th digit below it.  D is None when no value
+    is near the fast range.
+    """
+    X = np.floor(np.log10(np.abs(vals)))  # the values are nonzero
+    near = (X >= -5) & (X <= 1)  # within one step of [-4, 0], so normal
+    if not near.any():
+        return near, None, None
+    bits = vals.view(np.uint64)
+    if not near.all():  # the others are computed as 0.5 and overwritten by the caller
+        bits, X = np.where(near, bits, _HALF), np.where(near, X, -1)
+    e = ((bits >> _U52) & _EXP_MASK).astype(np.int64)
+    M, X = (bits & _FRACTION) | _HIDDEN, X.astype(np.int64)
+    floor, up = _scaled_floor(M, e, X)
+    while True:  # np.log10 is off by at most one, and only next to a power of ten
+        low, high = floor < _E16, floor >= _E17
+        fix = np.flatnonzero(low | high)
+        if not fix.size:
+            break
+        X[fix] += high[fix].astype(np.int64) - low[fix]
+        floor[fix], up[fix] = _scaled_floor(M[fix], e[fix], X[fix])
+    fast = near & (X >= -4) & (X <= 0)
+    X[~fast] = -1
+    return fast, (floor + up).astype(np.int64), X
+
+
+def _put_ids(canvas, col, ids, n_words):
+    """Write the decimal ``ids`` into ``n_words`` words from ``col``, leading zeros as 0."""
+    limbs = []  # four digits each, the least significant first
+    for _ in range(n_words - 1):
+        ids, low = np.divmod(ids, 10000)
+        limbs.append(low)
+    lead = True  # no nonzero limb yet, from the most significant
+    for c, limb in enumerate(reversed(limbs + [ids]), start=col):
+        canvas[:, c] = _ID_WORDS[limb + lead * 10000]
+        lead = lead & (limb == 0)
+
+
+def _format_entries(rows, cols, vals) -> str:
+    """``"%d %d %.17g\\n"`` of each (row + 1, col + 1, value), as one string.
+
+    Each entry is one row of a canvas of 4-byte words, and every byte left
+    0 is dropped at the end: the row id, a space, the column id, a space,
+    six value words and a newline.  An id is one word per four digits.  A
+    value that prints in fixed notation with exponent X in [-4, 0] is two
+    words of sign, "0.", zeros, the first digit and "." (one lookup by X,
+    sign, first digit and whether more digits follow), then four words of
+    the other 16 digits, trailing zeros dropped.  Any other value is
+    formatted by ``"%-24.17g"``, which pads ``"%.17g"`` with spaces to
+    exactly the 24 bytes of those six words, and its spaces are dropped.
+    """
+    n_words = [(len(str(int(ids.max()) + 1)) + 3) // 4 for ids in (rows, cols)]
+    v = n_words[0] + n_words[1] + 2  # the first value word
+    canvas = np.empty((vals.size, v + 7), dtype=_WORD)
+    _put_ids(canvas, 0, rows + 1, n_words[0])
+    _put_ids(canvas, n_words[0] + 1, cols + 1, n_words[1])
+    canvas[:, [n_words[0], v - 1]] = _SPACE
+    canvas[:, -1] = _NEWLINE
+    fast, D, X = _fixed_digits(vals)
+    if D is not None:
+        head, tail = np.divmod(D, 10**8)
+        d0, head = np.divmod(head, 10**8)
+        limbs = (*np.divmod(head, 10000), *np.divmod(tail, 10000))
+        zero = np.ones(D.size, dtype=bool)  # every digit after the limb is 0
+        for c in (3, 2, 1, 0):
+            canvas[:, v + 2 + c] = _DIGIT_WORDS[limbs[c] + zero * 10000]
+            zero &= limbs[c] == 0
+        key = (((X + 4) * 2 + (vals < 0)) * 10 + d0) * 2 + ~zero
+        canvas[:, v:v + 2] = _VALUE_HEADS[key]
+    others = np.flatnonzero(~fast)
+    if others.size:
+        text = ("%-24.17g" * others.size) % tuple(vals[others].tolist())
+        canvas[others, v:v + 6] = np.frombuffer(text.encode("ascii").replace(b" ", b"\0"),
+                                                dtype=_WORD).reshape(-1, 6)
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def format_matrix(V: InputMatrix) -> str:
     header = ("%%MatrixMarket matrix coordinate real general\n"
               f"%%disc R={_fmt(V.row_bound)} Delta={_fmt(V.col_bound)}\n"
               f"{V.n} {V.m} {V.nnz}\n")
-    # one format call per block of triples bounds the Python objects alive at
-    # once; "%.17g" formats as _fmt does
+    # one block of entries at a time, which bounds the memory alive at once: a
+    # value with exponent X in [-4, 0] gets its digits by integer arithmetic, any
+    # other by one "%-24.17g" call per block (_format_entries); the bytes equal
+    # "%d %d %.17g\n" of each entry
     blocks = [header]
     for k in range(0, V.nnz, _EMIT_BLOCK):
-        rows, cols, vals = (a[k:k + _EMIT_BLOCK] for a in (V.rows, V.cols, V.vals))
-        triples = zip((rows + 1).tolist(), (cols + 1).tolist(), vals.tolist())
-        blocks.append(("%d %d %.17g\n" * vals.size) % tuple(chain.from_iterable(triples)))
+        blocks.append(_format_entries(*(a[k:k + _EMIT_BLOCK] for a in (V.rows, V.cols, V.vals))))
     return "".join(blocks)
 
 

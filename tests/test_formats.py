@@ -166,6 +166,99 @@ def test_declared_bounds_must_cover_actual_norms():
     assert "exceeds the declared R" in str(err.value)
 
 
+# --- the entry lines are "%d %d %.17g" of each entry ------------------------------
+
+def _assert_entries_print_as_percent_format(V):
+    got = format_matrix(V).splitlines()[3:]
+    triples = zip((V.rows + 1).tolist(), (V.cols + 1).tolist(), V.vals.tolist())
+    want = ["%d %d %.17g" % t for t in triples]
+    # the first wrong line, not a diff of the whole text
+    k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert got[k:k + 1] == want[k:k + 1], f"entry line {k} of {len(want)}"
+
+
+def _to_bits(x: float) -> int:
+    return int(np.array([x]).view(np.int64)[0])
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.int64).view(np.float64)[0])
+
+
+def _ties(x: int):
+    """Odd multiples of 2^(X - 17) in [10^X, 10^(X+1)): halfway between two 17-digit decimals."""
+    low, high = (10**p * 2**(17 - x) if p >= 0 else -(-2**(17 - x) // 10**-p) for p in (x, x + 1))
+    return st.integers(low // 2, (high - 1) // 2).map(lambda j: (2 * j + 1) / 2**(17 - x))
+
+
+_MAGNITUDES = st.one_of(
+    # any bit pattern up to 1.0, subnormals and values far below the fast range included
+    st.integers(1, 0x3FF0000000000000).map(_from_bits),
+    # 1 to 40 ulps either side of a power of ten, where np.log10 may misplace the exponent
+    st.builds(lambda p, n: _from_bits(_to_bits(float(f"1e{p}")) + n),
+              st.integers(-6, 1), st.integers(1, 40) | st.integers(-40, -1)),
+    st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 99999), st.integers(-12, 0)),
+    st.integers(-4, 0).flatmap(_ties),
+    st.sampled_from([1.0, 0.99999999999999999, 9.99999999999999995e-05, 9.99999999999999995e-06,
+                     0.099999999999999999, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3]),
+)
+_VALUES = st.builds(lambda v, negative: -v if negative else v, _MAGNITUDES, st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=300))
+def test_entry_lines_equal_the_percent_format(values):
+    V = InputMatrix(1, len(values), [0] * len(values), range(len(values)), values, 1.0, 1.0)
+    _assert_entries_print_as_percent_format(V)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=1, max_size=100))
+def test_entry_lines_of_an_unvalidated_matrix_equal_the_percent_format(values):
+    # magnitudes above 1 are not valid input, but format_matrix prints any InputMatrix
+    V = InputMatrix(1, len(values), [0] * len(values), range(len(values)), values, 1.0, 1.0)
+    _assert_entries_print_as_percent_format(V)
+
+
+def test_entry_lines_at_the_ends_of_the_fast_range():
+    values = [1.0, -1.0, 0.5, 9.9999999999999982, -9.99999999999999, 10.0, 37.25, -1e300,
+              1e-4, 1.0000000000000002e-4, 9.99999999999999e-05, -1e-5, 5e-324]
+    V = InputMatrix(1, len(values), [0] * len(values), range(len(values)), values, 1.0, 1.0)
+    _assert_entries_print_as_percent_format(V)
+    assert format_matrix(V).split("\n")[3:8] == ["1 1 1", "1 2 -1", "1 3 0.5",
+                                                  "1 4 9.9999999999999982", "1 5 -9.9999999999999893"]
+
+
+@pytest.mark.parametrize("n_values", [1, 3, formats._EMIT_BLOCK + 1])
+def test_entry_lines_when_every_value_falls_back(n_values):
+    rng = np.random.default_rng(n_values)
+    values = np.concatenate([rng.uniform(1e-9, 9e-5, n_values), rng.uniform(10, 1e9, n_values)])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    rng.shuffle(values)
+    V = InputMatrix(n_values, 2, np.arange(values.size) // 2, np.arange(values.size) % 2,
+                    values, 1.0, 1.0)
+    _assert_entries_print_as_percent_format(V)
+
+
+def test_entry_lines_at_id_widths():
+    ids = np.array([1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10001, 99999, 100000,
+                    9999999, 10**7])
+    rows, cols = np.repeat(ids - 1, ids.size), np.tile(ids - 1, ids.size)
+    values = np.random.default_rng(0).uniform(-1.0, 1.0, rows.size)
+    _assert_entries_print_as_percent_format(InputMatrix(10**7, 10**7, rows, cols, values,
+                                                        1.0, 1.0))
+
+
+@pytest.mark.parametrize("nnz", [formats._EMIT_BLOCK - 1, formats._EMIT_BLOCK,
+                                 formats._EMIT_BLOCK + 1])
+def test_entry_lines_at_block_edges(nnz):
+    rng = np.random.default_rng(nnz)
+    values = rng.uniform(-1.0, 1.0, nnz)
+    values[rng.choice(nnz, 40, replace=False)] *= 1e-6  # a few values fall back in each block
+    V = InputMatrix(300, 300, np.arange(nnz) // 300, np.arange(nnz) % 300, values, 1.0, 1.0)
+    _assert_entries_print_as_percent_format(V)
+
+
 # --- hypergraph files ------------------------------------------------------------
 
 def test_parse_edge_list():
@@ -310,6 +403,20 @@ def test_parser_memory_grows_with_nnz_not_with_tokens(tmp_path):
             tracemalloc.stop()
         assert 20_000 < V.nnz < 40_000
         assert peak < 6 * len(text)  # a Python string per token alone takes about 7x the text
+
+
+def test_emitter_memory_grows_with_the_text():
+    V = random_matrix(1000, 10000, 64.0, 8.0, 0.01, seed=1)
+    tracemalloc.start()
+    try:
+        text = format_matrix(V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.nnz > 3 * formats._EMIT_BLOCK
+    # the blocks and their join alone take 2x the text; the canvas of one block of
+    # entries, its arrays and its string add about 1.2x
+    assert peak < 3.5 * len(text)
 
 
 def test_line_reader_memory_grows_with_nnz_not_with_tokens():
