@@ -9,12 +9,12 @@ floats) so that parse and emit round-trip bit-identically.
 A matrix's entry lines are exactly ``"%d %d %.17g\\n"`` of each 1-based
 triple, built in numpy arrays one block at a time.  The ids go through a
 table of four-digit ASCII words.  A value v = M·2^q whose rounded exponent X
-lies in [-4, 0] (|v| from 1e-4 to below 10, printed in fixed notation: all
-of a valid matrix's entries from 1e-4 up) gets its 17 significant digits
-D = round-half-even(M·5^s / 2^(-q-s)), s = 16 - X, in exact uint64
-arithmetic (Steele & White 1990; Adams, "Ryū", 2018).  Every other value
-(below 1e-4, subnormal, or 10 and above in an unvalidated matrix) is
-formatted by Python's ``%`` operator, in one call per block.
+lies in [-4, 0] (|v| from 1e-4 to below 10, which ``%g`` prints in fixed
+notation; every entry of a valid matrix from 1e-4 up) gets its 17
+significant digits D = round-half-even(M·5^s / 2^(-q-s)), s = 16 - X, in
+exact uint64 arithmetic (Steele & White 1990; Adams, "Ryū", 2018).  Every
+other value (below 1e-4, subnormal, or 10 and above in an unvalidated
+matrix) is formatted by Python's ``%`` operator, in one call per block.
 """
 
 from __future__ import annotations
@@ -56,11 +56,13 @@ _SPACE, _NEWLINE = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=_WORD)
 
 def _word_tables():
     """(id words, digit words, value heads); see _format_entries."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     full = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # "0000".."9999"
     for j in range(4):
-        full[..., j] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+        full[..., j] = digits.reshape((10,) + (1,) * (3 - j))
     full = full.reshape(10000, 4)
-    lead, trail = full != ord("0"), full != ord("0")  # shown: after the first or up to the last nonzero
+    # a digit shows from the first nonzero one on (ids), or up to the last (values)
+    lead, trail = full != ord("0"), full != ord("0")
     for j in range(1, 4):
         lead[:, j] |= lead[:, j - 1]
         trail[:, 3 - j] |= trail[:, 4 - j]
@@ -70,7 +72,8 @@ def _word_tables():
              np.where((x == 0) & (more == 1), ord("."), 0)]
     heads = np.stack(np.broadcast_arrays(*heads), axis=-1).astype(np.uint8)
     return (np.concatenate([full, full * lead]).view(_WORD).ravel(),
-            np.concatenate([full, full * trail]).view(_WORD).ravel(), heads.reshape(-1, 8).view(_WORD))
+            np.concatenate([full, full * trail]).view(_WORD).ravel(),
+            heads.reshape(-1, 8).view(_WORD))
 
 
 _ID_WORDS, _DIGIT_WORDS, _VALUE_HEADS = _word_tables()
@@ -441,8 +444,9 @@ def parse_hypergraph_text(text: str) -> HypergraphInstance:
 
 
 def format_hypergraph(H: HypergraphInstance) -> str:
-    # as in format_matrix, one format call per block of edges; the format of
-    # a block joins one "e %d ... %d" line per edge, one string per edge size
+    # one format call per block of edges bounds the Python objects alive at
+    # once; the format of a block joins one "e %d ... %d" line per edge, one
+    # string per edge size
     sizes = np.diff(H.ptr)
     line = {k: "e" + " %d" * k + "\n" for k in np.unique(sizes).tolist()}
     step = max(1, _EMIT_BLOCK // int(sizes.max()))  # edges per block
