@@ -15,14 +15,24 @@ significant digits D = round-half-even(M·5^s / 2^(-q-s)), s = 16 - X, in
 exact uint64 arithmetic (Steele & White 1990; Adams, "Ryū", 2018).  Every
 other value (below 1e-4, subnormal, or 10 and above in an unvalidated
 matrix) is formatted by Python's ``%`` operator, in one call per block.
+
+They are read back in numpy arrays one block of lines at a time, too.  An id
+of up to eight digits is one 8-byte word of ASCII digits, decoded by three
+multiply-shift steps.  A value ``[-]d.ddd`` whose exponent X lies in
+[-4, 0] gives the integer N of its 17 significant digits, and the double
+N / 10^(16 - X) is kept once the same exact arithmetic finds N as its own 17
+digits at X, after at most two ``np.nextafter`` steps (a candidate and an
+exact check: Clinger 1990; Lemire, "Number parsing at a gigabyte per
+second", 2021).  Half a unit of the 17th significant digit is less than half
+the gap between doubles, so no other double is that close to the token: the
+kept double is ``float(token)``.  Every other token goes to ``int()`` or
+``float()``, as in the line-by-line reader.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import re
-import warnings
 from array import array
 from pathlib import Path
 
@@ -45,8 +55,10 @@ __all__ = [
 _DISC_RE = re.compile(r"^%%disc\s+R=(\S+)\s+Delta=(\S+)\s*$")
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")  # as str.splitlines
 _ENTRY_BYTES = b"0123456789+-.eE \t\n"
-_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 _EMIT_BLOCK = 1 << 15  # entries per block in format_matrix, vertex ids in format_hypergraph
+# lines per block in _parse_entry_block, whose arrays of one number a line then take
+# 64 KiB each
+_PARSE_BLOCK = _EMIT_BLOCK // 4
 # format_matrix builds each entry line from 4-byte words: "0000".."9999" with
 # leading (ids) or trailing (values) zeros as 0 bytes, the value heads of
 # _format_entries, and the uint64 constants of the digit arithmetic
@@ -82,6 +94,22 @@ _POW5_HI, _POW5_LO = (np.array([(5**s >> shift) & 0xFFFFFFFF for s in range(23)]
 _U1, _U32, _U52, _U64, _LOW32, _EXP_MASK, _FRACTION, _HIDDEN, _HALF, _E16, _E17 = (
     np.uint64(c) for c in (1, 32, 52, 64, 0xFFFFFFFF, 0x7FF, (1 << 52) - 1, 1 << 52,
                            0x3FE0000000000000, 10**16, 10**17))
+# _parse_entry_block reads tokens as little-endian 8-byte words of ASCII digits, the
+# first byte the lowest; entry n of a table is for the first n bytes of a word
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+(_U8, _U16, _E8, _ASCII_ZEROS, _HIGH_NIBBLES, _LOW_NIBBLES, _PAIRS, _PAIR_MASK, _FOURS,
+ _FOUR_MASK, _EIGHTS) = (np.uint64(c) for c in (
+    8, 16, 10**8, 0x3030303030303030, 0xF0F0F0F0F0F0F0F0, 0x0F0F0F0F0F0F0F0F, 10 << 8 | 1,
+    0x00FF00FF00FF00FF, 100 << 16 | 1, 0x0000FFFF0000FFFF, 10000 << 32 | 1))
+_JOINS = ((_PAIRS, _U8, _PAIR_MASK), (_FOURS, _U16, _FOUR_MASK), (_EIGHTS, _U32, _LOW32))
+_TRAIL_FILL = _ASCII_ZEROS & ~_LOW_BYTES  # "0"s after the first n bytes
+_ID_SHIFT = np.array([0] + [8 * (8 - n) for n in range(1, 9)], dtype=np.uint64)  # to the top
+_ID_FILL = _ASCII_ZEROS & _LOW_BYTES[::-1]  # "0"s before the last n bytes
+_LEAD_LIMITS = np.array([10**p for p in (4, 5, 6, 7)], dtype=np.uint64)
+_POW10 = np.array([10**t for t in range(9)], dtype=np.uint64)
+_DIVISORS = np.array([float(10**(16 + t)) for t in range(6)])  # exact
+_NL, _BLANK, _MINUS, _DOT, _ZERO = (np.uint8(ord(c)) for c in "\n -.0")
+_PADDING = b"\n" * 32  # around a block of entry lines
 
 
 class ParseError(ValueError):
@@ -179,17 +207,17 @@ def _check_norms(V: InputMatrix) -> InputMatrix:
 
 
 def _parse_entry_block(text: str) -> InputMatrix | None:
-    """The instance, with the entry block read by one ``np.loadtxt`` call; None when unsure.
+    """The instance, with the entry lines read ``_PARSE_BLOCK`` at a time; None when unsure.
 
-    Only a block of digits, ``+-.eE``, spaces, tabs and newlines is handed
-    to numpy: on those characters every token it accepts without a warning
-    reads as ``int()`` or ``float()`` would.  A ``\r\n`` line break is read
-    as ``\n``.  Anything else (``%`` lines, other line breaks, a lone
-    ``\r``, ``nan``), a numpy error or warning, an entry of magnitude
-    above 1, or one that :class:`InputMatrix` rejects (out of range, a
-    repeated cell) returns None, and the caller reads the text line by line.
-    The header and the L1 norms are checked by the code that reading uses,
-    so their errors are raised here as they are.
+    Each block is read by :func:`_read_block`: every number equals what
+    ``int()`` or ``float()`` returns for its token.  A block it refuses
+    (``%`` lines, other line breaks than ``\n`` and ``\r\n``, a line of
+    other than three tokens, a token those calls refuse), a wrong entry
+    count, an entry of magnitude above 1, or one that :class:`InputMatrix`
+    rejects (out of range, a repeated cell) returns None, and the caller
+    reads the text line by line.  The header and the L1 norms are checked
+    by the code that reading uses, so their errors are raised here as they
+    are.
     """
     head = []  # the lines up to the size line, without splitting the body
     for raw, pos in _lines(text):
@@ -200,29 +228,225 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
     else:
         return None
     declared, (n, m, expected), _ = _read_header(head)
-    data = text.encode("ascii", "replace")  # one byte per character: `pos` still marks the body
-    if data.find(b"\r", pos) >= 0:  # a lone \r is left, and fails the check below
-        data, pos = data[pos:].replace(b"\r\n", b"\n"), 0
-    if (declared is None or len(data.translate(None, _ENTRY_BYTES))
-            != len(data[:pos].translate(None, _ENTRY_BYTES))):
+    # an entry line takes 6 bytes or more, "1 1 1\n"
+    if declared is None or not 0 <= expected <= (len(text) - pos + 1) // 6:
         return None
-    block = io.BytesIO(data)
-    block.seek(pos)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # numpy 1.24 reads "1.0" as an index, with a warning
-        try:
-            entries = np.loadtxt(block, dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
-        except (ValueError, OverflowError):
+    rows, cols, vals = (np.empty(expected, dtype) for dtype in (np.int64, np.int64, np.float64))
+    done, size = 0, 32 * _PARSE_BLOCK  # characters encoded for the next block, a guess
+    while pos < len(text):
+        # the block ends after its _PARSE_BLOCK-th line break, or with the text
+        window = text[pos:pos + size].encode("ascii", "replace")  # one byte a character
+        breaks = np.flatnonzero(np.frombuffer(window, dtype=np.uint8) == _NL)
+        last = pos + len(window) == len(text)
+        if breaks.size < _PARSE_BLOCK and not last:
+            size *= 2
+            continue
+        end = (len(window) if last and breaks.size <= _PARSE_BLOCK
+               else int(breaks[_PARSE_BLOCK - 1]) + 1)
+        chunk = window[:end]
+        del window, breaks  # only the block stays
+        if b"\r" in chunk:  # a lone \r is left, and fails the check in _read_block
+            chunk = chunk.replace(b"\r\n", b"\n")
+        chunk = _PADDING + chunk + _PADDING
+        block = _read_block(chunk)
+        if block is None or done + block[0].size > expected:
             return None
-    if caught or entries.size != expected:
+        for dest, got in zip((rows, cols, vals), block):
+            dest[done:done + got.size] = got
+        done += block[0].size
+        pos, size = pos + end, end + end // 4
+    if done != expected or not (np.abs(vals) <= 1.0).all():  # false for nan too
         return None
-    if not (np.abs(entries["val"]) <= 1.0).all():  # false for nan too
-        return None
+    rows -= 1
+    cols -= 1
     try:
-        V = InputMatrix(n, m, entries["row"] - 1, entries["col"] - 1, entries["val"], *declared)
+        V = InputMatrix(n, m, rows, cols, vals, *declared)
     except ValueError:
         return None
     return _check_norms(V)
+
+
+def _read_block(chunk: bytes):
+    """(row ids, column ids, values) of the entry lines in ``chunk``; None unless it holds
+    only bytes of ``_ENTRY_BYTES`` and each line three tokens or none.
+
+    ``chunk`` starts and ends with ``_PADDING``, so that every 8-byte word read
+    from a token stays inside.  The numbers are read from the bytes by
+    :func:`_read_ids` and :func:`_read_values`, and each token they do not
+    take by ``int()`` or ``float()``; a token those refuse, or an id past
+    int64, returns None too.
+    """
+    if chunk.translate(None, _ENTRY_BYTES):
+        return None
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    tokens = _entry_tokens(buf)
+    if tokens is None:
+        return None
+    fields = [None] * 3
+    # the values first, while no other field's arrays are alive
+    for j, read, convert in ((2, _read_values, float), (0, _read_ids, int), (1, _read_ids, int)):
+        starts, ends = tokens[2 * j], tokens[2 * j + 1]
+        got, ok = read(buf, starts, ends)
+        slow = np.flatnonzero(~ok)  # the tokens the arithmetic does not take, one at a time
+        if slow.size:
+            bounds = zip(starts[slow].tolist(), ends[slow].tolist())
+            try:
+                got[slow] = [convert(chunk[a:b]) for a, b in bounds]
+            except (ValueError, OverflowError):  # a token they refuse, or an id past int64
+                return None
+        fields[j] = got
+    return fields
+
+
+def _entry_tokens(buf):
+    """Six rows of bounds in ``buf``: the start and end of each entry's row, column and
+    value token; None unless each line holds the three tokens of one entry, or none.
+
+    ``buf`` starts and ends with line breaks.  Each token starts and ends at
+    an edge of a run of whitespace.  Where the two gaps within each entry are
+    one space or tab and a line break comes just before each entry, the
+    lines are right; otherwise the line breaks before each entry's first
+    token and its last token's end must be equal in number, and grow from
+    entry to entry.
+    """
+    ws = buf <= _BLANK  # tabs, line breaks and spaces, of the bytes a block may hold
+    edges = np.flatnonzero(ws[1:] != ws[:-1])
+    del ws
+    if edges.size % 6:
+        return None
+    edges += 1
+    tokens = edges.reshape(-1, 6).T
+    rs, re, cs, ce, vs, ve = tokens
+    if ((cs - re == 1) & (vs - ce == 1) & (buf[re] != _NL) & (buf[ce] != _NL)
+            & (buf[rs - 1] == _NL)).all():
+        return tokens
+    line_ends = np.flatnonzero(buf == _NL) + 1
+    before = np.searchsorted(line_ends, rs, "right")
+    if (before == np.searchsorted(line_ends, ve, "right")).all() and (np.diff(before) > 0).all():
+        return tokens
+    return None
+
+
+def _words(buf):
+    """The little-endian 8-byte word at each offset of ``buf``, as an unaligned view."""
+    return np.ndarray(buf.size - 7, dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _digit_words(w):
+    """(value, ok): each word of ``w``, overwritten, read as eight ASCII digits, the first
+    byte the leading one.
+
+    Of the bytes an entry block may hold, the digits are the ones whose high
+    nibble is 3; ``ok`` is false where a byte is not a digit, and the value
+    then means nothing.  Three multiply-shift steps join the digits in
+    pairs, fours and eights (Lemire, "Number parsing at a gigabyte per
+    second", 2021).
+    """
+    ok = (w & _HIGH_NIBBLES) == _ASCII_ZEROS
+    w &= _LOW_NIBBLES
+    for factor, shift, mask in _JOINS:
+        w *= factor
+        w >>= shift
+        w &= mask
+    return w, ok
+
+
+def _read_ids(buf, starts, ends):
+    """(id, ok) of each token: its value where it is one to eight digits, else ok is false."""
+    size = ends - starts
+    ok = size <= 8
+    np.minimum(size, 8, out=size)
+    w = _words(buf)[starts]
+    w <<= _ID_SHIFT[size]
+    w |= _ID_FILL[size]
+    ids, digits = _digit_words(w)
+    ok &= digits
+    return ids.view(np.int64), ok
+
+
+def _read_values(buf, starts, ends):
+    """(value, ok) of each token: where ok, the value is ``float(token)``.
+
+    A token ``[-]d`` or ``[-]d.ddd`` whose exponent X lies in [-4, 0] and
+    that has at most 17 significant digits is read as the integer N of its
+    17 significant digits, trailing zeros added: its lead digit, and its
+    fraction digits in three words.  Its value is the double nearest
+    N·10^(X - 16) (:func:`_nearest`).  Every other token is not ok.  The
+    arrays are dropped once read, which bounds the memory of a block.
+    """
+    neg = buf[starts] == _MINUS
+    lead = starts + neg
+    d = buf[lead] - _ZERO
+    size = ends - lead
+    size -= 2  # fraction digits; -1 for a lone digit
+    ok = (size == -1) | (buf[lead + 1] == _DOT) & (size >= 1)
+    ok &= (d < 10) & (size <= np.where(d > 0, 16, 20))  # at most 17 digits from 1e-4 on
+    if not ok.any():
+        return np.empty(ok.size), ok
+    words, c = _words(buf), []
+    for j in range(3):  # fraction digits 1-8, 9-16 and 17-24
+        n = np.clip(size - 8 * j, 0, 8)  # of them in the word
+        w = words[lead + (2 + 8 * j)]
+        w &= _LOW_BYTES[n]
+        w |= _TRAIL_FILL[n]  # trailing zeros for the rest
+        w, digits = _digit_words(w)
+        ok &= digits
+        c.append(w)
+    del lead
+    c1, c2, c3 = c
+    # X = -t: t is 0 for a lead digit from 1 to 9, else one more than the zeros after the point
+    t = np.where(d > 0, 0, len(_LEAD_LIMITS) + 1 - np.searchsorted(_LEAD_LIMITS, c1, "right"))
+    ok &= t <= 4
+    ok &= size <= t + 16  # at most 17 significant digits
+    del size
+    # N = (d·10^16 + c1·10^8 + c2)·10^t + the first t of the digits in c3
+    N = d.astype(np.uint64)
+    N *= _E16
+    c1 *= _E8
+    N += c1
+    N += c2
+    N *= _POW10[t]
+    c3 //= _POW10[8 - t]
+    N += c3
+    del c, c1, c2, c3, d
+    X, bad = np.negative(t, out=t), ~ok
+    N[bad], X[bad] = _E16, 0  # read as 1, then as NaN
+    v = _nearest(N, X) if ok.any() else np.empty(ok.size)
+    v[bad] = np.nan
+    return np.negative(v, out=v, where=neg), ~np.isnan(v)
+
+
+def _nearest(N, X):
+    """The double nearest N·10^(X - 16) for each N of 17 digits, or NaN where it is not found.
+
+    The candidate N / 10^(16 - X), in float64, is moved by up to two
+    ``np.nextafter`` steps until its own 17 digits at X, rounded half to
+    even, equal N (:func:`_digits_at`).  Half a unit of the 17th digit is
+    less than half the spacing of doubles there, so at most one double lies
+    that close to N·10^(X - 16): the nearest.
+    """
+    v = N.astype(np.float64)
+    v /= _DIVISORS[-X]
+    D = _digits_at(v, X)
+    miss = np.flatnonzero(D != N)
+    for _ in range(2):  # a step toward N
+        if not miss.size:
+            break
+        v[miss] = np.nextafter(v[miss], np.where(D[miss] < N[miss], np.inf, 0.0))
+        D[miss] = _digits_at(v[miss], X[miss])
+        miss = miss[D[miss] != N[miss]]
+    v[miss] = np.nan
+    return v
+
+
+def _digits_at(v, X):
+    """round-half-even(v·10^(16 - X)) of each double v > 0, for v and X as
+    :func:`_scaled_floor` takes them."""
+    bits = v.view(np.uint64)
+    e = (bits >> _U52).astype(np.int64)  # v > 0: no sign bit
+    floor, up = _scaled_floor((bits & _FRACTION) | _HIDDEN, e, X)
+    floor += up
+    return floor
 
 
 def _parse_lines(text: str) -> InputMatrix:
@@ -275,12 +499,14 @@ def _parse_lines(text: str) -> InputMatrix:
 def parse_matrix_text(text: str) -> InputMatrix:
     """Parse a Matrix Market coordinate-real file with a %%disc header.
 
-    The header is read one line at a time.  The entry block is then read
-    by one ``np.loadtxt`` call and checked as whole arrays.  A block that
-    numpy might read differently from ``int()`` and ``float()``, or one
-    that fails any check, is read again by a plain loop over its lines,
-    which raises at the first offending line.  Blank and ``%`` lines may
-    appear anywhere.
+    The header is read one line at a time.  The entry lines are then read
+    by array arithmetic, a block at a time, and checked as whole arrays;
+    every id and value equals what ``int()`` or ``float()`` gives for its
+    token, since each value taken is proven to be the double nearest its
+    token (see the module docstring) and any other token is read by those
+    calls.  A text with other lines, or one that fails any check, is read
+    again by a plain loop over its lines, which raises at the first
+    offending line.  Blank and ``%`` lines may appear anywhere.
     """
     V = _parse_entry_block(text)
     return _parse_lines(text) if V is None else V
@@ -295,16 +521,25 @@ def _scaled_floor(M, e, X):
     int64 to float64); the callers keep s in [14, 22] and k in (0, 64).
     """
     s = 16 - X
-    k = (1059 - e + X).astype(np.uint64)
     ph, pl = _POW5_HI[s], _POW5_LO[s]
-    mh, ml = M >> _U32, M & _LOW32
-    low = ml * pl
-    mid = mh * pl + ml * ph  # below 2^54
-    lo = low + (mid << _U32)  # mod 2^64
-    hi = mh * ph + (mid >> _U32) + (lo < low)
-    floor = (hi << (_U64 - k)) | (lo >> k)
-    rest, half = lo & ((_U1 << k) - _U1), _U1 << (k - _U1)
-    return floor, (rest > half) | ((rest == half) & (floor & _U1).astype(bool))
+    s += e
+    k = np.subtract(1075, s, out=s).view(np.uint64)
+    hi, lo = M >> _U32, M & _LOW32  # the halves of M, then the words of the product
+    mid = hi * pl
+    mid += lo * ph  # below 2^54
+    lo *= pl
+    hi *= ph
+    hi += mid >> _U32
+    mid <<= _U32
+    lo += mid  # mod 2^64: the carry is lo < mid
+    hi += lo < mid
+    floor = hi << (_U64 - k)
+    floor |= lo >> k
+    half = _U1 << (k - _U1)
+    lo &= (half << _U1) - _U1  # the rest
+    up = lo > half
+    up |= (lo == half) & (floor & _U1).astype(bool)
+    return floor, up
 
 
 def _fixed_digits(vals):

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,8 +101,17 @@ def test_canonical_files_never_reach_the_line_by_line_reader(monkeypatch):
     texts = [CANONICAL_MATRIX, format_matrix(extremes),
              format_matrix(random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1))]
     texts += [format_matrix(random_matrix(6, 12, 8.0, 3.0, 0.4, seed=s)) for s in range(5)]
+    # ids of nine digits, and values the arithmetic takes around them
+    wide = InputMatrix(3, 2 * 10**8, [0, 1, 2, 2], [5, 10**8 - 1, 10**8, 2 * 10**8 - 1],
+                       [0.5, -0.25, 1e-3, 0.1], 4.0, 2.0)
+    texts.append(format_matrix(wide))
     for text in texts:
         assert format_matrix(parse_matrix_text(text)) == text
+    # every value spelled "%.16e" is read by float(), one token at a time
+    V = random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1)
+    lines = texts[2].splitlines(keepends=True)[:3]
+    lines += ["%d %d %.16e\n" % t for t in zip(V.rows + 1, V.cols + 1, V.vals.tolist())]
+    assert format_matrix(parse_matrix_text("".join(lines))) == texts[2]
     # entries out of order, tabs and blank lines stay on the fast path too
     lines = texts[-1].splitlines()
     entries = (line.replace(" ", " \t") for line in reversed(lines[3:]))
@@ -252,6 +263,58 @@ def test_entry_lines_at_block_edges(nnz):
     values[rng.choice(nnz, 40, replace=False)] *= 1e-6  # a few values fall back in each block
     V = InputMatrix(300, 300, np.arange(nnz) // 300, np.arange(nnz) % 300, values, 1.0, 1.0)
     _assert_entries_print_as_percent_format(V)
+
+
+# --- the entry reader takes a value only as float() reads it ---------------------
+
+def _read_values(tokens):
+    """formats._read_values of one block of "1 1 <token>" lines."""
+    lines = "".join(f"1 1 {token}\n" for token in tokens).encode()
+    buf = np.frombuffer(formats._PADDING + lines + formats._PADDING, dtype=np.uint8)
+    bounds = formats._entry_tokens(buf)
+    return formats._read_values(buf, bounds[4], bounds[5])
+
+
+def _with_trailing_zeros(token):
+    return token if "e" in token else (token if "." in token else token + ".") + "000"
+
+
+_SPELLINGS = (lambda v: "%.17g" % v, repr, lambda v: _with_trailing_zeros("%.17g" % v),
+              lambda v: _with_trailing_zeros(repr(v)), lambda v: "%.20f" % v,
+              lambda v: "%.21f" % v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=100))
+def test_values_the_arithmetic_takes_are_float_of_the_token(values):
+    tokens = [spell(v) for v in values for spell in _SPELLINGS]
+    got, taken = _read_values(tokens)
+    for token, value in zip(np.array(tokens)[taken], got[taken].tolist()):
+        assert _to_bits(value) == _to_bits(float(token)), token
+
+
+def test_a_value_of_18_digits_is_read_by_float():
+    # just above the midpoint of two doubles, and just below it when cut to 17 digits
+    lows = [0.1, 0.3, 1 / 3, 0.7, 0.00123, 0.099, 0.0011]
+    tokens = []
+    for low in lows:
+        mid = (Fraction(low) + Fraction(float(np.nextafter(low, 1.0)))) / 2
+        places = 17 - math.floor(math.log10(mid))  # 18 significant digits
+        up = math.ceil(mid * 10**places)
+        assert (up // 10) * 10 < mid * 10**places < up
+        tokens.append("0." + str(up).zfill(places))
+    got, taken = _read_values(tokens)
+    assert not taken.any()
+    assert [float(t) for t in tokens] == [np.nextafter(low, 1.0) for low in lows]
+
+
+def test_the_arithmetic_takes_every_value_format_matrix_prints_in_fixed_notation():
+    values = random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1).vals
+    tokens = ["%.17g" % v for v in values.tolist()]
+    got, taken = _read_values(tokens)
+    fixed = np.array(["e" not in token for token in tokens])
+    assert fixed.sum() > 0.99 * fixed.size and (taken == fixed).all()
+    assert got[taken].tobytes() == values[taken].tobytes()
 
 
 # --- hypergraph files ------------------------------------------------------------
@@ -411,6 +474,19 @@ def test_emitter_memory_grows_with_the_text():
     assert V.nnz > 3 * formats._EMIT_BLOCK
     # the blocks and their join alone take 2x the text; the canvas of one block of
     # entries, its arrays and its string add about 1.2x
+    assert peak < 3.5 * len(text)
+
+
+def test_parser_memory_at_three_blocks():
+    text = format_matrix(random_matrix(1000, 10000, 64.0, 8.0, 0.01, seed=1))
+    tracemalloc.start()
+    try:
+        V = parse_matrix_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.nnz > 3 * formats._PARSE_BLOCK
+    # the three arrays of entries alone take 0.8x the text, and the instance copies them
     assert peak < 3.5 * len(text)
 
 

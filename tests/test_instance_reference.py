@@ -6,9 +6,11 @@ each entry as it goes, and finds duplicates with a dict.
 ``reference_hypergraph_edges`` validates a hypergraph one edge at a time.
 Both generated files and single-line corruptions of them must give a
 bit-identical instance, or the same exception type with the same message.
-The parser reads a clean entry block with ``np.loadtxt``, so the
-corruptions include spellings and line breaks on which numpy's reader and
-``int()``/``float()`` might disagree.
+The parser reads a clean entry block by integer digit arithmetic and hands
+any other token to ``int()``/``float()``, so the corruptions include
+spellings and line breaks on which the arithmetic and those calls might
+disagree: ids with zeros, signs or 9 and more digits, values with trailing
+zeros, exponents, or more than 17 significant digits.
 ``reference_random_hypergraph`` is the generator that placed one edge per
 Python step, drawing its vertices from those still below the degree cap.
 ``reference_random_matrix`` and ``reference_random_reduced`` build the whole
@@ -279,14 +281,28 @@ MATRIX_CORRUPTIONS = ("word", "float_index", "two_tokens", "four_tokens", "row_z
                       "nan", "inf", "drop", "blank", "comment", "second_disc", "small_R",
                       "huge_index", "bad_shape", "bad_disc", "respell_row", "respell_col",
                       "respell_value", "separator", "header_separator", "crlf", "swap")
-# spellings on which numpy's reader and int()/float() might disagree; "{}" is the old token
-INDEX_SPELLINGS = ("+{}", "00{}", "{}_0", "0x{}", "{}.0", "{}e0", "1e3", "1.0")
+# spellings on which the digit arithmetic and int()/float() might disagree; "{}" is the
+# old token, and a spelling that starts with "%" formats its value
+INDEX_SPELLINGS = ("+{}", "00{}", "{}_0", "0x{}", "{}.0", "{}e0", "1e3", "1.0", "007", "+3", "1a",
+                   "{:0>8}", "{:0>9}", "{:0>20}", "12345678", "123456789", "9" * 20)
 VALUE_SPELLINGS = ("nan", "-inf", "Infinity", "1_0.5", "0x1p-3", "1e-400", ".5", "5.", "1d0",
-                   "{}e0", "+{}", "{}E-00", "0{}")
+                   "{}e0", "+{}", "{}E-00", "0{}", "0.50", "1.", "-0", "0.0", "1e-3",
+                   "%.17g" % np.nextafter(1e-4, 0), "%.17g" % np.nextafter(1e-4, 1),
+                   "%.17e", "%.20f", "%.25f", "{}123", "0.000{}")
 SEPARATORS = ("\r\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028")
 BAD_SHAPES = ("0 {m} 0", "-1 {m} 0", "{n} 0 1")
 BAD_DISCS = ("%%disc R=0 Delta=2", "%%disc R=-1 Delta=2", "%%disc R=8 Delta=0",
              "%%disc R=8 Delta=-0.0")
+
+
+def respell(spelling, token):
+    """``token`` spelled anew: ``spelling`` formats the token, or with a leading "%" its value."""
+    if not spelling.startswith("%"):
+        return spelling.format(token)
+    try:
+        return spelling % float(token)
+    except ValueError:  # an earlier corruption made the token no number
+        return token
 
 
 def corrupt_matrix(lines, kind, at, n, m, variant=0):
@@ -339,11 +355,11 @@ def corrupt_matrix(lines, kind, at, n, m, variant=0):
     elif kind == "bad_disc":
         lines[1] = BAD_DISCS[variant % len(BAD_DISCS)]
     elif kind == "respell_row":
-        lines[k] = f"{INDEX_SPELLINGS[variant % len(INDEX_SPELLINGS)].format(i)} {j} {v}"
+        lines[k] = f"{respell(INDEX_SPELLINGS[variant % len(INDEX_SPELLINGS)], i)} {j} {v}"
     elif kind == "respell_col":
-        lines[k] = f"{i} {INDEX_SPELLINGS[variant % len(INDEX_SPELLINGS)].format(j)} {v}"
+        lines[k] = f"{i} {respell(INDEX_SPELLINGS[variant % len(INDEX_SPELLINGS)], j)} {v}"
     elif kind == "respell_value":
-        lines[k] = f"{i} {j} {VALUE_SPELLINGS[variant % len(VALUE_SPELLINGS)].format(v)}"
+        lines[k] = f"{i} {j} {respell(VALUE_SPELLINGS[variant % len(VALUE_SPELLINGS)], v)}"
     elif kind == "separator":  # between two tokens, or at the end of the line
         sep = SEPARATORS[variant % len(SEPARATORS)]
         lines[k] = f"{i}{sep}{j} {v}" if variant // len(SEPARATORS) % 2 else f"{i} {j} {v}{sep}"
@@ -378,6 +394,29 @@ def test_matrix_parser_matches_line_by_line_reference(n, m, seed, density, corru
         assert want[1] == got[1]
 
 
+@pytest.mark.parametrize("field,spelling", [
+    *(("row", s) for s in INDEX_SPELLINGS), *(("column", s) for s in INDEX_SPELLINGS),
+    *(("value", s) for s in VALUE_SPELLINGS)])
+def test_each_spelling_reads_as_the_line_reader_reads_it(field, spelling):
+    V = random_matrix(4, 10, 8.0, 3.0, 0.6, seed=2)
+    lines = format_matrix(V).splitlines()
+    for at in (3, 4, len(lines) - 1):  # the first entry line, the second, the last
+        tokens = lines[at].split()
+        k = ("row", "column", "value").index(field)
+        tokens[k] = respell(spelling, tokens[k])
+        text = "\n".join(lines[:at] + [" ".join(tokens)] + lines[at + 1:]) + "\n"
+        want = outcome(formats._parse_lines, text)
+        assert outcome(reference_parse_matrix_text, text)[0] == want[0]
+        for block in (1, 2, formats._PARSE_BLOCK):  # the line alone in a block, or not
+            with mock.patch.object(formats, "_PARSE_BLOCK", block):
+                got = outcome(parse_matrix_text, text)
+            assert got[0] == want[0], (tokens, block)
+            if want[0] == "ok":
+                assert_same_matrix(want[1], got[1])
+            else:
+                assert got[1] == want[1]
+
+
 @pytest.mark.parametrize("body,needle", [
     pytest.param("2 2 2\n1 1 0.5\n1 1 x\n", "line 5: entry value 'x' is not a real number",
                  id="bad-value-before-duplicate"),
@@ -399,6 +438,12 @@ def test_matrix_parser_matches_line_by_line_reference(n, m, seed, density, corru
                  id="range-before-count"),
     pytest.param("2 2 4\n1 1 0.5\n2 2 0.5\n2 2 0\n1 1 0.5\n",
                  "line 6: duplicate entry (2, 2)", id="first-repeat-named"),
+    pytest.param("2 2 2\n1 1\n0.5 2 2 0.5\n",
+                 "line 4: entry needs 'row col value' (3 tokens, got 2)", id="two-then-four-tokens"),
+    pytest.param("2 2 2\n1  1\n0.5 2\t2 0.5\n",
+                 "line 4: entry needs 'row col value' (3 tokens, got 2)", id="wide-gaps"),
+    pytest.param("2 2 2\n1 1 0.5 2 2 0.5\n",
+                 "line 4: entry needs 'row col value' (3 tokens, got 6)", id="two-entries-a-line"),
 ])
 def test_first_bad_line_wins_across_kinds(body, needle):
     text = "%%MatrixMarket matrix coordinate real general\n%%disc R=4 Delta=2\n" + body
