@@ -16,7 +16,7 @@ exact uint64 arithmetic (Steele & White 1990; Adams, "Ryū", 2018).  Every
 other value (below 1e-4, subnormal, or 10 and above in an unvalidated
 matrix) is formatted by Python's ``%`` operator, in one call per block.
 
-They are read back in numpy arrays one block of lines at a time, too.  An id
+They are read back in numpy arrays one window of lines at a time, too.  An id
 of up to eight digits is one 8-byte word of ASCII digits, decoded by three
 multiply-shift steps.  A value ``[-]d.ddd`` whose exponent X lies in
 [-4, 0] gives the integer N of its 17 significant digits, and the double
@@ -55,10 +55,13 @@ __all__ = [
 _DISC_RE = re.compile(r"^%%disc\s+R=(\S+)\s+Delta=(\S+)\s*$")
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")  # as str.splitlines
 _ENTRY_BYTES = b"0123456789+-.eE \t\n"
-_EMIT_BLOCK = 1 << 15  # entries per block in format_matrix, vertex ids in format_hypergraph
-# lines per block in _parse_entry_block, whose arrays of one number a line then take
-# 64 KiB each
-_PARSE_BLOCK = _EMIT_BLOCK // 4
+# entries per block in format_matrix, vertex ids in format_hypergraph: an array of one
+# int64 an entry takes 64 KiB, small enough that malloc serves it again from freed memory,
+# without new page faults
+_EMIT_BLOCK = 1 << 13
+# characters per window in _parse_entry_block, about 9,000 lines of the emitter's, cut
+# back to the window's last line break
+_PARSE_WINDOW = 1 << 18
 # format_matrix builds each entry line from 4-byte words: "0000".."9999" with
 # leading (ids) or trailing (values) zeros as 0 bytes, the value heads of
 # _format_entries, and the uint64 constants of the digit arithmetic
@@ -207,10 +210,12 @@ def _check_norms(V: InputMatrix) -> InputMatrix:
 
 
 def _parse_entry_block(text: str) -> InputMatrix | None:
-    """The instance, with the entry lines read ``_PARSE_BLOCK`` at a time; None when unsure.
+    """The instance, with the entry lines read a window at a time; None when unsure.
 
-    Each block is read by :func:`_read_block`: every number equals what
-    ``int()`` or ``float()`` returns for its token.  A block it refuses
+    A window is about ``_PARSE_WINDOW`` characters, cut back to its last
+    ``\n``; one that holds none runs on to the end of its line.  Each
+    window's lines are read by :func:`_read_block`: every number equals what
+    ``int()`` or ``float()`` returns for its token.  A window it refuses
     (``%`` lines, other line breaks than ``\n`` and ``\r\n``, a line of
     other than three tokens, a token those calls refuse), a wrong entry
     count, an entry of magnitude above 1, or one that :class:`InputMatrix`
@@ -232,19 +237,17 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
     if declared is None or not 0 <= expected <= (len(text) - pos + 1) // 6:
         return None
     rows, cols, vals = (np.empty(expected, dtype) for dtype in (np.int64, np.int64, np.float64))
-    done, size = 0, 32 * _PARSE_BLOCK  # characters encoded for the next block, a guess
+    done = 0
     while pos < len(text):
-        # the block ends after its _PARSE_BLOCK-th line break, or with the text
-        window = text[pos:pos + size].encode("ascii", "replace")  # one byte a character
-        breaks = np.flatnonzero(np.frombuffer(window, dtype=np.uint8) == _NL)
-        last = pos + len(window) == len(text)
-        if breaks.size < _PARSE_BLOCK and not last:
-            size *= 2
-            continue
-        end = (len(window) if last and breaks.size <= _PARSE_BLOCK
-               else int(breaks[_PARSE_BLOCK - 1]) + 1)
-        chunk = window[:end]
-        del window, breaks  # only the block stays
+        # the window ends at its last \n, or at the first \n after it when it holds none,
+        # or with the text; a \r\n pair is never cut, since it ends at its \n
+        end = pos + _PARSE_WINDOW
+        if end < len(text):
+            cut = text.rfind("\n", pos, end)
+            if cut < 0:
+                cut = text.find("\n", end)
+            end = len(text) if cut < 0 else cut + 1
+        chunk = text[pos:end].encode("ascii", "replace")  # one byte a character
         if b"\r" in chunk:  # a lone \r is left, and fails the check in _read_block
             chunk = chunk.replace(b"\r\n", b"\n")
         chunk = _PADDING + chunk + _PADDING
@@ -254,7 +257,7 @@ def _parse_entry_block(text: str) -> InputMatrix | None:
         for dest, got in zip((rows, cols, vals), block):
             dest[done:done + got.size] = got
         done += block[0].size
-        pos, size = pos + end, end + end // 4
+        pos = end
     if done != expected or not (np.abs(vals) <= 1.0).all():  # false for nan too
         return None
     rows -= 1
@@ -575,11 +578,18 @@ def _fixed_digits(vals):
     return fast, (floor + up).astype(np.int64), X
 
 
+def _split(x, c):
+    """(x // c, x % c) of an int64 array ``x``, in about half the time of numpy's divmod: a
+    scalar ``//`` takes numpy's fast path for a constant divisor."""
+    q = x // c
+    return q, x - q * c
+
+
 def _put_ids(canvas, col, ids, n_words):
     """Write the decimal ``ids`` into ``n_words`` words from ``col``, leading zeros as 0."""
     limbs = []  # four digits each, the least significant first
     for _ in range(n_words - 1):
-        ids, low = np.divmod(ids, 10000)
+        ids, low = _split(ids, 10000)
         limbs.append(low)
     lead = True  # no nonzero limb yet, from the most significant
     for c, limb in enumerate(reversed(limbs + [ids]), start=col):
@@ -609,9 +619,9 @@ def _format_entries(rows, cols, vals) -> str:
     canvas[:, -1] = _NEWLINE
     fast, D, X = _fixed_digits(vals)
     if D is not None:
-        head, tail = np.divmod(D, 10**8)
-        d0, head = np.divmod(head, 10**8)
-        limbs = (*np.divmod(head, 10000), *np.divmod(tail, 10000))
+        head, tail = _split(D, 10**8)
+        d0, head = _split(head, 10**8)
+        limbs = (*_split(head, 10000), *_split(tail, 10000))
         zero = np.ones(D.size, dtype=bool)  # every digit after the limb is 0
         for c in (3, 2, 1, 0):
             canvas[:, v + 2 + c] = _DIGIT_WORDS[limbs[c] + zero * 10000]

@@ -407,14 +407,85 @@ def test_each_spelling_reads_as_the_line_reader_reads_it(field, spelling):
         text = "\n".join(lines[:at] + [" ".join(tokens)] + lines[at + 1:]) + "\n"
         want = outcome(formats._parse_lines, text)
         assert outcome(reference_parse_matrix_text, text)[0] == want[0]
-        for block in (1, 2, formats._PARSE_BLOCK):  # the line alone in a block, or not
-            with mock.patch.object(formats, "_PARSE_BLOCK", block):
+        # each line alone in a window, a few lines a window, or all of them
+        for size in (1, 40, formats._PARSE_WINDOW):
+            with mock.patch.object(formats, "_PARSE_WINDOW", size):
                 got = outcome(parse_matrix_text, text)
-            assert got[0] == want[0], (tokens, block)
+            assert got[0] == want[0], (tokens, size)
             if want[0] == "ok":
                 assert_same_matrix(want[1], got[1])
             else:
                 assert got[1] == want[1]
+
+
+WINDOW_HEADER = "%%MatrixMarket matrix coordinate real general\n%%disc R=4 Delta=2\n2 3 3\n"
+
+
+def read_in_windows(text, size):
+    """parse_matrix_text(text) with windows of ``size`` characters, and the entry lines of
+    each window as formats._read_block gets them."""
+    windows, read = [], formats._read_block
+    pad = len(formats._PADDING)
+
+    def spy(chunk):
+        windows.append(chunk[pad:-pad])
+        return read(chunk)
+
+    with mock.patch.object(formats, "_PARSE_WINDOW", size), \
+            mock.patch.object(formats, "_read_block", spy):
+        return outcome(parse_matrix_text, text), windows
+
+
+@pytest.mark.parametrize("body,size,windows", [
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5\n", 8,
+                 [b"1 1 0.5\n", b"1 2 0.25\n", b"2 3 -0.5\n"], id="ends-on-a-line-break"),
+    pytest.param("1 1 0.5\r\n1 2 0.25\r\n2 3 -0.5\r\n", 18,
+                 [b"1 1 0.5\n", b"1 2 0.25\n", b"2 3 -0.5\n"], id="crlf-straddles-the-cut"),
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5\n", 3,
+                 [b"1 1 0.5\n", b"1 2 0.25\n", b"2 3 -0.5\n"], id="lines-longer-than-the-window"),
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5", 10,
+                 [b"1 1 0.5\n", b"1 2 0.25\n", b"2 3 -0.5"], id="no-final-line-break"),
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5\n", 17,
+                 [b"1 1 0.5\n1 2 0.25\n", b"2 3 -0.5\n"], id="two-lines-end-on-a-line-break"),
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5\n", 9,  # the third window is [17, 26)
+                 [b"1 1 0.5\n", b"1 2 0.25\n", b"2 3 -0.5\n"], id="last-window-ends-at-eof"),
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5", 25,  # the window is [0, 25), all of it
+                 [b"1 1 0.5\n1 2 0.25\n2 3 -0.5"], id="one-window-ends-at-eof"),
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5\n", 1,
+                 [b"1 1 0.5\n", b"1 2 0.25\n", b"2 3 -0.5\n"], id="one-character"),
+    pytest.param("1 1 0.5\n\n\n1 2 0.25\n2 3 -0.5\n", 1,
+                 [b"1 1 0.5\n", b"\n", b"\n", b"1 2 0.25\n", b"2 3 -0.5\n"], id="blank-lines"),
+])
+def test_windows_end_at_line_breaks(body, size, windows):
+    text = WINDOW_HEADER + body
+    got, seen = read_in_windows(text, size)
+    assert seen == windows
+    assert got[0] == "ok"
+    assert_same_matrix(formats._parse_lines(text), got[1])
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5\n", id="lf"),
+    pytest.param("1 1 0.5\r\n1 2 0.25\r\n2 3 -0.5\r\n", id="crlf"),
+    pytest.param("1 1 0.5\n1 2 0.25\r\n2 3 -0.5", id="mixed-no-final-line-break"),
+    pytest.param("1 1 0.5\n\n1 2 0.25\n\n2 3 -0.5\n\n", id="blank-lines"),
+    pytest.param("1 1 0.5\n1 2 0.25\r2 3 -0.5\n", id="lone-cr"),
+    pytest.param("1 1 0.5\n1 2 x\n2 3 -0.5\n", id="bad-token"),
+    pytest.param("1 1 0.5\n1 2 0.25\n2 3 -0.5\n1 3 0.5\n", id="one-entry-too-many"),
+    pytest.param("1 1 0.5\n1 2 0.25\n", id="one-entry-too-few"),
+    pytest.param("1 1 0.5\n1 2 0.25\n1 1 -0.5\n", id="repeated-cell"),
+    pytest.param("1 1 0.5\n1 2 0.25 2 3 -0.5\n", id="two-entries-a-line"),
+])
+def test_every_window_size_reads_as_the_line_reader_reads(body):
+    text = WINDOW_HEADER + body
+    want = outcome(formats._parse_lines, text)
+    for size in [*range(1, len(body) + 2), 40, formats._PARSE_WINDOW]:
+        got, _ = read_in_windows(text, size)
+        assert got[0] == want[0], size
+        if want[0] == "ok":
+            assert_same_matrix(want[1], got[1])
+        else:
+            assert got[1] == want[1], size
 
 
 @pytest.mark.parametrize("body,needle", [
