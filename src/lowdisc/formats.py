@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import REL_TOL, InputMatrix
+from .model import InputMatrix, _bound_violations
 from .reduction import HypergraphInstance
 
 __all__ = [
@@ -198,14 +198,15 @@ def _read_header(lines: list):
 
 
 def _check_norms(V: InputMatrix) -> InputMatrix:
-    """``V``, once its L1 norms fit the declared budgets."""
-    for what, l1, name, bound in (("row", V.row_l1(), "R", V.row_bound),
-                                  ("column", V.col_l1(), "Delta", V.col_bound)):
-        bad = np.flatnonzero(l1 > bound * (1.0 + REL_TOL))
-        if bad.size:
-            i = int(bad[0])
-            raise ParseError(f"{what} {i + 1} L1 norm {float(l1[i])!r} exceeds the declared "
-                             f"{name}={_fmt(bound)}")
+    """``V``, once its L1 norms fit the declared budgets.
+
+    Both readers reject an entry of magnitude above 1 before this, so only
+    a row or a column can breach here.
+    """
+    for kind, i, l1, _ in _bound_violations(V, 1, V.row_bound, V.col_bound):
+        name, bound = ("R", V.row_bound) if kind == "row" else ("Delta", V.col_bound)
+        raise ParseError(f"{kind} {i + 1} L1 norm {l1!r} exceeds the declared "
+                         f"{name}={_fmt(bound)}")
     return V
 
 
@@ -495,8 +496,9 @@ def _parse_lines(text: str) -> InputMatrix:
     if repeat.any():
         k = int(order[1:][repeat].min())
         raise ParseError(f"line {where[k]}: duplicate entry ({rows[k]}, {cols[k]})")
-    return _check_norms(InputMatrix(n, m, rows - 1, cols - 1,
-                                    np.array(vals, dtype=np.float64), *declared))
+    # in (row, col) order, so the constructor does not sort again
+    return _check_norms(InputMatrix(n, m, rows[order] - 1, cols[order] - 1,
+                                    np.array(vals, dtype=np.float64)[order], *declared))
 
 
 def parse_matrix_text(text: str) -> InputMatrix:

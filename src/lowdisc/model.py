@@ -218,6 +218,35 @@ class InputMatrix(_CooMatrix):
     col_bound: float
 
 
+def _bound_violations(M: _CooMatrix, entry_bound, row_budget, col_budget) -> list[tuple]:
+    """Every breach of the theorem's premise by ``M``, in the order entry, row, column.
+
+    An entry breaches when its magnitude exceeds ``entry_bound``.  A row or
+    column breaches when its L1 sum exceeds its budget by more than the
+    relative slack ``REL_TOL``, which absorbs the roundoff of the float64
+    sums; this is the only place the slack is applied.  Each breach is
+    ``(kind, index, value, text)``: the first offender in (row, col) or
+    index order, a (row, col) cell for an entry, and its value; ``text``
+    also counts the offenders.
+    """
+    mags = np.abs(M.vals)  # fresh and writable, so np.bincount takes it without a copy
+    found = []
+    bad = np.flatnonzero(mags > entry_bound)
+    if bad.size:
+        cell, v = (int(M.rows[bad[0]]), int(M.cols[bad[0]])), float(M.vals[bad[0]])
+        found.append(("entry", cell, v, f"entry {cell} = {v!r} exceeds the entry bound "
+                      f"{entry_bound!r} ({bad.size} entries in violation)"))
+    for kind, index, size, budget in (("row", M.rows, M.n, row_budget),
+                                      ("column", M.cols, M.m, col_budget)):
+        sums = np.bincount(index, weights=mags, minlength=size)
+        bad = np.flatnonzero(sums > budget * (1.0 + REL_TOL))
+        if bad.size:
+            i, s = int(bad[0]), float(sums[bad[0]])
+            found.append((kind, i, s, f"{kind} {i} L1 sum {s!r} exceeds {budget!r} "
+                          f"({bad.size} {kind}s in violation)"))
+    return found
+
+
 def _parameter_problems(beta: float, delta: float) -> list[str]:
     problems = []
     if not (beta > 0.0 and math.isfinite(beta)):
@@ -252,30 +281,8 @@ class ReducedInstance(_CooMatrix):
 
     def hypothesis_violations(self) -> list[str]:
         """Every violated hypothesis, with a witness index; empty when valid."""
-        problems = _parameter_problems(self.beta, self.delta)
-        if self.vals.size:
-            worst = int(np.argmax(self.vals))
-            if self.vals[worst] > self.beta:
-                problems.append(
-                    f"entry ({int(self.rows[worst])}, {int(self.cols[worst])}) = "
-                    f"{float(self.vals[worst])!r} exceeds the entry bound {self.beta!r}"
-                )
-        col = self.col_l1()
-        bad = np.flatnonzero(col > self.delta * (1.0 + REL_TOL))
-        if bad.size:
-            j = int(bad[0])
-            problems.append(
-                f"column {j} L1 sum {float(col[j])!r} exceeds {self.delta!r}"
-                f" ({bad.size} columns in violation)"
-            )
-        row = self.row_l1()
-        bad = np.flatnonzero(row > 1.0 + REL_TOL)
-        if bad.size:
-            i = int(bad[0])
-            problems.append(
-                f"row {i} L1 sum {float(row[i])!r} exceeds 1 ({bad.size} rows in violation)"
-            )
-        return problems
+        return _parameter_problems(self.beta, self.delta) + [
+            text for *_, text in _bound_violations(self, self.beta, 1, self.delta)]
 
 
 @dataclass(frozen=True)
@@ -396,8 +403,6 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
                       cols=empty_i, vals=np.zeros(0), sums=np.zeros(0))
     levels = floor_neg_log2_array(A.vals)
     low = int(levels.min())
-    if low < params.level_floor:
-        raise InternalInconsistency("bucket below the level floor despite entries <= beta")
     span = int(levels.max()) - low + 1
     levels -= low
     keys = A.rows * span  # below n * span, so no overflow

@@ -21,6 +21,7 @@ from .model import (
     InputMatrix,
     ReducedInstance,
     SignVector,
+    _bound_violations,
     coo_sorted,
     discrepancy,
 )
@@ -163,36 +164,13 @@ class LiftedReport:
 def validate_matrix(V: InputMatrix) -> InputMatrix:
     """Check every hypothesis of the general-matrix front-end.
 
-    Collects all violations (entry magnitudes, row/column L1 norms against
-    the declared budgets, and the budget inequalities R >= max(Delta, 4),
-    Delta >= 2) instead of failing on the first.
+    Collects all violations instead of failing on the first: entries of
+    magnitude above 1 and row/column L1 sums above the declared budgets, as
+    :func:`~lowdisc.model._bound_violations` finds them (up to its relative
+    slack ``REL_TOL``), then the budget inequalities R >= max(Delta, 4),
+    Delta >= 2.
     """
-    problems = []
-    mags = np.abs(V.vals)  # one pass, for the entry check and both L1 norms
-    bad = np.flatnonzero(mags > 1.0)
-    if bad.size:
-        j = int(bad[0])
-        problems.append(
-            f"entry ({int(V.rows[j])}, {int(V.cols[j])}) = {float(V.vals[j])!r} has "
-            f"magnitude above 1 ({bad.size} entries in violation)"
-        )
-    row = np.bincount(V.rows, weights=mags, minlength=V.n)
-    bad = np.flatnonzero(row > V.row_bound * (1.0 + REL_TOL))
-    if bad.size:
-        i = int(bad[0])
-        problems.append(
-            f"row {i} L1 norm {float(row[i])!r} exceeds declared bound {V.row_bound!r}"
-            f" ({bad.size} rows in violation)"
-        )
-    col = np.bincount(V.cols, weights=mags, minlength=V.m)
-    del mags
-    bad = np.flatnonzero(col > V.col_bound * (1.0 + REL_TOL))
-    if bad.size:
-        j = int(bad[0])
-        problems.append(
-            f"column {j} L1 norm {float(col[j])!r} exceeds declared bound {V.col_bound!r}"
-            f" ({bad.size} columns in violation)"
-        )
+    problems = [text for *_, text in _bound_violations(V, 1, V.row_bound, V.col_bound)]
     if V.row_bound < 4.0:
         problems.append(f"row bound R = {V.row_bound!r} < 4")
     if V.row_bound < V.col_bound:

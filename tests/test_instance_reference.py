@@ -488,6 +488,24 @@ def test_every_window_size_reads_as_the_line_reader_reads(body):
             assert got[1] == want[1], size
 
 
+@pytest.mark.parametrize("body", [
+    pytest.param("2 3 -0.5\n% sends the text to the line reader\n1 2 0.25\n1 1 0.5\n",
+                 id="unsorted"),
+    pytest.param("2 3 -0.5\n% sends the text to the line reader\n1 1 0.25\n2 3 0.5\n",
+                 id="unsorted-repeated-cell"),
+])
+def test_line_reader_reads_an_unsorted_file_as_the_reference_does(body):
+    text = WINDOW_HEADER + body
+    want = outcome(reference_parse_matrix_text, text)
+    for parse in (formats._parse_lines, parse_matrix_text):
+        got = outcome(parse, text)
+        assert got[0] == want[0]
+        if want[0] == "ok":
+            assert_same_matrix(want[1], got[1])
+        else:
+            assert got[1] == want[1]
+
+
 @pytest.mark.parametrize("body,needle", [
     pytest.param("2 2 2\n1 1 0.5\n1 1 x\n", "line 5: entry value 'x' is not a real number",
                  id="bad-value-before-duplicate"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lowdisc.model import (
+    REL_TOL,
     HypothesisViolation,
     InputMatrix,
     InternalInconsistency,
@@ -14,7 +15,9 @@ from lowdisc.model import (
     compute_parameters,
     discrepancy,
 )
+from lowdisc.formats import ParseError, format_matrix, parse_matrix_text
 from lowdisc.generate import random_hypergraph, random_matrix
+from lowdisc.pipeline import solve_matrix
 from lowdisc.reduction import (
     HypergraphInstance,
     hypergraph_bounds,
@@ -71,7 +74,81 @@ def test_validate_rejects_entry_above_one():
     W = InputMatrix.from_entries(1, 4, [(0, 0, 1.5)], 4.0, 2.0)
     with pytest.raises(HypothesisViolation) as err:
         validate_matrix(W)
-    assert "magnitude above 1" in str(err.value)
+    assert "exceeds the entry bound 1" in str(err.value)
+
+
+def test_validate_lists_every_breach_in_one_template():
+    V = InputMatrix(2, 2, [0, 0, 1], [0, 1, 0], [1.5, -3.0, 1.0], 4.0, 2.0)
+    with pytest.raises(HypothesisViolation) as err:
+        validate_matrix(V)
+    assert err.value.violations == [
+        "entry (0, 0) = 1.5 exceeds the entry bound 1 (2 entries in violation)",
+        "row 0 L1 sum 4.5 exceeds 4.0 (1 rows in violation)",
+        "column 0 L1 sum 2.5 exceeds 2.0 (2 columns in violation)",
+    ]
+
+
+def test_reduced_hypotheses_list_every_breach_in_one_template():
+    A = ReducedInstance(2, 2, [0, 0, 1], [0, 1, 0], [0.2, 0.3, 0.2], 0.25, 0.3)
+    assert A.hypothesis_violations() == [
+        "beta > delta/2 (beta = 0.25, delta = 0.3)",
+        "entry (0, 1) = 0.3 exceeds the entry bound 0.25 (1 entries in violation)",
+        "column 0 L1 sum 0.4 exceeds 0.3 (1 columns in violation)",
+    ]
+
+
+def _edge_line(budget, piece, over):
+    """Values summing, in order and exactly in float64, to t = budget * (1 + REL_TOL)
+    as float64 rounds it, or to the next double above t when ``over``: budget / piece
+    copies of ``piece`` sum to ``budget``, and t - budget is exact (Sterbenz)."""
+    t = budget * (1.0 + REL_TOL)
+    if over:
+        t = float(np.nextafter(t, np.inf))
+    vals = [piece] * int(budget / piece) + [t - budget]
+    assert math.fsum(vals) == t == np.bincount(np.zeros(len(vals), int), weights=vals)[0]
+    return vals
+
+
+@pytest.mark.parametrize("R", [4.0, 5.0])
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_matrix_budgets_hold_up_to_the_slack_edge_and_no_further(R, over, axis):
+    vals = _edge_line(R, 1.0, over)
+    k = len(vals)
+    V = (InputMatrix(1, k, [0] * k, range(k), vals, R, 2.0) if axis == "row"
+         else InputMatrix(k, 1, range(k), [0] * k, vals, R, R))
+    if over:
+        with pytest.raises(HypothesisViolation, match=f"^{axis} 0 L1 sum "):
+            validate_matrix(V)
+        with pytest.raises(ParseError, match=f"^{axis} 1 L1 norm "):
+            parse_matrix_text(format_matrix(V))
+        with pytest.raises(HypothesisViolation, match=f"^{axis} 0 L1 sum "):
+            solve_matrix(V)
+        return
+    assert validate_matrix(V) is V
+    assert parse_matrix_text(format_matrix(V)).vals.tolist() == vals
+    try:  # a hypothesis may still fail on A after rounding in 1/R, but never as a bug
+        outcome = solve_matrix(V)
+    except HypothesisViolation as exc:
+        assert exc.violations[0] == "instance violates hypotheses"
+    else:
+        assert outcome.reduced.certificate.passed
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_reduced_budgets_hold_up_to_the_slack_edge_and_no_further(delta, over, axis):
+    budget = 1.0 if axis == "row" else delta
+    vals = _edge_line(budget, 0.25, over)
+    k = len(vals)
+    A = (ReducedInstance(1, k, [0] * k, range(k), vals, 0.25, delta) if axis == "row"
+         else ReducedInstance(k, 1, range(k), [0] * k, vals, 0.25, delta))
+    problems = A.hypothesis_violations()
+    if over:
+        assert len(problems) == 1 and problems[0].startswith(f"{axis} 0 L1 sum ")
+    else:
+        assert problems == []
 
 
 # --- reduction ---------------------------------------------------------------
