@@ -91,8 +91,12 @@ def coo_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
     return bool(ascending.all())
 
 
-def _as_coo(n, m, rows, cols, vals, *, allow_negative):
-    """Normalize coordinate data: sorted by (row, col), no zeros, no duplicates."""
+def _checked_coo(n, m, rows, cols, vals, *, allow_negative):
+    """Coordinate data as int64 and float64 arrays, checked and in strict (row, col) order.
+
+    The arrays come back as given, where they are already of those types and
+    in that order; zeros are kept.
+    """
     if n < 1 or m < 1:
         raise ValueError(f"matrix shape must be at least 1x1, got {n}x{m}")
     rows = np.asarray(rows, dtype=np.int64)
@@ -119,6 +123,12 @@ def _as_coo(n, m, rows, cols, vals, *, allow_negative):
         if dup.any():
             j = int(np.argmax(dup))
             raise ValueError(f"duplicate entry at ({rows[j]}, {cols[j]})")
+    return rows, cols, vals
+
+
+def _as_coo(n, m, rows, cols, vals, *, allow_negative):
+    """Normalize coordinate data: sorted by (row, col), no zeros, no duplicates."""
+    rows, cols, vals = _checked_coo(n, m, rows, cols, vals, allow_negative=allow_negative)
     keep = vals != 0.0
     return rows[keep], cols[keep], vals[keep]  # copies: the caller's stay writable
 
@@ -161,6 +171,17 @@ class _CooMatrix:
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
         M._seal(rows, cols, vals)
         return M
+
+    @classmethod
+    def _adopt(cls, n, m, rows, cols, vals, *bounds):
+        """The matrix over int64 and float64 arrays that the caller hands over.
+
+        They are checked as the constructor checks its input
+        (:func:`_checked_coo`), and then sealed without a copy where they
+        are already in order and hold no zero.
+        """
+        entries = _checked_coo(n, m, rows, cols, vals, allow_negative=cls.allow_negative)
+        return cls._from_arrays(n, m, *entries, *bounds)
 
     def _seal(self, rows, cols, vals):
         """Store the normalized entries read-only, and check the two bounds."""

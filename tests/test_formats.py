@@ -1,7 +1,9 @@
+import io
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from lowdisc.formats import (
 )
 from lowdisc.generate import random_hypergraph, random_matrix, random_reduced
 from lowdisc.pipeline import certify_reduced
-from lowdisc.reduction import validate_matrix
+from lowdisc.reduction import HypergraphInstance, validate_matrix
 
 CANONICAL_MATRIX = """%%MatrixMarket matrix coordinate real general
 %%disc R=2 Delta=1
@@ -136,7 +138,7 @@ def test_crlf_files_stay_on_the_fast_path(monkeypatch):
 ])
 def test_a_lone_carriage_return_gets_the_line_readers_error(body, needle):
     text = "%%MatrixMarket matrix coordinate real general\r\n%%disc R=2 Delta=2\r\n2 3 3\r\n" + body
-    assert formats._parse_entry_block(text) is None
+    assert formats._parse_entry_block(text.encode()) is None
     with pytest.raises(ParseError) as want:
         formats._parse_lines(text)
     with pytest.raises(ParseError) as got:
@@ -144,7 +146,7 @@ def test_a_lone_carriage_return_gets_the_line_readers_error(body, needle):
     assert str(got.value) == str(want.value) and needle in str(got.value)
     # valid entries split by lone \r breaks are read line by line, and read right
     fixed = text.replace("2 5", "2 3")
-    assert formats._parse_entry_block(fixed) is None
+    assert formats._parse_entry_block(fixed.encode()) is None
     assert format_matrix(parse_matrix_text(fixed)) == format_matrix(formats._parse_lines(fixed))
 
 
@@ -365,6 +367,53 @@ def test_hypergraph_parse_errors(text, needle):
     assert needle in str(err.value)
 
 
+def reference_format_hypergraph(H):
+    """The edge list as the %-format emitter wrote it before the canvas: one format call per
+    block of edges, joining one "e %d ... %d" line per edge, one string per edge size."""
+    sizes = np.diff(H.ptr)
+    line = {k: "e" + " %d" * k + "\n" for k in np.unique(sizes).tolist()}
+    step = max(1, formats._EMIT_BLOCK // int(sizes.max()))  # edges per block
+    blocks = []
+    for k in range(0, H.n_edges, step):
+        a, b = H.ptr[k], H.ptr[min(k + step, H.n_edges)]
+        fmt = "".join(map(line.__getitem__, sizes[k:k + step].tolist()))
+        blocks.append(fmt % tuple((H.verts[a:b] + 1).tolist()))
+    return "".join(blocks)
+
+
+def _edge_list(edges):
+    """A hypergraph over ``edges`` of 0-based ids, built without its degree count, whose
+    size grows with the largest id."""
+    H = HypergraphInstance.__new__(HypergraphInstance)
+    sizes = [len(e) for e in edges]
+    vars(H).update(ptr=np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
+                   verts=np.array([v for e in edges for v in e], dtype=np.int64))
+    return H
+
+
+_IDS = st.integers(1, 10).flatmap(lambda d: st.integers(10**(d - 1), 10**d - 1))  # 1-based
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(st.lists(_IDS, min_size=1, max_size=32, unique=True).map(sorted),
+                      min_size=1, max_size=20),
+       block=st.sampled_from([1, 3, 7, formats._EMIT_BLOCK]))
+def test_edge_lines_equal_the_percent_format(edges, block):
+    H = _edge_list([[v - 1 for v in e] for e in edges])
+    want = reference_format_hypergraph(H)
+    with mock.patch.object(formats, "_EMIT_BLOCK", block):  # edges across blocks too
+        assert format_hypergraph(H) == want
+
+
+def test_edge_lines_at_block_edges():
+    # blocks of 2^13 ids, an edge larger than a block, and ids of five to eight digits
+    H = random_hypergraph(20000, 16, 4, seed=3)
+    assert H.verts.size > 8 * formats._EMIT_BLOCK
+    wide = _edge_list([list(range(5, 3 * formats._EMIT_BLOCK, 3)), [7, 10**7 - 1], [10**5]])
+    for G in (H, wide):
+        assert format_hypergraph(G) == reference_format_hypergraph(G)
+
+
 # --- dispatch and files -------------------------------------------------------------
 
 def test_edge_list_opening_with_a_percent_comment_is_a_hypergraph(tmp_path):
@@ -401,12 +450,86 @@ def test_write_instance_roundtrip(tmp_path):
     V = random_matrix(4, 9, 6.0, 2.0, 0.5, seed=2)
     path = tmp_path / "v.mtx"
     write_instance(V, path)
+    assert path.read_bytes() == format_matrix(V).encode()
     W = parse_instance(path)
     np.testing.assert_array_equal(V.to_dense(), W.to_dense())
     H = random_hypergraph(12, 4, 2, seed=2)
     hpath = tmp_path / "h.txt"
     write_instance(H, hpath)
+    assert hpath.read_bytes() == format_hypergraph(H).encode()
     assert parse_instance(hpath).edges == H.edges
+
+
+def _file_variants(text):
+    """(name, bytes) of a canonical file and of files that differ from it in one way each."""
+    lines = text.splitlines(keepends=True)
+    head, body = lines[:3], lines[3:]
+    bad = body[1].rsplit(" ", 1)[0] + " x\n"
+    variants = [
+        ("as emitted", text),
+        ("crlf", text.replace("\n", "\r\n")),
+        ("lone cr", text.replace("\n", "\r")),
+        ("mixed breaks", "".join(line.replace("\n", ("\n", "\r\n", "\r")[k % 3])
+                                 for k, line in enumerate(lines))),
+        ("comment in the body", "".join(head + body[:2] + ["% a note\n"] + body[2:])),
+        ("non-ascii comment", "".join(head[:2] + ["% caf\u00e9 \u20ac\n"] + head[2:] + body)),
+        # str.splitlines breaks lines at U+2028 and U+0085 too, and a later error counts them
+        ("unicode line breaks", "".join(head[:2] + ["% a\u2028% b\x85\n"] + head[2:] + body[:1]
+                                        + [bad] + body[2:])),
+        ("no final newline", text[:-1]),
+        ("unsorted", "".join(head + body[::-1])),
+        ("repeated cell", "".join(head + body[:-1] + body[:1])),
+        ("wrong entry count", "".join(head + body[:-1])),
+        ("bad token", "".join(head + body[:1] + [bad] + body[2:])),
+        ("bom", "\ufeff" + text),
+    ]
+    return [(name, t.encode()) for name, t in variants] + [
+        ("not utf-8", "".join(head + body[:1]).encode() + b"1 1 0.5\xff\n"
+         + "".join(body[1:]).encode()),
+        ("not utf-8 after a bad header", b"%%MatrixMarket matrix\n" + text.encode() + b"\xff"),
+    ]
+
+
+def _outcome(read, arg):
+    """The instance ``read(arg)`` gives, as bits, or the type and text of its error."""
+    try:
+        V = read(arg)
+    except (ParseError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return (V.n, V.m, V.row_bound, V.col_bound,
+            *((a.dtype.str, a.tobytes()) for a in (V.rows, V.cols, V.vals)))
+
+
+_MATRICES = [random_matrix(6, 12, 8.0, 3.0, 0.4, seed=s) for s in range(3)]
+_MATRICES.append(random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1))  # several parse windows
+
+
+@pytest.mark.parametrize("V", _MATRICES, ids=["small-0", "small-1", "small-2", "windows"])
+def test_the_bytes_reader_reads_as_the_line_reader_reads_the_text(tmp_path, V):
+    """Bit for bit, or with the same error, as reading the file as text then line by line."""
+    path = tmp_path / "m.mtx"
+    write_instance(V, path)
+    text = format_matrix(V)
+    assert path.read_bytes() == text.encode()
+    for name, data in _file_variants(text):
+        path.write_bytes(data)
+        want = _outcome(lambda d: formats._parse_lines(io.TextIOWrapper(io.BytesIO(d)).read()),
+                        data)
+        assert _outcome(parse_instance, path) == want, name
+
+
+def test_parsed_arrays_are_adopted_and_the_constructor_still_copies(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(CANONICAL_MATRIX)
+    for V in (parse_instance(path), parse_matrix_text(CANONICAL_MATRIX),
+              formats._parse_lines(CANONICAL_MATRIX)):
+        assert not any(a.flags.writeable for a in (V.rows, V.cols, V.vals))
+    r, c, v = np.array([0, 1]), np.array([2, 0]), np.array([0.5, -0.25])
+    W = InputMatrix(2, 3, r, c, v, 4.0, 2.0)
+    assert all(a.flags.writeable for a in (r, c, v))
+    assert not any(np.shares_memory(a, b) for a, b in zip((r, c, v), (W.rows, W.cols, W.vals)))
+    r[0], c[0], v[0] = 1, 1, 1.0
+    assert (W.rows.tolist(), W.cols.tolist(), W.vals.tolist()) == ([0, 1], [2, 0], [0.5, -0.25])
 
 
 # --- certificate rendering -----------------------------------------------------------
@@ -504,10 +627,32 @@ def test_parser_memory_at_three_blocks():
     assert peak < 3.5 * len(text)
 
 
+def test_file_round_trip_memory_at_the_benchmark_size(tmp_path):
+    """``write_instance`` and ``parse_instance`` on the matrix of perfbench's mtx_io."""
+    V = random_matrix(1000, 10000, 64.0, 8.0, 0.01, seed=1)
+    path = tmp_path / "m.mtx"
+    peaks = []
+    for call in (lambda: write_instance(V, path), lambda: parse_instance(path)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == 2_930_487
+    # blocks of bytes go straight to the file: the canvas of one block of entries and its
+    # arrays, about 0.6x here (a text joined and encoded took 2.0x)
+    assert peaks[0] < 1.0 * size
+    # the file's bytes, the three arrays of entries (0.83x) that become the instance's, and
+    # one window's arrays: about 2.6x (a decoded text and copied arrays took 3.25x)
+    assert peaks[1] < 2.9 * size
+
+
 def test_line_reader_memory_grows_with_nnz_not_with_tokens():
     lines = format_matrix(random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1)).splitlines()
     text = "\n".join(lines[:3] + ["% a comment sends the file to the line reader"] + lines[3:])
-    assert formats._parse_entry_block(text) is None
+    assert formats._parse_entry_block(text.encode()) is None
     tracemalloc.start()
     try:
         V = parse_matrix_text(text)
