@@ -166,7 +166,8 @@ def cmd_bench(args) -> int:
                          density=args.density, max_rounds=args.max_rounds)
     report = run_benchmark(config)
     if args.csv:
-        Path(args.csv).write_text(_format_csv(report))
+        # newline="": the csv module's \r\n line ends are written as they are on every platform
+        Path(args.csv).write_text(_format_csv(report), encoding="utf-8", newline="")
     _emit(format_bench_report(report), args.output)
     bad = report.aggregates["failed"] + report.aggregates["uncertified"]
     return 0 if bad == 0 else 1

@@ -32,10 +32,11 @@ Files are bytes in and out.  :func:`write_instance` writes the header and
 each block of lines to the open file as it is built, so its ``tracemalloc``
 peak is 0.06x the file at 10^6 entries.  Edge lists are emitted by the same
 id words, one row per vertex id.  :func:`parse_instance` reads the file once
-and decodes only the header lines; the entry lines are read from windows of
-those bytes, and the arrays read become the instance's without a copy: its
-peak is 2.3x the file at 10^6 entries.  The whole text is decoded, as UTF-8,
-only where the line-by-line reader or the edge-list reader must run.
+and the header lines in one pass; the entry lines are read from windows of
+those bytes, and the arrays read become the instance's without a copy, with
+the verdict of its norm check: its peak is 2.3x the file at 10^6 entries.
+Only for the line-by-line reader or the edge-list reader is the whole text
+decoded, as UTF-8, and sniffed for its format.
 :func:`format_matrix`, :func:`format_hypergraph` and :func:`parse_matrix_text`
 are thin ``str`` wrappers over the same code, for callers that hold text.
 """
@@ -49,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import InputMatrix, _bound_violations
+from .model import InputMatrix
 from .reduction import HypergraphInstance
 
 __all__ = [
@@ -135,36 +136,13 @@ def _fmt(x: float) -> str:
 
 
 def _lines(text: str):
-    """Each line of ``text.splitlines()``, with the offset just past its line break, lazily."""
+    """Each line of ``text.splitlines()``, lazily."""
     start = 0
     for brk in _LINE_BREAK.finditer(text):
-        yield text[start:brk.start()], brk.end()
+        yield text[start:brk.start()]
         start = brk.end()
     if start < len(text):
-        yield text[start:], len(text)
-
-
-def _text_lines(data: bytes):
-    """Each line of ``data.decode().splitlines()``, with the byte offset just past its line
-    break, lazily.
-
-    Each piece of ``data`` up to a ``\n`` is decoded as UTF-8 when it is
-    reached.  No character of two bytes or more holds that byte, and it ends
-    every line break it is part of, so the pieces split into the lines of
-    the whole.  A byte that is not UTF-8 raises as decoding all of ``data``
-    raises.
-    """
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start) + 1 or len(data)
-        try:
-            piece = data[start:end].decode()
-        except UnicodeDecodeError:
-            data.decode()  # raises at the same byte, counted from the start of data
-            raise
-        for line, off in _lines(piece):
-            yield line, start + len(piece[:off].encode())
-        start = end
+        yield text[start:]
 
 
 def _parse_float(token: str, ln: int, what: str) -> float:
@@ -235,9 +213,9 @@ def _check_norms(V: InputMatrix) -> InputMatrix:
     """``V``, once its L1 norms fit the declared budgets.
 
     Both readers reject an entry of magnitude above 1 before this, so only
-    a row or a column can breach here.
+    a row or a column can breach here.  ``V`` keeps the verdict.
     """
-    for kind, i, l1, _ in _bound_violations(V, 1, V.row_bound, V.col_bound):
+    for kind, i, l1, _ in V._violations:
         name, bound = ("R", V.row_bound) if kind == "row" else ("Delta", V.col_bound)
         raise ParseError(f"{kind} {i + 1} L1 norm {l1!r} exceeds the declared "
                          f"{name}={_fmt(bound)}")
@@ -248,31 +226,38 @@ def _parse_entry_block(data: bytes) -> InputMatrix | None:
     """The instance in the bytes ``data``, the entry lines read a window at a time; None
     when unsure.
 
-    Only the lines up to the size line are decoded (:func:`_text_lines`).  A
-    window of the entry lines is about ``_PARSE_WINDOW`` bytes, cut back to
-    its last ``\n``; one that holds none runs on to the end of its line.
-    Each window's lines are read by :func:`_read_block`: every number equals
-    what ``int()`` or ``float()`` returns for its token.  A header the line
-    reader rejects, or a window :func:`_read_block` refuses (``%`` lines,
-    other line breaks than ``\n`` and ``\r\n``, a line of other than three
-    tokens, a token those calls refuse, any byte not ASCII), a wrong entry
-    count, an entry of magnitude above 1, or one that :class:`InputMatrix`
-    rejects (out of range, a repeated cell) returns None, and the caller
-    decodes the whole text and reads it line by line: so a byte that is not
-    UTF-8 is raised before any error of the header.  The arrays read become
-    the instance's, without a copy (:meth:`InputMatrix._adopt`).  The L1
-    norms are checked by the code that reading uses, so their errors are
-    raised here as they are.
+    The header is decoded a ``\n``-ended piece at a time, up to the size
+    line: no character of two bytes or more holds that byte.  A piece that
+    is not UTF-8, or that holds another line break than the ``\n`` or
+    ``\r\n`` ending it, returns None.  A window of the entry lines is about
+    ``_PARSE_WINDOW`` bytes, cut back to its last ``\n``; one that holds
+    none runs on to the end of its line.  Each window's lines are read by
+    :func:`_read_block`: every number equals what ``int()`` or ``float()``
+    returns for its token.  A header the line reader rejects, or a window
+    :func:`_read_block` refuses (``%`` lines, other line breaks than ``\n``
+    and ``\r\n``, a line of other than three tokens, a token those calls
+    refuse, any byte not ASCII), a wrong entry count, an entry of magnitude
+    above 1, or one that :class:`InputMatrix` rejects (out of range, a
+    repeated cell) returns None, and the caller decodes the whole text and
+    reads it line by line: so a byte that is not UTF-8 is raised before any
+    error of the header.  The arrays read become the instance's, without a
+    copy (:meth:`InputMatrix._adopt`).  The L1 norms are checked as the line
+    reader checks them (:func:`_check_norms`), so their errors are raised
+    here as they are.
     """
-    head = []  # the lines up to the size line, without decoding the body
-    for raw, pos in _text_lines(data):
-        head.append(raw)
-        line = raw.strip()
+    head, pos = [], 0  # the lines up to the size line, without decoding the body
+    while pos < len(data):
+        end = data.find(b"\n", pos) + 1 or len(data)
+        try:  # one line of UTF-8, or the line reader reads the file
+            line, = data[pos:end].decode().splitlines()
+        except ValueError:  # a UnicodeDecodeError too
+            return None
+        head.append(line)
+        pos = end
+        line = line.strip()
         if line and not line.startswith("%"):  # the banner is a "%" line too
             break
-    else:
-        return None
-    try:
+    try:  # a header without a size line is rejected here too
         declared, (n, m, expected), _ = _read_header(head)
     except ParseError:  # raised by the line reader, once the whole text is decoded
         return None
@@ -537,9 +522,9 @@ def _parse_lines(text: str) -> InputMatrix:
     if repeat.any():
         k = int(order[1:][repeat].min())
         raise ParseError(f"line {where[k]}: duplicate entry ({rows[k]}, {cols[k]})")
-    # in (row, col) order, so the instance takes these arrays as they are
-    return _check_norms(InputMatrix._adopt(n, m, rows[order] - 1, cols[order] - 1,
-                                           np.array(vals, dtype=np.float64)[order], *declared))
+    # checked above, and in strict (row, col) order: the instance takes these arrays as they are
+    return _check_norms(InputMatrix._from_arrays(n, m, rows[order] - 1, cols[order] - 1,
+                                                 np.array(vals)[order], *declared))
 
 
 def parse_matrix_text(text: str) -> InputMatrix:
@@ -770,8 +755,8 @@ def format_hypergraph(H: HypergraphInstance) -> str:
     return b"".join(_edge_blocks(H)).decode()
 
 
-def _sniff(data: bytes) -> str:
-    for raw, _ in _text_lines(data):
+def _sniff(text: str) -> str:
+    for raw in _lines(text):
         line = raw.strip()
         if line.startswith("%%MatrixMarket"):
             return "matrix"
@@ -782,21 +767,22 @@ def _sniff(data: bytes) -> str:
 
 
 def parse_instance(path):
-    """Read an instance file, a matrix or an edge list as :func:`_sniff` tells them apart.
+    """Read an instance file, a matrix or an edge list.
 
-    The file is read once, as bytes.  A matrix is read from them
-    (:func:`_parse_entry_block`); the whole text is decoded, as UTF-8, only
-    for the line reader or an edge list.  Those readers take ``\r\n`` and a
-    lone ``\r`` as line breaks, as reading the file as text does.
+    The file is read once, as bytes, and a matrix's header once: a matrix is
+    read from the bytes (:func:`_parse_entry_block`), and keeps the verdict
+    of its norm check.  Only where that reader declines is the text decoded,
+    as UTF-8, and :func:`_sniff` sends it to the line reader or the edge-list
+    reader; they take ``\r\n`` and a lone ``\r`` as line breaks, as reading
+    the file as text does.
     """
     data = Path(path).read_bytes()
-    matrix = _sniff(data) == "matrix"
-    V = _parse_entry_block(data) if matrix else None
+    V = _parse_entry_block(data)
     if V is not None:
         return V
     text = data.decode()
     del data
-    return _parse_lines(text) if matrix else parse_hypergraph_text(text)
+    return _parse_lines(text) if _sniff(text) == "matrix" else parse_hypergraph_text(text)
 
 
 def write_instance(instance, path) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -139,7 +140,8 @@ class _CooMatrix:
 
     Entries are sorted by (row, col), explicit zeros dropped, and the arrays
     are read-only.  Each subclass declares its two bound fields after
-    ``vals`` and whether negative entries are allowed.
+    ``vals``, whether negative entries are allowed, and ``_premise``: the
+    (entry bound, row budget, column budget) that the theorem assumes of it.
     """
 
     n: int
@@ -158,11 +160,12 @@ class _CooMatrix:
     def _from_arrays(cls, n, m, rows, cols, vals, *bounds):
         """The matrix over arrays that already hold what construction checks.
 
-        ``rows`` and ``cols`` are int64, ``vals`` float64, all three fresh,
-        1-d and of equal length; the cells are in range and in strict (row,
-        col) order, and the values finite and of the allowed sign.  Only zero
-        values, such as entries that underflowed in a rescaling, are dropped
-        here; the bounds are checked as the constructor checks them.
+        ``rows`` and ``cols`` are int64, ``vals`` float64, all three fresh or
+        read-only, 1-d and of equal length; the cells are in range and in
+        strict (row, col) order, and the values finite and of the allowed
+        sign.  Only zero values, such as entries that underflowed in a
+        rescaling, are dropped here; the bounds are checked as the
+        constructor checks them.
         """
         M = cls.__new__(cls)
         vars(M).update(zip((f.name for f in fields(cls)), (n, m, rows, cols, vals, *bounds)))
@@ -217,6 +220,12 @@ class _CooMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
+    @cached_property
+    def _violations(self) -> list[tuple]:
+        """Every breach of ``_premise`` (:func:`_bound_violations`), found at the first use
+        and kept: the arrays and the bounds are sealed, so the verdict cannot change."""
+        return _bound_violations(self, *self._premise)
+
     def _magnitudes(self) -> np.ndarray:
         return np.abs(self.vals) if self.allow_negative else self.vals
 
@@ -237,6 +246,8 @@ class InputMatrix(_CooMatrix):
 
     row_bound: float
     col_bound: float
+
+    _premise = property(lambda self: (1, self.row_bound, self.col_bound))
 
 
 def _bound_violations(M: _CooMatrix, entry_bound, row_budget, col_budget) -> list[tuple]:
@@ -300,10 +311,13 @@ class ReducedInstance(_CooMatrix):
 
     allow_negative = False
 
+    _premise = property(lambda self: (self.beta, 1, self.delta))
+
     def hypothesis_violations(self) -> list[str]:
-        """Every violated hypothesis, with a witness index; empty when valid."""
+        """Every violated hypothesis, with a witness index, empty when valid; a row or
+        column sum passes up to its budget times ``1 + REL_TOL``."""
         return _parameter_problems(self.beta, self.delta) + [
-            text for *_, text in _bound_violations(self, self.beta, 1, self.delta)]
+            text for *_, text in self._violations]
 
 
 @dataclass(frozen=True)
@@ -355,7 +369,6 @@ class Strata:
 
     n: int
     m: int
-    level_floor: int
     row: np.ndarray
     level: np.ndarray
     ptr: np.ndarray
@@ -419,8 +432,7 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
         ])
     if A.vals.size == 0:
         empty_i = np.zeros(0, dtype=np.int64)
-        return Strata(n=A.n, m=A.m, level_floor=params.level_floor,
-                      row=empty_i, level=empty_i, ptr=np.zeros(1, dtype=np.int64),
+        return Strata(n=A.n, m=A.m, row=empty_i, level=empty_i, ptr=np.zeros(1, dtype=np.int64),
                       cols=empty_i, vals=np.zeros(0), sums=np.zeros(0))
     levels = floor_neg_log2_array(A.vals)
     low = int(levels.min())
@@ -442,8 +454,7 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
     sums = np.add.reduceat(v, starts)
     for a in (c, v, ptr, sums, row, level):
         a.setflags(write=False)
-    return Strata(n=A.n, m=A.m, level_floor=params.level_floor,
-                  row=row, level=level, ptr=ptr, cols=c, vals=v, sums=sums)
+    return Strata(n=A.n, m=A.m, row=row, level=level, ptr=ptr, cols=c, vals=v, sums=sums)
 
 
 @dataclass(frozen=True, eq=False)

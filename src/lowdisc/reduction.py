@@ -21,7 +21,6 @@ from .model import (
     InputMatrix,
     ReducedInstance,
     SignVector,
-    _bound_violations,
     coo_sorted,
     discrepancy,
 )
@@ -166,11 +165,12 @@ def validate_matrix(V: InputMatrix) -> InputMatrix:
 
     Collects all violations instead of failing on the first: entries of
     magnitude above 1 and row/column L1 sums above the declared budgets, as
-    :func:`~lowdisc.model._bound_violations` finds them (up to its relative
-    slack ``REL_TOL``), then the budget inequalities R >= max(Delta, 4),
-    Delta >= 2.
+    :func:`~lowdisc.model._bound_violations` finds them, then the budget
+    inequalities R >= max(Delta, 4), Delta >= 2.  A row or column sum passes
+    up to its budget times ``1 + REL_TOL``.  ``V`` keeps the verdict of the
+    bound checks, so they run once per matrix.
     """
-    problems = [text for *_, text in _bound_violations(V, 1, V.row_bound, V.col_bound)]
+    problems = [text for *_, text in V._violations]
     if V.row_bound < 4.0:
         problems.append(f"row bound R = {V.row_bound!r} < 4")
     if V.row_bound < V.col_bound:
@@ -246,8 +246,9 @@ def hypergraph_incidence(H: HypergraphInstance) -> InputMatrix:
     color imbalance |#red - #blue|.
     """
     rows = np.repeat(np.arange(H.n_edges, dtype=np.int64), np.diff(H.ptr))
-    return InputMatrix(H.n_edges, H.n_vertices, rows, H.verts, np.ones(rows.size),
-                       row_bound=float(H.max_edge_size), col_bound=float(H.max_degree))
+    # in range and in strict (row, col) order, as H holds them: no second check, no copy
+    return InputMatrix._from_arrays(H.n_edges, H.n_vertices, rows, H.verts, np.ones(rows.size),
+                                    float(H.max_edge_size), float(H.max_degree))
 
 
 def hypergraph_bounds(max_edge_size: int, max_degree: int) -> dict:

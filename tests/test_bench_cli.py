@@ -13,7 +13,8 @@ import lowdisc
 
 from lowdisc.certify import verify_symmetric_lll
 from lowdisc.model import HypothesisViolation
-from lowdisc.bench import BenchConfig, format_bench_report, run_benchmark
+from lowdisc import cli
+from lowdisc.bench import BenchConfig, _format_csv, format_bench_report, run_benchmark
 from lowdisc.cli import main
 from lowdisc.formats import format_hypergraph, format_matrix, parse_instance
 from lowdisc.pipeline import certify_reduced, solve_hypergraph, solve_matrix
@@ -104,13 +105,20 @@ def test_failed_rows_recorded_and_campaign_continues():
     assert report.aggregates["failed"] == 2
 
 
-def test_report_text_and_csv(tmp_path):
+def test_report_text_and_csv(tmp_path, monkeypatch):
     # the library only renders; the command line writes --output and --csv
     config = BenchConfig(family="matrix", sizes=((4, 8, 6, 2),), seeds=(0,),
                          modes=("reduce",))
     expect = format_bench_report(run_benchmark(config))
     out = tmp_path / "report.txt"
     csv_out = tmp_path / "rows.csv"
+    reports = []  # the report the command line renders, wall times and all
+
+    def recording(cfg):
+        reports.append(run_benchmark(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_benchmark", recording)
     assert main(["bench", "--family", "matrix", "--sizes", "4,8,6,2", "--modes", "reduce",
                  "--output", str(out), "--csv", str(csv_out)]) == 0
     text = out.read_text()
@@ -121,6 +129,8 @@ def test_report_text_and_csv(tmp_path):
     assert "mode=reduce" in row_lines[0] and "certified=true" in row_lines[0]
     header = csv_out.read_text().splitlines()[0]
     assert header.startswith("size,seed,mode,ok,certified,achieved")
+    # the csv module's \r\n line ends, written as they are on every platform
+    assert csv_out.read_bytes() == _format_csv(reports[0]).encode()
 
 
 # --- command line ----------------------------------------------------------------

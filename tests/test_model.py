@@ -189,8 +189,7 @@ def test_stratify_partition_properties(seed):
 def _threshold(bucket_sum, level, params):
     """Event-graph threshold of one single-column bucket with this sum and level."""
     one = np.zeros(1, dtype=np.int64)
-    strata = Strata(n=1, m=1, level_floor=params.level_floor, row=one,
-                    level=np.array([level]), ptr=np.array([0, 1]), cols=one,
+    strata = Strata(n=1, m=1, row=one, level=np.array([level]), ptr=np.array([0, 1]), cols=one,
                     vals=np.array([bucket_sum]), sums=np.array([bucket_sum]))
     return float(build_event_graph(strata, params).threshold[0])
 

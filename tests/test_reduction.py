@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lowdisc import model
 from lowdisc.model import (
     REL_TOL,
     HypothesisViolation,
@@ -15,9 +17,9 @@ from lowdisc.model import (
     compute_parameters,
     discrepancy,
 )
-from lowdisc.formats import ParseError, format_matrix, parse_matrix_text
-from lowdisc.generate import random_hypergraph, random_matrix
-from lowdisc.pipeline import solve_matrix
+from lowdisc.formats import ParseError, format_matrix, parse_instance, parse_matrix_text
+from lowdisc.generate import random_hypergraph, random_matrix, random_reduced
+from lowdisc.pipeline import solve_hypergraph, solve_matrix, solve_reduced
 from lowdisc.reduction import (
     HypergraphInstance,
     hypergraph_bounds,
@@ -149,6 +151,54 @@ def test_reduced_budgets_hold_up_to_the_slack_edge_and_no_further(delta, over, a
         assert len(problems) == 1 and problems[0].startswith(f"{axis} 0 L1 sum ")
     else:
         assert problems == []
+
+
+@pytest.mark.parametrize("reader", ["bytes", "lines"])
+def test_each_route_checks_the_premise_once_per_instance(tmp_path, monkeypatch, reader):
+    """The premise of each instance is checked by one call of the bound check, whichever
+    of the parser, the generator, validation and the certificate asks first."""
+    calls = []
+    check = model._bound_violations
+
+    def counting(M, *premise):
+        calls.append(type(M).__name__)
+        return check(M, *premise)
+
+    monkeypatch.setattr(model, "_bound_violations", counting)
+    V = random_matrix(40, 400, 16.0, 4.0, 0.15, seed=7)
+    assert calls == ["InputMatrix"]
+    calls.clear()
+    solve_matrix(V)
+    assert calls == ["ReducedInstance"]  # V keeps the generator's verdict
+
+    text = format_matrix(V)
+    if reader == "lines":  # a "%" line in the body sends the file to the line reader
+        text = text.replace("\n", "\n% a note\n", 4)
+    path = tmp_path / "x.mtx"
+    path.write_text(text)
+    calls.clear()
+    solve_matrix(parse_instance(path))
+    assert calls == ["InputMatrix", "ReducedInstance"]
+
+    H = random_hypergraph(200, 8, 4, seed=1)
+    calls.clear()
+    solve_hypergraph(H, mode="reduce")
+    assert calls == ["InputMatrix", "ReducedInstance"]
+
+    A = random_reduced(6, 20, 2.0**-5, 2.0**-2, density=0.4, seed=1)
+    calls.clear()
+    solve_reduced(A)
+    assert calls == []  # A keeps the generator's verdict
+
+    # a matrix built from V gets its own verdict, and V keeps its own
+    half = float(V.row_l1().max()) / 2
+    W = dataclasses.replace(V, row_bound=half)
+    with pytest.raises(HypothesisViolation) as err:
+        validate_matrix(W)
+    first = err.value.violations[0]
+    assert first.startswith("row ") and f"exceeds {half!r}" in first
+    assert validate_matrix(V) is V
+    assert calls == ["InputMatrix"]
 
 
 # --- reduction ---------------------------------------------------------------
@@ -346,6 +396,12 @@ def test_incidence_of_generated_hypergraph_validates():
     H = random_hypergraph(512, 64, 4, seed=3)
     V = hypergraph_incidence(H)
     assert validate_matrix(V) is V
+    # the constructor builds the same matrix of the same arrays; the incidence matrix
+    # shares H's read-only vertex array instead of copying it
+    W = InputMatrix(V.n, V.m, V.rows, V.cols, V.vals, V.row_bound, V.col_bound)
+    for a, b in zip((V.rows, V.cols, V.vals), (W.rows, W.cols, W.vals)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
+    assert V.cols is H.verts
 
 
 def test_incidence_imbalance_is_red_blue_count():

@@ -328,7 +328,7 @@ def _graph_on(ptr, cols, m) -> EventGraph:
     """An event graph whose event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]``;
     only its supports are meaningful."""
     B = ptr.size - 1
-    strata = Strata(n=B, m=m, level_floor=0, row=np.arange(B), level=np.zeros(B, dtype=np.int64),
+    strata = Strata(n=B, m=m, row=np.arange(B), level=np.zeros(B, dtype=np.int64),
                     ptr=ptr, cols=cols, vals=np.ones(cols.size), sums=np.diff(ptr) * 1.0)
     return EventGraph(strata=strata, threshold=np.zeros(B), log_tail=np.zeros(B),
                       log_weight=np.zeros(B))
