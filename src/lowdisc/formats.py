@@ -203,6 +203,10 @@ def _read_header(lines: list):
             if len(tokens) != 3:
                 raise ParseError(f"line {ln}: size line needs 'rows cols nnz'")
             n, m, nnz = (_parse_int(t, ln, "size field") for t in tokens)
+            # so every id checked against n and m fits int64
+            for value in (n, m, nnz):
+                if value > 2**63 - 1:
+                    raise ParseError(f"line {ln}: size field {value} exceeds 2^63 - 1")
             if n < 1 or m < 1:
                 raise ParseError(f"line {ln}: matrix shape must be at least 1x1, got {n}x{m}")
             return declared, (n, m, nnz), ln

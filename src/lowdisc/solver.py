@@ -10,13 +10,16 @@ O(nnz) pass: a certified instance almost never fires, so the rounds it
 does run are few.  The direct hypergraph loop is incremental: every
 coefficient is 1, so each edge sum is a small integer and a running sum is
 exact.  A flipped vertex adds +-2 to each edge in its row of the
-hypergraph's vertex-to-edge table (built at the first redraw).  A heap
-keeps the first violated edge, and a histogram of the |edge sums| over
-the bound keeps the largest one while any edge is violated; a certified
-exit finds the largest |edge sum| in one pass.  The trajectory is the one
-a full recompute per round would give, bit for bit.  The redrawn signs of
-both loops come from one pool of bytes that holds the very stream
-``Generator.integers`` would give.
+hypergraph's vertex-to-edge table (built at the first redraw).  Each sum
+is kept offset to a list index, so an update first looks up whether the
+step keeps the edge inside the bound, and only the other updates
+touch the heap that keeps the first violated edge and the histogram of
+the |edge sums| over the bound that keeps the largest one.  A certified
+exit reads the largest |edge sum| off the first draw, or off the bound
+when some edge sits at it, and only otherwise sums every edge again.  The
+trajectory is the one a full recompute per round would give, bit for bit.
+The redrawn signs of both loops come from one pool of bytes that holds the
+very stream ``Generator.integers`` would give.
 """
 
 from __future__ import annotations
@@ -176,18 +179,26 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
     full recompute of every edge sum per round would give, bit for bit.
     The signs are a ``bytearray`` of 1 and 255 (the bytes of int8 +1 and
     -1), and each draw is a ``bytes`` slice of the sign pool, so a round
-    makes no numpy call; the edge sums are a list of Python ints.  A
-    redraw compares each new sign with the old one, and each flipped
-    vertex adds +-2 to every edge in its row of ``H._vertex_edges``.  That
-    table is built at the first redraw, so a run that never resamples
-    costs one full pass.  The first violated edge is the least live entry
-    of a heap of edge ids with lazy deletion: an edge is pushed when it
-    crosses the bound and popped once it is found back within it.  A
-    histogram counts only the |edge sums| over the bound, plus one count
-    at the bound as a floor, so the kept maximum ``top`` is exact whenever
-    some edge is over the bound: at every best-seen update and at an
-    uncertified exit.  A certified exit finds ``achieved`` in one pass
-    over the final signs.
+    makes no numpy call.  The edge sums are a list of Python ints, each
+    offset by the largest edge size ``largest``, so that a sum ``k`` is an
+    index of three lists built from the integer bound ``limit``:
+    ``mag[k]`` is the |edge sum|, ``out[k]`` says it is over the bound, and
+    ``calm_up[k]`` (``calm_down[k]``) says a +2 (-2) step from ``k`` keeps
+    both ends within it.  A redraw compares each new sign with the old one,
+    and each flipped vertex, its ``calm`` list and step picked by its sign
+    byte, adds the step to every edge in its row of ``H._vertex_edges``.
+    That table is built at the first redraw, so a run that never resamples
+    costs one full pass.  An update looks up ``calm[old]`` once; only when
+    that is false does it read ``out`` and ``mag``.  The first violated
+    edge is the least live entry of a heap of edge ids with lazy deletion:
+    an edge is pushed when it crosses the bound and popped once ``out``
+    finds it back within it.  A histogram counts only the |edge sums| over
+    the bound, plus one count at the bound as a floor, so the kept maximum
+    ``top`` is exact whenever some edge is over the bound: at every
+    best-seen update and at an uncertified exit.  A certified exit takes
+    ``achieved`` from the first draw's maximum when no round ran, from
+    ``limit`` when one scan of the sums finds an edge at +-limit (none is
+    over it), and otherwise from one pass over the final signs.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
@@ -197,21 +208,27 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
     imbalance = np.abs(sums)
     largest = int(np.diff(H.ptr).max())  # no |edge sum| exceeds the largest edge size
     limit = int(min(bound, largest))  # an integer exceeds bound iff it exceeds limit
-    low = -limit
+    first = int(imbalance.max())
     over = imbalance > limit
     heap = np.flatnonzero(over).tolist()  # ascending, so already a heap
     queued = bytearray(over)  # 1 for every edge id in the heap
     hist = np.bincount(imbalance[over], minlength=largest + 1).tolist()
     hist[limit] = 1  # the floor of top, never decremented
-    top = max(int(imbalance.max()), limit)
-    sums = sums.tolist()
+    top = max(first, limit)
+    # edge sums offset by largest, so each is an index of these lists
+    mag = [abs(k - largest) for k in range(2 * largest + 1)]
+    out = [k > limit for k in mag]
+    calm_up = [not (out[k] or out[k + 2]) for k in range(2 * largest - 1)] + [False] * 2
+    calm_down = [False] * 2 + calm_up[:-2]
+    moves = {1: (calm_up, 2), 255: (calm_down, -2)}
+    sums = (sums + largest).tolist()
     counts = np.zeros(H.n_edges, dtype=np.int64)
     tally, ptr, verts = memoryview(counts), memoryview(H.ptr), memoryview(H.verts)
     table = None
     rounds = 0
     best_y, best_val = y, math.inf
     while True:
-        while heap and abs(sums[heap[0]]) <= limit:
+        while heap and not out[sums[heap[0]]]:
             queued[heappop(heap)] = 0
         if not heap or rounds >= max_rounds:
             break
@@ -229,16 +246,18 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
             if y[v] == s:
                 continue
             y[v] = s
-            step = 2 if s == 1 else -2
+            calm, step = moves[s]
             for f in table[v * width:(v + 1) * width]:
                 if f < 0:
                     break
                 old = sums[f]
                 sums[f] = new = old + step
-                if not low <= old <= limit:
-                    hist[abs(old)] -= 1
-                if not low <= new <= limit:
-                    new = abs(new)
+                if calm[old]:
+                    continue
+                if out[old]:
+                    hist[mag[old]] -= 1
+                if out[new]:
+                    new = mag[new]
                     hist[new] += 1
                     if new > top:
                         top = new
@@ -249,7 +268,12 @@ def _direct_loop(H: HypergraphInstance, seed: int, max_rounds: int,
             top -= 1
     certified = not heap
     if certified:
-        top = int(np.abs(_edge_sums(H, y)).max())
+        if not rounds:
+            top = first
+        elif largest + limit in sums or largest - limit in sums:
+            top = limit
+        else:
+            top = int(np.abs(_edge_sums(H, y)).max())
     elif top >= best_val:  # the last assignment is no better than the best seen
         y, top = best_y, best_val
     counts.setflags(write=False)

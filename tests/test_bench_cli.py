@@ -191,6 +191,15 @@ def test_cli_vertex_id_beyond_int64_exits_2_naming_its_line(tmp_path, capsys):
     assert err.startswith("error: line 2: vertex id ") and err.count("\n") == 1
 
 
+def test_cli_size_field_beyond_int64_exits_2_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "huge.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n%%disc R=4 Delta=2\n"
+                   "1 99999999999999999999 1\n1 99999999999999999999 0.5\n")
+    assert main(["certify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: size field 99999999999999999999 exceeds 2^63 - 1\n"
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.mtx")]) == 2
 

@@ -82,6 +82,24 @@ def test_matrix_parse_errors_name_the_line(text, needle):
     assert needle in str(err.value)
 
 
+_HEAD = "%%MatrixMarket matrix coordinate real general\n%%disc R=4 Delta=2\n"
+
+
+@pytest.mark.parametrize("body,field", [
+    ("1 99999999999999999999 1\n1 99999999999999999999 0.5\n", "99999999999999999999"),
+    ("99999999999999999999 2 1\n1 1 0.5\n", "99999999999999999999"),
+    ("1 1 9223372036854775808\n1 1 0.5\n", "9223372036854775808"),
+])
+def test_a_size_field_beyond_int64_is_a_parse_error(tmp_path, body, field):
+    # so every id, checked against the shape, fits int64 on both readers
+    path = tmp_path / "huge.mtx"
+    path.write_text(_HEAD + body)
+    for parse in (parse_instance, parse_matrix_text):
+        with pytest.raises(ParseError) as err:
+            parse(path if parse is parse_instance else _HEAD + body)
+        assert str(err.value) == f"line 3: size field {field} exceeds 2^63 - 1"
+
+
 @pytest.mark.parametrize("first,second", [("0", "0.5"), ("0.5", "0"), ("0", "-0.0")])
 def test_a_cell_repeated_as_an_explicit_zero_is_a_duplicate(first, second):
     # InputMatrix drops explicit zeros, so the repeat must be caught while reading

@@ -12,6 +12,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lowdisc.certify import build_event_graph, verify_lll_condition, verify_symmetric_lll
@@ -22,12 +23,14 @@ from lowdisc.solver import moser_tardos, solve_hypergraph_direct
 
 
 def reference_resample(supports, values, thresholds, n_vars, seed, max_rounds,
-                       achieved_fn):
+                       achieved_fn, first_fn=None):
     """(y, certified, rounds, counts, achieved, log), one Python step per round.
 
     ``supports[e]`` and ``values[e]`` are event ``e``'s columns (ascending)
     and coefficients; events are given in priority order.  ``log`` holds one
-    ``(event, changed columns)`` pair per round.
+    ``(event, changed columns)`` pair per round.  ``first_fn(y)``, when
+    given, returns the first violated event (or None) in place of the scan
+    that sums one event at a time.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -44,8 +47,12 @@ def reference_resample(supports, values, thresholds, n_vars, seed, max_rounds,
     log = []
     best_y, best_val = None, math.inf
     rounds = 0
+    if first_fn is None:
+        def first_fn(y):
+            return next((e for e in range(len(supports)) if violated(e, y)), None)
+
     while True:
-        first = next((e for e in range(len(supports)) if violated(e, y)), None)
+        first = first_fn(y)
         current = achieved_fn(y)
         if current < best_val:
             best_y, best_val = y.copy(), current
@@ -61,15 +68,29 @@ def reference_resample(supports, values, thresholds, n_vars, seed, max_rounds,
         rounds += 1
 
 
+def edge_imbalances(H):
+    """The function of ``y`` giving every |edge sum|, recomputed in full from ``H.edges``."""
+    # row e lists edge e's vertices, padded with a vertex past the last, of sign 0
+    table = np.full((H.n_edges, H.max_edge_size), H.n_vertices, dtype=np.int64)
+    for e, edge in enumerate(H.edges):
+        table[e, :len(edge)] = edge
+    return lambda y: np.abs(np.append(np.asarray(y, dtype=np.int64), 0)[table].sum(axis=1))
+
+
 def reference_direct(H, seed, bound, max_rounds):
     supports = [np.asarray(edge, dtype=np.int64) for edge in H.edges]
     values = [np.ones(len(edge)) for edge in H.edges]
+    imbalances = edge_imbalances(H)
 
     def achieved_fn(y):
-        return float(max(abs(int(y[list(edge)].sum())) for edge in H.edges))
+        return float(imbalances(y).max())
+
+    def first_fn(y):
+        over = np.flatnonzero(imbalances(y) > bound)
+        return int(over[0]) if over.size else None
 
     return reference_resample(supports, values, [bound] * len(supports), H.n_vertices,
-                              seed, max_rounds, achieved_fn)
+                              seed, max_rounds, achieved_fn, first_fn)
 
 
 def reference_reduced(A, graph, seed, max_rounds):
@@ -149,6 +170,31 @@ def test_a_cutoff_returns_the_best_assignment_seen_not_the_last():
     assert not res.certified and res.rounds == 40
     assert res.achieved == min(seen) < seen[-1]  # the last assignment was worse
     assert_same_run(res, ref, supports)
+
+
+# the three ways a certified direct run finds its achieved imbalance: the first draw's
+# maximum (no round ran), the limit (some edge sits at +-limit), or a recompute (none does)
+@pytest.mark.parametrize("H,bound,seed,branch", [
+    (random_hypergraph(2000, 16, 4, seed=7), None, 0, "none"),
+    *((random_hypergraph(20000, 16, 4, seed=1), 6.0, seed, "at limit")
+      for seed in range(1000, 1004)),
+    # no edge of size 4 reaches |sum| = 3, so the largest stays below the limit
+    (HypergraphInstance(200, [range(i, i + 4) for i in range(0, 196, 2)], 4, 2), 3.0, 1,
+     "below limit"),
+], ids=["no-rounds", "limit-1000", "limit-1001", "limit-1002", "limit-1003", "below-limit"])
+def test_each_certified_exit_finds_the_largest_imbalance(H, bound, seed, branch):
+    res = solve_hypergraph_direct(H, seed=seed, imbalance_bound=bound)
+    ref = reference_direct(H, seed, res.bound, math.inf)
+    assert res.certified
+    assert res.achieved == edge_imbalances(H)(res.y).max()
+    limit = min(math.floor(res.bound), H.max_edge_size)
+    if branch == "none":
+        assert res.rounds == 0
+    elif branch == "at limit":
+        assert res.rounds > 0 and res.achieved == limit
+    else:
+        assert res.rounds > 0 and res.achieved < limit
+    assert_same_run(res, ref, [np.asarray(e) for e in H.edges])
 
 
 @settings(max_examples=40, deadline=None)
