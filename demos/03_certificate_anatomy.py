@@ -44,7 +44,7 @@ for e in range(min(8, len(graph))):
           f"{graph.neighbors(e).size:5d}")
 
 report = verify_lll_condition(graph, params, instance=A)
-print(f"\ncertificate passed: {report.passed}")
+print(f"\ncertificate passed: {report.passed}, decided by {report.decided_by}")
 print(f"  min log-margin over events: {report.min_margin:.4e}")
 print(f"  expected total resamples (sum w/(1-w)): {report.resample_budget:.3e}")
 print(f"  column weight sums: max {report.column_weight_sums.max():.3e} "

@@ -18,21 +18,28 @@ one event.  The powers of two are Python floats, one per level, so both
 give the same numbers bit for bit.
 
 The dependency product is bounded one column at a time, as in the paper's
-proof: with S_c the sum of log(1 - weight(F)) over the events F on column
-c, an event's sum over its dependents is at least the sum of S_c over its
-columns minus its own terms, since every term is at most 0 and each
-dependent is counted at least once.  That costs O(nnz) and is exact when
-no dependent shares two columns with the event.  Only an event the bound
+proof.  With W_c the sum of the weights of the events on column c, and r
+the least (log weight - log tail) / size over the events, every event's
+margin is at least its size times r - 2 ln 2 max_c W_c: each dependent is
+counted at least once in the column sums, and -log(1 - w) <= 2 ln 2 w for
+every weight w <= 1/2.  So one inequality on
+the column sums, checked with outward rounding, decides ``passed`` for the
+whole graph in O(nnz) and proves every margin non-negative in real
+arithmetic.  Only when it fails does the per-event check decide: each
+event's sum over its dependents is bounded from below by the column sums
+S_c of log(1 - weight(F)), less its own terms, which is exact when no
+dependent shares two columns with the event, and only an event that bound
 does not clear gets its exact sum, over its neighbours as the event
 graph's column-to-event index gives them.  The index is O(nnz) and built
-on first use: a certificate that clears on the bound builds none, and the
-solver never reads it.
+on first use: a certificate decided on columns builds none, and the solver
+never reads it.  The per-event margins are a diagnostic, built on first
+read when the column check decides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +50,7 @@ from .model import (
     Parameters,
     ReducedInstance,
     Strata,
+    _in_place,
 )
 from .reduction import hypergraph_bounds
 
@@ -180,7 +188,7 @@ class EventGraph:
         """
         s = self.strata
         B = len(s)
-        col_deg = np.bincount(s.cols, minlength=s.m)
+        col_deg = np.bincount(_in_place(s.cols), minlength=s.m)
         col_ptr = np.zeros(s.m + 1, dtype=np.int64)
         np.cumsum(col_deg, out=col_ptr[1:])
         col_events = s.cols * B
@@ -247,15 +255,25 @@ def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:
-    """Outcome of the per-event certificate check.
+    """Outcome of the local-lemma certificate check.
+
+    ``decided_by`` names the check that decided ``passed``:
+
+    - ``"columns"``: one outward-rounded inequality on the column weight
+      sums, which proves every event's margin non-negative;
+    - ``"events"``: the column inequality failed, and the column-sum bound
+      of each event's margin cleared every event;
+    - ``"exact"``: some event needed its exact sum over its neighbours.
 
     ``margins`` holds the log-space slack log(weight) + sum log(1 - weight
-    of dependents) - log(tail) per event; the check passes when every
-    margin clears -MARGIN_TOL.  A margin is the column-sum lower bound of
-    that slack (see :func:`verify_lll_condition`), which is exact when no
-    dependent shares two columns with the event, and the exact slack for
-    every event the bound puts below -MARGIN_TOL.  ``resample_budget`` is
-    the expected total number of resampling steps, sum of weight/(1 - weight).
+    of dependents) - log(tail) per event, and ``min_margin`` its minimum: a
+    margin is the column-sum lower bound of that slack (see
+    :func:`verify_lll_condition`), exact when no dependent shares two
+    columns with the event, and the exact slack for every event the bound
+    puts below -MARGIN_TOL.  When the column inequality decides, they are
+    built at the first read of either, from ``graph``; otherwise the
+    per-event check built them.  ``resample_budget`` is the expected total
+    number of resampling steps, sum of weight/(1 - weight).
 
     Two labeled diagnostics retrace the coarse steps the exact check
     replaces: the per-level exponent inequality and the per-column weight
@@ -263,35 +281,104 @@ class CertificateReport:
     """
 
     passed: bool
-    margins: np.ndarray
     resample_budget: float
     level_slacks: dict
     column_weight_sums: np.ndarray
     column_weight_ok: bool
     n_events: int
     failure: str | None
+    decided_by: str
+    graph: EventGraph = field(repr=False)
+
+    @cached_property
+    def margins(self) -> np.ndarray:
+        return _event_margins(self.graph, np.exp(self.graph.log_weight))[0]
 
     @property
     def min_margin(self) -> float:
         return float(self.margins.min()) if self.margins.size else math.inf
 
 
+def _columns_clear(graph: EventGraph, size: np.ndarray, column_sums: np.ndarray) -> bool:
+    """Whether 2 ln 2 max_c W_c <= min_e (log_weight[e] - log_tail[e]) / size[e]
+    holds in real arithmetic, W_c the sum of exp(log_weight) over the events
+    on column c, given ``column_sums``, the float64 ``np.bincount`` of those
+    sums.
+
+    The left side is rounded up: numpy's ``exp`` is taken to be within one
+    ulp (2^-52 relative, or 2^-1074 below the normal range), a column sum
+    of B or fewer non-negative terms within gamma_B of its value (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §4.2), and
+    ``LOG2`` and the three roundings here within one unit each, for at most
+    (B + 5) units of 2^-53 in all, against the (2B + 8) that ``grow``
+    allows; ``+ (B + 1) 2^-1022`` covers every error below the normal
+    range.  The right side is rounded down by 2^-50 relative, which covers
+    its subtraction, its division and that product.  A left side at most
+    ln 2 also bounds every weight by 1/2, where -log(1 - w) <= 2 ln 2 w
+    holds.  A NaN fails.
+    """
+    B = len(graph)
+    if B == 0:
+        return True
+    allowance = float(((graph.log_weight - graph.log_tail) / size).min())
+    grow = 1.0 + (B + 4) * 2.0**-52  # exact while B < 2^52
+    need = 2.0 * LOG2 * float(column_sums.max()) * grow + (B + 1) * 2.0**-1022
+    return need <= LOG2 and need <= allowance * (1.0 - 2.0**-50)
+
+
+def _event_margins(graph: EventGraph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Each event's margin and its sum of log(1 - w) over its dependents, by
+    the column-sum bound and, for the events that bound puts below
+    -MARGIN_TOL, exactly; and whether any event took the exact sum.  ``w``
+    is ``exp(graph.log_weight)``.
+    """
+    strata = graph.strata
+    size = np.diff(strata.ptr)
+    log_w, log_p = graph.log_weight, graph.log_tail
+    log1m_w = np.log1p(-w)
+    col_log1m = np.bincount(_in_place(strata.cols), weights=np.repeat(log1m_w, size),
+                            minlength=strata.m)
+    nbr_sums = ((np.add.reduceat(col_log1m[strata.cols], strata.ptr[:-1]) if len(strata)
+                 else np.zeros(0))
+                - size * log1m_w)
+    margins = log_w + nbr_sums - log_p
+    low = np.flatnonzero(margins < -MARGIN_TOL)
+    if low.size:
+        # the exact sums of those events, each over its neighbours, ascending
+        near = [graph.neighbors(e) for e in low]
+        lens = [f.size for f in near]
+        nbr_sums[low] = np.bincount(np.arange(low.size).repeat(lens),
+                                    weights=log1m_w[np.concatenate(near)], minlength=low.size)
+        margins[low] = log_w[low] + nbr_sums[low] - log_p[low]
+    margins.setflags(write=False)
+    return margins, nbr_sums, bool(low.size)
+
+
 def verify_lll_condition(graph: EventGraph, params: Parameters,
                          instance: ReducedInstance | None = None) -> CertificateReport:
     """Check the local-lemma condition for every event.
 
-    Computes each event's tail bound, weight, and product over its
-    dependency neighborhood, all in log space, with no proof-style
-    relaxations of the condition itself.  The product's log, a sum of
-    log(1 - weight(F)) over the dependents F, is first bounded from below
-    by column sums: with S_c that sum over the events on column c, it is at
-    least sum_{c in C_e} S_c - |C_e| log(1 - weight(e)), because every term
-    is at most 0 and each dependent is counted at least once.  Both sides
-    are equal when no dependent shares two columns with the event.  An event
-    the bound clears also clears exactly; an event it does not clear gets
-    its exact sum over :meth:`EventGraph.neighbors`, in ascending order, so
-    ``passed`` is the exact check's answer, and the graph's column index is
-    built only when some event needs it.
+    Each event's tail bound, weight and product over its dependency
+    neighborhood are taken in log space, with no proof-style relaxations of
+    the condition itself.  The column check decides first: when
+    2 ln 2 max_c W_c, with W_c the sum of the weights on column c, is at
+    most the least (log weight - log tail) / size over the events, both
+    sides rounded outward (:func:`_columns_clear`), every margin is
+    non-negative, ``passed`` is true and ``decided_by`` is ``"columns"``.
+    The per-event margins are then built only when ``margins`` or
+    ``min_margin`` is read.
+
+    Otherwise the per-event check decides, and builds the margins now.  The
+    product's log, a sum of log(1 - weight(F)) over the dependents F, is
+    bounded from below by column sums: with S_c that sum over the events on
+    column c, it is at least sum_{c in C_e} S_c - |C_e| log(1 - weight(e)),
+    because every term is at most 0 and each dependent is counted at least
+    once.  Both sides are equal when no dependent shares two columns with
+    the event.  An event the bound clears (by -MARGIN_TOL) also clears
+    exactly; an event it does not clear gets its exact sum over
+    :meth:`EventGraph.neighbors`, in ascending order, so ``passed`` is the
+    exact check's answer, and the graph's column index is built only when
+    some event needs it.
 
     Passing ``instance`` first re-checks its hypotheses, so a failure is
     attributed correctly: an instance violating the hypotheses raises
@@ -303,45 +390,38 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
         if problems:
             raise HypothesisViolation(["instance violates hypotheses"] + problems)
     strata = graph.strata
-    B = len(strata)
     size = np.diff(strata.ptr)
-    log_w, log_p = graph.log_weight, graph.log_tail
-    w = np.exp(log_w)
-    log1m_w = np.log1p(-w)
-    col_log1m = np.bincount(strata.cols, weights=np.repeat(log1m_w, size), minlength=strata.m)
-    nbr_sums = ((np.add.reduceat(col_log1m[strata.cols], strata.ptr[:-1]) if B else np.zeros(0))
-                - size * log1m_w)
-    margins = log_w + nbr_sums - log_p
-    low = np.flatnonzero(margins < -MARGIN_TOL)
-    if low.size:
-        # the exact sums of those events, each over its neighbours, ascending
-        near = [graph.neighbors(e) for e in low]
-        lens = [f.size for f in near]
-        nbr_sums[low] = np.bincount(np.arange(low.size).repeat(lens),
-                                    weights=log1m_w[np.concatenate(near)], minlength=low.size)
-        margins[low] = log_w[low] + nbr_sums[low] - log_p[low]
-    passed = bool((margins >= -MARGIN_TOL).all())
+    w = np.exp(graph.log_weight)
     budget = float((w / (1.0 - w)).sum())
     low = int(strata.level.min(initial=0))  # the occupied levels, ascending
     occupied = np.flatnonzero(np.bincount(strata.level - low)) + low
     level_slacks = {k: level_exponent_slack(k, params) for k in occupied.tolist()}
-    column_sums = np.bincount(strata.cols, weights=np.repeat(w, size), minlength=strata.m)
+    column_sums = np.bincount(_in_place(strata.cols), weights=np.repeat(w, size),
+                              minlength=strata.m)
     column_ok = bool((column_sums <= 2.0 * params.beta + MARGIN_TOL).all())
-    failure = None
-    if not passed:
-        idx = int(np.argmin(margins))
-        failure = (
-            f"{_event_name(strata, idx)}: "
-            f"log tail {float(log_p[idx])!r} > log weight {float(log_w[idx])!r} + "
-            f"sum log(1-w) {float(nbr_sums[idx])!r} "
-            f"(margin {float(margins[idx])!r}); the instance satisfies the hypotheses, "
-            "so this indicates a bug"
-        )
-    for a in (margins, column_sums):
-        a.setflags(write=False)
-    return CertificateReport(passed=passed, margins=margins, resample_budget=budget,
-                             level_slacks=level_slacks, column_weight_sums=column_sums,
-                             column_weight_ok=column_ok, n_events=B, failure=failure)
+    column_sums.setflags(write=False)
+    passed, failure, decided_by = True, None, "columns"
+    if not _columns_clear(graph, size, column_sums):
+        margins, nbr_sums, exact = _event_margins(graph, w)
+        passed = bool((margins >= -MARGIN_TOL).all())
+        decided_by = "exact" if exact else "events"
+        if not passed:
+            idx = int(np.argmin(margins))
+            failure = (
+                f"{_event_name(strata, idx)}: "
+                f"log tail {float(graph.log_tail[idx])!r} > "
+                f"log weight {float(graph.log_weight[idx])!r} + "
+                f"sum log(1-w) {float(nbr_sums[idx])!r} "
+                f"(margin {float(margins[idx])!r}); the instance satisfies the hypotheses, "
+                "so this indicates a bug"
+            )
+    report = CertificateReport(passed=passed, resample_budget=budget,
+                               level_slacks=level_slacks, column_weight_sums=column_sums,
+                               column_weight_ok=column_ok, n_events=len(strata),
+                               failure=failure, decided_by=decided_by, graph=graph)
+    if decided_by != "columns":
+        vars(report)["margins"] = margins  # what the first read would build again
+    return report
 
 
 @dataclass(frozen=True)

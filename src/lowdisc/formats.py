@@ -819,8 +819,9 @@ def _format_record(record: dict) -> str:
 def format_certificate(report, params) -> str:
     """Render a certificate report as machine-parseable key = value lines."""
     sums = report.column_weight_sums
-    record = dict(kind="lll-certificate", passed=report.passed, events=report.n_events,
-                  min_margin=report.min_margin, resample_budget=report.resample_budget,
+    record = dict(kind="lll-certificate", passed=report.passed, decided_by=report.decided_by,
+                  events=report.n_events, min_margin=report.min_margin,
+                  resample_budget=report.resample_budget,
                   column_weight_ok=report.column_weight_ok,
                   max_column_weight=float(sums.max()) if sums.size else 0.0,
                   beta=params.beta, delta=params.delta, alpha=params.alpha, eps=params.eps,

@@ -86,6 +86,31 @@ def floor_neg_log2_array(x: np.ndarray) -> np.ndarray:
     return levels
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """``a`` itself where it is read-only, else a read-only view of it: ``a``
+    stays writable for :func:`_in_place`."""
+    if not a.flags.writeable:
+        return a
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+def _in_place(a: np.ndarray) -> np.ndarray:
+    """The writable array that ``a`` is a :func:`_sealed` view of, or ``a`` itself.
+
+    ``np.bincount`` copies a read-only index before it counts (0.8 MB at
+    100k entries), and reads a writable one in place; it writes to neither,
+    and neither does any caller of this function.
+    """
+    base = a.base
+    if (isinstance(base, np.ndarray) and base.flags.writeable and base.dtype == a.dtype
+            and base.shape == a.shape and base.strides == a.strides
+            and base.__array_interface__["data"][0] == a.__array_interface__["data"][0]):
+        return base
+    return a
+
+
 def coo_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
     """True when the cells are in strict (row, col) order, which rules out repeats."""
     ascending = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
@@ -165,7 +190,9 @@ class _CooMatrix:
         strict (row, col) order, and the values finite and of the allowed
         sign.  Only zero values, such as entries that underflowed in a
         rescaling, are dropped here; the bounds are checked as the
-        constructor checks them.
+        constructor checks them.  A fresh array stays writable behind the
+        matrix's read-only view of it (:func:`_sealed`), so the caller
+        writes to it no more.
         """
         M = cls.__new__(cls)
         vars(M).update(zip((f.name for f in fields(cls)), (n, m, rows, cols, vals, *bounds)))
@@ -187,10 +214,9 @@ class _CooMatrix:
         return cls._from_arrays(n, m, *entries, *bounds)
 
     def _seal(self, rows, cols, vals):
-        """Store the normalized entries read-only, and check the two bounds."""
+        """Store the normalized entries as read-only views, and check the two bounds."""
         for name, a in zip(("rows", "cols", "vals"), (rows, cols, vals)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _sealed(a))
         for f in fields(self)[5:]:  # the subclass's two bounds
             b = float(getattr(self, f.name))
             if not math.isfinite(b) or b <= 0:
@@ -230,10 +256,10 @@ class _CooMatrix:
         return np.abs(self.vals) if self.allow_negative else self.vals
 
     def row_l1(self) -> np.ndarray:
-        return np.bincount(self.rows, weights=self._magnitudes(), minlength=self.n)
+        return np.bincount(_in_place(self.rows), weights=self._magnitudes(), minlength=self.n)
 
     def col_l1(self) -> np.ndarray:
-        return np.bincount(self.cols, weights=self._magnitudes(), minlength=self.m)
+        return np.bincount(_in_place(self.cols), weights=self._magnitudes(), minlength=self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +287,7 @@ def _bound_violations(M: _CooMatrix, entry_bound, row_budget, col_budget) -> lis
     index order, a (row, col) cell for an entry, and its value; ``text``
     also counts the offenders.
     """
-    mags = np.abs(M.vals)  # fresh and writable, so np.bincount takes it without a copy
+    mags = np.abs(M.vals)  # fresh and writable; the indices are read in place
     found = []
     bad = np.flatnonzero(mags > entry_bound)
     if bad.size:
@@ -270,7 +296,7 @@ def _bound_violations(M: _CooMatrix, entry_bound, row_budget, col_budget) -> lis
                       f"{entry_bound!r} ({bad.size} entries in violation)"))
     for kind, index, size, budget in (("row", M.rows, M.n, row_budget),
                                       ("column", M.cols, M.m, col_budget)):
-        sums = np.bincount(index, weights=mags, minlength=size)
+        sums = np.bincount(_in_place(index), weights=mags, minlength=size)
         bad = np.flatnonzero(sums > budget * (1.0 + REL_TOL))
         if bad.size:
             i, s = int(bad[0]), float(sums[bad[0]])
@@ -452,8 +478,7 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
     c, v = A.cols[order], A.vals[order]
     ptr = np.append(starts, v.size).astype(np.int64)
     sums = np.add.reduceat(v, starts)
-    for a in (c, v, ptr, sums, row, level):
-        a.setflags(write=False)
+    c, v, ptr, sums, row, level = map(_sealed, (c, v, ptr, sums, row, level))
     return Strata(n=A.n, m=A.m, row=row, level=level, ptr=ptr, cols=c, vals=v, sums=sums)
 
 
@@ -499,7 +524,7 @@ def discrepancy(M, y) -> tuple[np.ndarray, float]:
             f"sign vector length {yv.size} does not match column count {M.m}"
         )
     if M.vals.size:
-        per_row = np.bincount(M.rows, weights=M.vals * yv[M.cols], minlength=M.n)
+        per_row = np.bincount(_in_place(M.rows), weights=M.vals * yv[M.cols], minlength=M.n)
     else:
         per_row = np.zeros(M.n)
     per_row = np.abs(per_row)

@@ -316,8 +316,10 @@ def _hypergraph_solve(H, mode):
 
 def _certificate(V):
     params, _, report = certify_reduced(reduce_matrix(V))
-    record = dict(kind="lll-certificate", passed=report.passed, events=report.n_events,
-                  min_margin=report.min_margin, resample_budget=report.resample_budget,
+    # a valid instance is decided by the column check, and the margins are built for the record
+    record = dict(kind="lll-certificate", passed=report.passed, decided_by="columns",
+                  events=report.n_events, min_margin=report.min_margin,
+                  resample_budget=report.resample_budget,
                   column_weight_ok=report.column_weight_ok,
                   max_column_weight=float(report.column_weight_sums.max()),
                   beta=params.beta, delta=params.delta, alpha=params.alpha, eps=params.eps,

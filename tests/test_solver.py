@@ -108,12 +108,7 @@ def test_uncertified_graph_rejected():
     graph, report = _prepared(A, P14)
     with pytest.raises(HypothesisViolation):
         moser_tardos(A, graph, P14, seed=0, certificate=None)
-    bad = type(report)(passed=False, margins=report.margins,
-                       resample_budget=report.resample_budget,
-                       level_slacks=report.level_slacks,
-                       column_weight_sums=report.column_weight_sums,
-                       column_weight_ok=report.column_weight_ok,
-                       n_events=report.n_events, failure="forced")
+    bad = dataclasses.replace(report, passed=False, failure="forced")
     with pytest.raises(HypothesisViolation):
         moser_tardos(A, graph, P14, seed=0, certificate=bad)
     with pytest.raises(ValueError, match="max_rounds must be non-negative"):
