@@ -50,7 +50,7 @@ from .model import (
     Parameters,
     ReducedInstance,
     Strata,
-    _in_place,
+    _bincount,
 )
 from .reduction import hypergraph_bounds
 
@@ -188,7 +188,7 @@ class EventGraph:
         """
         s = self.strata
         B = len(s)
-        col_deg = np.bincount(_in_place(s.cols), minlength=s.m)
+        col_deg = _bincount(s.cols, minlength=s.m)
         col_ptr = np.zeros(s.m + 1, dtype=np.int64)
         np.cumsum(col_deg, out=col_ptr[1:])
         col_events = s.cols * B
@@ -336,8 +336,7 @@ def _event_margins(graph: EventGraph, w: np.ndarray) -> tuple[np.ndarray, np.nda
     size = np.diff(strata.ptr)
     log_w, log_p = graph.log_weight, graph.log_tail
     log1m_w = np.log1p(-w)
-    col_log1m = np.bincount(_in_place(strata.cols), weights=np.repeat(log1m_w, size),
-                            minlength=strata.m)
+    col_log1m = _bincount(strata.cols, np.repeat(log1m_w, size), strata.m)
     nbr_sums = ((np.add.reduceat(col_log1m[strata.cols], strata.ptr[:-1]) if len(strata)
                  else np.zeros(0))
                 - size * log1m_w)
@@ -396,8 +395,7 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
     low = int(strata.level.min(initial=0))  # the occupied levels, ascending
     occupied = np.flatnonzero(np.bincount(strata.level - low)) + low
     level_slacks = {k: level_exponent_slack(k, params) for k in occupied.tolist()}
-    column_sums = np.bincount(_in_place(strata.cols), weights=np.repeat(w, size),
-                              minlength=strata.m)
+    column_sums = _bincount(strata.cols, np.repeat(w, size), strata.m)
     column_ok = bool((column_sums <= 2.0 * params.beta + MARGIN_TOL).all())
     column_sums.setflags(write=False)
     passed, failure, decided_by = True, None, "columns"

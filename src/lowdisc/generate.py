@@ -178,12 +178,10 @@ def random_matrix(n: int, m: int, row_bound: float, col_bound: float,
         ])
     rng = np.random.Generator(np.random.PCG64(seed))
     rows, cols = _kept_cells(rng, n, m, density)
-    vals = rng.uniform(-1.0, 1.0, size=rows.size)  # an exact 0.0 is dropped by the constructor
+    vals = rng.uniform(-1.0, 1.0, size=rows.size)  # an exact 0.0 is dropped by _adopt
     _rescale(vals, rows, n, row_bound)
     _rescale(vals, cols, m, col_bound)
-    V = InputMatrix(n, m, rows, cols, vals, row_bound, col_bound)
-    del rows, cols, vals  # V holds its own copies; free these before validating
-    return validate_matrix(V)
+    return validate_matrix(InputMatrix._adopt(n, m, rows, cols, vals, row_bound, col_bound))
 
 
 def random_reduced(n: int, m: int, beta: float, delta: float, density: float,
@@ -207,8 +205,7 @@ def random_reduced(n: int, m: int, beta: float, delta: float, density: float,
     vals *= beta
     _rescale(vals, cols, m, delta)
     _rescale(vals, rows, n, 1.0)
-    A = ReducedInstance(n, m, rows, cols, vals, beta, delta)
-    del rows, cols, vals  # A holds its own copies; free these before validating
+    A = ReducedInstance._adopt(n, m, rows, cols, vals, beta, delta)
     problems = A.hypothesis_violations()
     if problems:
         raise HypothesisViolation(["generator produced an invalid instance"] + problems)

@@ -100,8 +100,9 @@ def _in_place(a: np.ndarray) -> np.ndarray:
     """The writable array that ``a`` is a :func:`_sealed` view of, or ``a`` itself.
 
     ``np.bincount`` copies a read-only index before it counts (0.8 MB at
-    100k entries), and reads a writable one in place; it writes to neither,
-    and neither does any caller of this function.
+    100k entries), and read-only weights too (8.08 MB for a 10^6-entry
+    float64 array); it reads writable ones in place.  It writes to neither,
+    and neither does :func:`_bincount`, this function's one caller.
     """
     base = a.base
     if (isinstance(base, np.ndarray) and base.flags.writeable and base.dtype == a.dtype
@@ -109,6 +110,13 @@ def _in_place(a: np.ndarray) -> np.ndarray:
             and base.__array_interface__["data"][0] == a.__array_interface__["data"][0]):
         return base
     return a
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray | None = None, minlength: int = 0):
+    """``np.bincount`` over :func:`_in_place` of both ``index`` and ``weights``: every
+    count over an instance's or a :class:`Strata`'s arrays reads them in place."""
+    weights = None if weights is None else _in_place(weights)
+    return np.bincount(_in_place(index), weights=weights, minlength=minlength)
 
 
 def coo_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
@@ -152,21 +160,19 @@ def _checked_coo(n, m, rows, cols, vals, *, allow_negative):
     return rows, cols, vals
 
 
-def _as_coo(n, m, rows, cols, vals, *, allow_negative):
-    """Normalize coordinate data: sorted by (row, col), no zeros, no duplicates."""
-    rows, cols, vals = _checked_coo(n, m, rows, cols, vals, allow_negative=allow_negative)
-    keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep]  # copies: the caller's stay writable
-
-
 @dataclass(frozen=True, eq=False)
 class _CooMatrix:
     """Sparse matrix in coordinate form plus two declared positive bounds.
 
     Entries are sorted by (row, col), explicit zeros dropped, and the arrays
-    are read-only.  Each subclass declares its two bound fields after
-    ``vals``, whether negative entries are allowed, and ``_premise``: the
-    (entry bound, row budget, column budget) that the theorem assumes of it.
+    are read-only views of writable ones (:func:`_sealed`).  There are three
+    builders: the constructor copies the caller's arrays once and checks
+    them, :meth:`_adopt` checks fresh arrays and takes them, and
+    :meth:`_from_arrays` takes arrays that are already checked.  All three
+    drop zeros and check the bounds in :meth:`_seal`.  Each subclass
+    declares its two bound fields after ``vals``, whether negative entries
+    are allowed, and ``_premise``: the (entry bound, row budget, column
+    budget) that the theorem assumes of it.
     """
 
     n: int
@@ -178,8 +184,8 @@ class _CooMatrix:
     allow_negative = True
 
     def __post_init__(self):
-        self._seal(*_as_coo(self.n, self.m, self.rows, self.cols, self.vals,
-                            allow_negative=self.allow_negative))
+        copies = map(np.array, (self.rows, self.cols, self.vals), (np.int64, np.int64, np.float64))
+        self._seal(*_checked_coo(self.n, self.m, *copies, allow_negative=self.allow_negative))
 
     @classmethod
     def _from_arrays(cls, n, m, rows, cols, vals, *bounds):
@@ -188,33 +194,27 @@ class _CooMatrix:
         ``rows`` and ``cols`` are int64, ``vals`` float64, all three fresh or
         read-only, 1-d and of equal length; the cells are in range and in
         strict (row, col) order, and the values finite and of the allowed
-        sign.  Only zero values, such as entries that underflowed in a
-        rescaling, are dropped here; the bounds are checked as the
-        constructor checks them.  A fresh array stays writable behind the
-        matrix's read-only view of it (:func:`_sealed`), so the caller
-        writes to it no more.
+        sign.  A fresh array stays writable behind the matrix's read-only
+        view of it, so the caller writes to it no more.
         """
         M = cls.__new__(cls)
         vars(M).update(zip((f.name for f in fields(cls)), (n, m, rows, cols, vals, *bounds)))
-        keep = vals != 0.0
-        if not keep.all():
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
         M._seal(rows, cols, vals)
         return M
 
     @classmethod
     def _adopt(cls, n, m, rows, cols, vals, *bounds):
-        """The matrix over int64 and float64 arrays that the caller hands over.
-
-        They are checked as the constructor checks its input
-        (:func:`_checked_coo`), and then sealed without a copy where they
-        are already in order and hold no zero.
-        """
+        """The matrix over fresh int64 and float64 arrays, checked as the constructor
+        checks its copies (:func:`_checked_coo`) and taken without a copy where they
+        are already in order and hold no zero."""
         entries = _checked_coo(n, m, rows, cols, vals, allow_negative=cls.allow_negative)
         return cls._from_arrays(n, m, *entries, *bounds)
 
     def _seal(self, rows, cols, vals):
-        """Store the normalized entries as read-only views, and check the two bounds."""
+        """Store the checked entries, zeros dropped, as read-only views; check the bounds."""
+        keep = vals != 0.0
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
         for name, a in zip(("rows", "cols", "vals"), (rows, cols, vals)):
             object.__setattr__(self, name, _sealed(a))
         for f in fields(self)[5:]:  # the subclass's two bounds
@@ -256,10 +256,10 @@ class _CooMatrix:
         return np.abs(self.vals) if self.allow_negative else self.vals
 
     def row_l1(self) -> np.ndarray:
-        return np.bincount(_in_place(self.rows), weights=self._magnitudes(), minlength=self.n)
+        return _bincount(self.rows, self._magnitudes(), self.n)
 
     def col_l1(self) -> np.ndarray:
-        return np.bincount(_in_place(self.cols), weights=self._magnitudes(), minlength=self.m)
+        return _bincount(self.cols, self._magnitudes(), self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +287,7 @@ def _bound_violations(M: _CooMatrix, entry_bound, row_budget, col_budget) -> lis
     index order, a (row, col) cell for an entry, and its value; ``text``
     also counts the offenders.
     """
-    mags = np.abs(M.vals)  # fresh and writable; the indices are read in place
+    mags = M._magnitudes()
     found = []
     bad = np.flatnonzero(mags > entry_bound)
     if bad.size:
@@ -296,7 +296,7 @@ def _bound_violations(M: _CooMatrix, entry_bound, row_budget, col_budget) -> lis
                       f"{entry_bound!r} ({bad.size} entries in violation)"))
     for kind, index, size, budget in (("row", M.rows, M.n, row_budget),
                                       ("column", M.cols, M.m, col_budget)):
-        sums = np.bincount(_in_place(index), weights=mags, minlength=size)
+        sums = _bincount(index, mags, size)
         bad = np.flatnonzero(sums > budget * (1.0 + REL_TOL))
         if bad.size:
             i, s = int(bad[0]), float(sums[bad[0]])
@@ -509,6 +509,8 @@ class SignVector:
         )
 
     def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self.values, dtype=dtype)
         return np.asarray(self.values, dtype=dtype)
 
 
@@ -524,7 +526,7 @@ def discrepancy(M, y) -> tuple[np.ndarray, float]:
             f"sign vector length {yv.size} does not match column count {M.m}"
         )
     if M.vals.size:
-        per_row = np.bincount(_in_place(M.rows), weights=M.vals * yv[M.cols], minlength=M.n)
+        per_row = _bincount(M.rows, M.vals * yv[M.cols], M.n)
     else:
         per_row = np.zeros(M.n)
     per_row = np.abs(per_row)

@@ -21,6 +21,8 @@ from .model import (
     InputMatrix,
     ReducedInstance,
     SignVector,
+    _bincount,
+    _sealed,
     coo_sorted,
     discrepancy,
 )
@@ -108,9 +110,7 @@ class HypergraphInstance:
             )
         if problems:
             raise HypothesisViolation(problems)
-        ptr.setflags(write=False)
-        verts.setflags(write=False)
-        vars(self).update(n_vertices=n_vertices, ptr=ptr, verts=verts,
+        vars(self).update(n_vertices=n_vertices, ptr=_sealed(ptr), verts=_sealed(verts),
                           max_edge_size=max_edge_size, max_degree=max_degree)
 
     @cached_property
@@ -126,7 +126,7 @@ class HypergraphInstance:
         resample of a direct solve.  Edge ids fit int32: 2^31 edges would
         take 16 GB of ``verts``."""
         order = np.argsort(self.verts, kind="stable")  # incidences by vertex, edge order kept
-        degree = np.bincount(self.verts, minlength=self.n_vertices)
+        degree = _bincount(self.verts, minlength=self.n_vertices)
         table = np.full((self.n_vertices, int(degree.max(initial=0))), -1, dtype=np.int32)
         edge = np.searchsorted(self.ptr, order, side="right")
         edge -= 1
@@ -139,7 +139,7 @@ class HypergraphInstance:
         return int(self.ptr.size - 1)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.verts, minlength=self.n_vertices)
+        return _bincount(self.verts, minlength=self.n_vertices)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from lowdisc.certify import LOG2, MARGIN_TOL, build_event_graph, verify_lll_condition
-from lowdisc.generate import random_matrix, random_reduced
+from lowdisc.generate import random_hypergraph, random_matrix, random_reduced
 from lowdisc.model import ReducedInstance, compute_parameters, stratify
-from lowdisc.pipeline import solve_matrix
+from lowdisc.pipeline import solve_hypergraph, solve_matrix
 from lowdisc.reduction import reduce_matrix
 
 from test_acceptance import _random_reduced_instances
@@ -239,22 +239,50 @@ def test_solve_matrix_peak_memory_is_a_stated_multiple_of_its_entries():
     assert peak < 8.5 * V.nnz * 8
 
 
-def test_solve_matrix_reads_every_bincount_index_in_place(monkeypatch):
-    # np.bincount copies a read-only index; the solve's sealed arrays are read-only
-    # views of arrays it hands over writable
-    V = random_matrix(40, 400, 16.0, 4.0, 0.15, seed=7)
-    want = solve_matrix(V, seed=1)
-    seen = []
-    bincount = np.bincount
-
-    def counted(x, *args, **kwargs):
-        seen.append(x.flags.writeable)
-        return bincount(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "bincount", counted)
+def _solved(V):
     out = solve_matrix(V, seed=1)
-    assert len(seen) == 6 and all(seen)
-    assert out.result == want.result and out.lifted.max_disc == want.lifted.max_disc
     for M in (V, out.reduced.instance):
         for a in (M.rows, M.cols, M.vals):
             assert not a.flags.writeable
+    return out.result, out.lifted.max_disc
+
+
+SMALL_MATRIX = (40, 400, 16.0, 4.0, 0.15)
+SMALL_REDUCED = (40, 400, 2.0**-6, 2.0**-2, 0.15)
+
+# (what to build first, the call that counts, its np.bincount calls)
+BINCOUNT_CALLS = {
+    "solve_matrix": (lambda: random_matrix(*SMALL_MATRIX, seed=7), _solved, 6),
+    "solve_hypergraph_reduce": (lambda: random_hypergraph(2000, 16, 4, seed=1),
+                                lambda H: solve_hypergraph(H, mode="reduce").result, 8),
+    "row_l1": (lambda: random_reduced(*SMALL_REDUCED, seed=7),
+               lambda A: A.row_l1().tolist(), 1),
+    "col_l1": (lambda: random_reduced(*SMALL_REDUCED, seed=7),
+               lambda A: A.col_l1().tolist(), 1),
+    "degrees": (lambda: random_hypergraph(2000, 16, 4, seed=1),
+                lambda H: H.degrees().tolist(), 1),
+    "random_matrix": (lambda: SMALL_MATRIX,
+                      lambda args: random_matrix(*args, seed=7).vals.tolist(), 4),
+    "random_reduced": (lambda: SMALL_REDUCED,
+                       lambda args: random_reduced(*args, seed=7).vals.tolist(), 4),
+}
+
+
+@pytest.mark.parametrize("name", BINCOUNT_CALLS)
+def test_solve_matrix_reads_every_bincount_index_in_place(monkeypatch, name):
+    # np.bincount copies a read-only index and read-only weights; the sealed
+    # arrays of instances and strata are read-only views of writable ones,
+    # which every count reads
+    build, call, calls = BINCOUNT_CALLS[name]
+    x = build()
+    want = call(x)
+    seen = []
+    bincount = np.bincount
+
+    def counted(index, weights=None, minlength=0):
+        seen.append((index.flags.writeable, weights is None or weights.flags.writeable))
+        return bincount(index, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    assert call(x) == want
+    assert len(seen) == calls and all(index and weights for index, weights in seen), seen

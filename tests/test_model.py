@@ -278,6 +278,16 @@ def test_sign_vector_validation():
     assert set(np.asarray(v).tolist()) <= {-1, 1}
 
 
+def test_sign_vector_array_copies_when_asked():
+    v = SignVector([1, -1, 1])
+    y = np.array(v, copy=True)
+    assert not np.shares_memory(y, v.values)
+    y[0] = -1
+    assert v.values.tolist() == [1, -1, 1]
+    assert np.shares_memory(np.asarray(v), v.values)
+    assert np.array(v, dtype=np.float64, copy=True).tolist() == [1.0, -1.0, 1.0]
+
+
 def test_sign_vector_takes_plus_and_minus_one_in_any_dtype_and_nothing_else():
     for good in ([1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8),
                  np.array([1], dtype=np.uint8), np.array([-1, 1], dtype=object)):
@@ -379,7 +389,7 @@ def test_a_zero_repeats_a_cell_as_any_value_does():
 
 
 def reference_coo_order(rows, cols, vals):
-    """The lexsort path of ``_as_coo``: sorted, the first repeat named (a zero
+    """The constructor's lexsort path: sorted, the first repeat named (a zero
     repeats a cell as any value does), then zeros dropped."""
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
