@@ -286,3 +286,16 @@ def test_solve_matrix_reads_every_bincount_index_in_place(monkeypatch, name):
     monkeypatch.setattr(np, "bincount", counted)
     assert call(x) == want
     assert len(seen) == calls and all(index and weights for index, weights in seen), seen
+
+
+def test_a_reduced_premise_check_reads_the_values_in_place():
+    A = dataclasses.replace(random_reduced(400, 4000, 2.0**-6, 2.0**-2, 0.05, seed=1))
+    tracemalloc.start()
+    try:
+        assert A.hypothesis_violations() == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one bool mask over the entries, and the row and column sums; a copy of
+    # the values through np.abs would add vals.nbytes
+    assert peak < A.vals.nbytes / 2
