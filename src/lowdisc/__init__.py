@@ -66,6 +66,7 @@ from .pipeline import (
     MatrixSolveOutcome,
     HypergraphSolveOutcome,
     certify_reduced,
+    certify_matrix,
     solve_reduced,
     solve_matrix,
     solve_hypergraph,
@@ -87,6 +88,6 @@ __all__ = [
     "ParseError", "parse_instance", "write_instance", "parse_matrix_text", "format_matrix",
     "parse_hypergraph_text", "format_hypergraph", "format_certificate",
     "ReducedSolveOutcome", "MatrixSolveOutcome", "HypergraphSolveOutcome", "certify_reduced",
-    "solve_reduced", "solve_matrix", "solve_hypergraph",
+    "certify_matrix", "solve_reduced", "solve_matrix", "solve_hypergraph",
     "BenchConfig", "BenchReport", "run_benchmark", "format_bench_report",
 ]

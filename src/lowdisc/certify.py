@@ -353,6 +353,13 @@ def _event_margins(graph: EventGraph, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return margins, nbr_sums, bool(low.size)
 
 
+def _require_premise(problems: list[str]) -> None:
+    """Raise the :class:`HypothesisViolation` of an instance whose premise
+    check found ``problems``; do nothing when there are none."""
+    if problems:
+        raise HypothesisViolation(["instance violates hypotheses"] + problems)
+
+
 def verify_lll_condition(graph: EventGraph, params: Parameters,
                          instance: ReducedInstance | None = None) -> CertificateReport:
     """Check the local-lemma condition for every event.
@@ -385,9 +392,7 @@ def verify_lll_condition(graph: EventGraph, params: Parameters,
     instance is reported as evidence of a bug.
     """
     if instance is not None:
-        problems = instance.hypothesis_violations()
-        if problems:
-            raise HypothesisViolation(["instance violates hypotheses"] + problems)
+        _require_premise(instance.hypothesis_violations())
     strata = graph.strata
     size = np.diff(strata.ptr)
     w = np.exp(graph.log_weight)

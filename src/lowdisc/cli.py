@@ -16,8 +16,8 @@ from .model import HypothesisViolation, InputMatrix, InternalInconsistency
 from .bench import BenchConfig, _format_csv, format_bench_report, run_benchmark
 from .formats import _format_record, format_certificate, parse_instance, write_instance
 from .generate import random_hypergraph, random_matrix
-from .pipeline import certify_reduced, reduced_incidence, solve_hypergraph, solve_matrix
-from .reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix, validate_matrix
+from .pipeline import certify_matrix, reduced_incidence, solve_hypergraph, solve_matrix
+from .reduction import HypergraphInstance, hypergraph_incidence
 from .solver import DEFAULT_MAX_ROUNDS, _direct_check, brute_force_optimum
 
 __all__ = ["main", "run"]
@@ -138,10 +138,7 @@ def cmd_certify(args) -> int:
                                   **dataclasses.asdict(check)}), args.output)
             return 0
         inst = reduced_incidence(inst)
-    else:
-        validate_matrix(inst)
-    A = reduce_matrix(inst)
-    params, _, report = certify_reduced(A)
+    params, _, report = certify_matrix(inst)
     _emit(format_certificate(report, params), args.output)
     return 0 if report.passed else 1
 

@@ -288,18 +288,32 @@ def _bound_violations(M: _CooMatrix, entry_bound, row_budget, col_budget) -> lis
     also counts the offenders.
     """
     mags = M._magnitudes()
+    return _breaches(M.rows, M.cols, M.vals, mags, entry_bound,
+                     ("row", M.rows, mags, M.n, row_budget),
+                     ("column", M.cols, mags, M.m, col_budget))
+
+
+def _breaches(rows, cols, vals, mags, entry_bound, *sums) -> list[tuple]:
+    """:func:`_bound_violations` over entry arrays, ``mags`` being ``|vals|``.
+
+    The entries may come in any order that keeps each row's columns
+    ascending: the first offending entry in (row, col) order is then the
+    first one in the least row.  Each of ``sums`` is ``(kind, index,
+    weights, size, budget)``, summed by one :func:`_bincount` in the order
+    the arrays give.
+    """
     found = []
     bad = np.flatnonzero(mags > entry_bound)
     if bad.size:
-        cell, v = (int(M.rows[bad[0]]), int(M.cols[bad[0]])), float(M.vals[bad[0]])
+        j = bad[np.argmin(rows[bad])]
+        cell, v = (int(rows[j]), int(cols[j])), float(vals[j])
         found.append(("entry", cell, v, f"entry {cell} = {v!r} exceeds the entry bound "
                       f"{entry_bound!r} ({bad.size} entries in violation)"))
-    for kind, index, size, budget in (("row", M.rows, M.n, row_budget),
-                                      ("column", M.cols, M.m, col_budget)):
-        sums = _bincount(index, mags, size)
-        bad = np.flatnonzero(sums > budget * (1.0 + REL_TOL))
+    for kind, index, weights, size, budget in sums:
+        total = _bincount(index, weights, size)
+        bad = np.flatnonzero(total > budget * (1.0 + REL_TOL))
         if bad.size:
-            i, s = int(bad[0]), float(sums[bad[0]])
+            i, s = int(bad[0]), float(total[bad[0]])
             found.append((kind, i, s, f"{kind} {i} L1 sum {s!r} exceeds {budget!r} "
                           f"({bad.size} {kind}s in violation)"))
     return found
@@ -439,35 +453,46 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
 
     Zero entries are never stored, so every entry lands in exactly one
     bucket.  An entry above ``params.beta`` means the instance is corrupt.
+    The work is :func:`_stratify`'s, which :func:`~lowdisc.pipeline.solve_matrix`
+    calls on the input matrix's own entries, so that ``A`` is built only
+    when it is read.
+    """
+    return _stratify(A.n, A.m, A.rows, A.cols, A.vals, params)
+
+
+def _stratify(n, m, rows, cols, vals, params: Parameters) -> Strata:
+    """:func:`stratify` of the n x m reduced instance whose entries are
+    ``rows``, ``cols`` and ``vals``, in any order that keeps each row's
+    columns ascending: its own (row, col) order, or the input matrix's.
 
     With L the number of levels from the lowest occupied one to the highest,
-    an entry's bucket key is ``row * L + (level - lowest)``.  ``A`` is in
-    (row, col) order, so the stable order of the keys keeps the columns
-    ascending within each bucket.  It is found by one sort of packed keys
-    (see :func:`_bucket_order`) while ``n * L * 2^b <= 2^63``, b the bit
-    length of ``nnz - 1``; levels run from 2 to 1074, so that holds for any
-    L once ``n * nnz <= 2^51``.  Beyond that a stable argsort finds the same
-    order.  Only the columns and values are gathered; each bucket's row and
-    level are read off its key.
+    an entry's bucket key is ``row * L + (level - lowest)``, so the stable
+    order of the keys keeps the columns ascending within each bucket.  It is
+    found by one sort of packed keys (see :func:`_bucket_order`) while
+    ``n * L * 2^b <= 2^63``, b the bit length of ``nnz - 1``; levels run
+    from 2 to 1074, so that holds for any L once ``n * nnz <= 2^51``.
+    Beyond that a stable argsort finds the same order.  Only the columns and
+    values are gathered; each bucket's row and level are read off its key.
     """
-    if A.vals.size and float(A.vals.max()) > params.beta:
-        j = int(np.argmax(A.vals))
+    if vals.size and float(vals.max()) > params.beta:
+        top = np.flatnonzero(vals == vals.max())
+        j = int(top[np.argmin(rows[top])])  # the first largest in (row, col) order
         raise HypothesisViolation([
-            f"corrupt instance: entry ({int(A.rows[j])}, {int(A.cols[j])}) = "
-            f"{float(A.vals[j])!r} exceeds beta = {params.beta!r}"
+            f"corrupt instance: entry ({int(rows[j])}, {int(cols[j])}) = "
+            f"{float(vals[j])!r} exceeds beta = {params.beta!r}"
         ])
-    if A.vals.size == 0:
+    if vals.size == 0:
         empty_i = np.zeros(0, dtype=np.int64)
-        return Strata(n=A.n, m=A.m, row=empty_i, level=empty_i, ptr=np.zeros(1, dtype=np.int64),
+        return Strata(n=n, m=m, row=empty_i, level=empty_i, ptr=np.zeros(1, dtype=np.int64),
                       cols=empty_i, vals=np.zeros(0), sums=np.zeros(0))
-    levels = floor_neg_log2_array(A.vals)
+    levels = floor_neg_log2_array(vals)
     low = int(levels.min())
     span = int(levels.max()) - low + 1
     levels -= low
-    keys = A.rows * span  # below n * span, so no overflow
+    keys = rows * span  # below n * span, so no overflow
     keys += levels
     del levels
-    order, keys = _bucket_order(keys, A.n * span)
+    order, keys = _bucket_order(keys, n * span)
     change = np.empty(keys.size, dtype=bool)
     change[0] = True
     np.not_equal(keys[1:], keys[:-1], out=change[1:])
@@ -475,11 +500,26 @@ def stratify(A: ReducedInstance, params: Parameters) -> Strata:
     head = keys[starts]
     row, level = head // span, head % span + low
     del keys  # free the sorted keys before the two gathers
-    c, v = A.cols[order], A.vals[order]
+    c, v = cols[order], vals[order]
     ptr = np.append(starts, v.size).astype(np.int64)
     sums = np.add.reduceat(v, starts)
     c, v, ptr, sums, row, level = map(_sealed, (c, v, ptr, sums, row, level))
-    return Strata(n=A.n, m=A.m, row=row, level=level, ptr=ptr, cols=c, vals=v, sums=sums)
+    return Strata(n=n, m=m, row=row, level=level, ptr=ptr, cols=c, vals=v, sums=sums)
+
+
+def _strata_violations(rows, cols, vals, strata: Strata, beta, delta) -> list[tuple]:
+    """``_bound_violations`` of the reduced instance whose strata is ``strata``,
+    bit for bit, without that instance: ``rows``, ``cols`` and ``vals`` are its
+    entries, in an order that keeps its own within each row (:func:`_stratify`).
+
+    Row sums add in that order, which is the instance's within every row.
+    Column sums add in the strata's, which within one column orders the
+    entries by row, as the instance does.  The budgets are
+    :class:`ReducedInstance`'s premise: ``beta``, 1 and ``delta``.
+    """
+    return _breaches(rows, cols, vals, vals, beta,
+                     ("row", rows, vals, strata.n, 1),
+                     ("column", strata.cols, strata.vals, strata.m, delta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,9 +565,14 @@ def discrepancy(M, y) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"sign vector length {yv.size} does not match column count {M.m}"
         )
-    if M.vals.size:
-        per_row = _bincount(M.rows, M.vals * yv[M.cols], M.n)
-    else:
-        per_row = np.zeros(M.n)
-    per_row = np.abs(per_row)
+    per_row = _row_discrepancy(M.rows, M.cols, M.vals, M.n, yv)
     return per_row, float(per_row.max())
+
+
+def _row_discrepancy(rows, cols, vals, n, y) -> np.ndarray:
+    """Per-row |M @ y| of the n-row matrix M whose entries are ``rows``, ``cols``
+    and ``vals``; each row's products add in the order the arrays give."""
+    if not vals.size:  # np.bincount of no entries gives int64 zeros
+        return np.zeros(n)
+    per_row = _bincount(rows, vals * y[cols], n)
+    return np.abs(per_row, out=per_row)

@@ -21,6 +21,7 @@ from .model import (
     InputMatrix,
     ReducedInstance,
     SignVector,
+    Strata,
     _bincount,
     _sealed,
     coo_sorted,
@@ -189,36 +190,59 @@ def reduce_matrix(V: InputMatrix) -> ReducedInstance:
 
     Row i of the result holds max(V[i], 0)/R, row n+i holds max(-V[i], 0)/R;
     the entry bound becomes 1/R and the column-sum bound Delta/R.  Call
-    :func:`validate_matrix` first.
+    :func:`validate_matrix` first.  :func:`~lowdisc.pipeline.solve_matrix`
+    solves from ``V``'s relabelled entries (:func:`_split`) and calls this
+    only when its reduced instance is read.
 
     The entries of ``V`` are checked and in (row, col) order already, and
-    so are the reduced ones: the positive parts keep their order, and the
-    negative parts follow on rows n to 2n - 1.  So the result is built
-    without the constructor's second normalisation; it only drops entries
-    that underflow to 0 in |v|/R (``5e-324 / 4``), and, for R < 1, rejects
-    those that overflow, as ``ReducedInstance(...)`` of the same arrays would.
+    so are the reduced ones once the positive parts, in their order, come
+    before the negative parts on rows n to 2n - 1.  So the result is built
+    without the constructor's second normalisation.
+    """
+    rows, cols, vals = _split(V)
+    neg = rows >= V.n
+    order = np.concatenate((np.flatnonzero(~neg), np.flatnonzero(neg)))
+    rows, cols, vals = rows.take(order), cols.take(order), vals.take(order)
+    del order  # free this before the checks below allocate
+    return ReducedInstance._from_arrays(2 * V.n, V.m, rows, cols, vals, *_reduced_bounds(V))
+
+
+def _reduced_bounds(V: InputMatrix) -> tuple[float, float]:
+    """The entry bound 1/R and the column-sum bound Delta/R of ``V``'s reduced instance."""
+    return 1.0 / V.row_bound, V.col_bound / V.row_bound
+
+
+def _split(V: InputMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of ``reduce_matrix(V)``, in ``V``'s order: entry (i, j, v)
+    becomes row ``i + n * [v < 0]``, column j and value |v|/R.
+
+    Within one reduced row this is the reduced instance's order, columns
+    ascending.  Entries that underflow to 0 in |v|/R (``5e-324 / 4``) are
+    dropped, as the reduced instance drops them, and, for R < 1, those that
+    overflow are rejected, as ``ReducedInstance(...)`` of the same arrays
+    would reject them.
     """
     R = V.row_bound
-    pos = np.flatnonzero(V.vals > 0)
-    order = np.concatenate((pos, np.flatnonzero(V.vals < 0)))  # zeros are never stored
-    rows = V.rows.take(order)
-    rows[pos.size:] += V.n
-    cols = V.cols.take(order)
-    vals = np.abs(V.vals.take(order))
+    vals = np.abs(V.vals)
     vals /= R
-    del pos, order  # free these before the checks below allocate
     if R < 1.0 and not np.isfinite(vals).all():
         raise ValueError("non-finite entry value")
-    return ReducedInstance._from_arrays(2 * V.n, V.m, rows, cols, vals, 1.0 / R, V.col_bound / R)
+    rows = V.rows + V.n * (V.vals < 0)
+    if vals.all():
+        return rows, V.cols, vals
+    keep = vals != 0.0
+    return rows[keep], V.cols[keep], vals[keep]
 
 
-def lift_assignment(V: InputMatrix, A: ReducedInstance, y: SignVector,
+def lift_assignment(V: InputMatrix, A: ReducedInstance | Strata, y: SignVector,
                     ay_max: float) -> LiftedReport:
     """Evaluate the sign vector on the original matrix and report its bounds.
 
-    ``ay_max`` must be the certified max row discrepancy of ``A`` under the
-    same ``y``; the direct value of the lifted matrix can never exceed
-    2 * R * ay_max, and a breach is reported as an internal inconsistency.
+    ``ay_max`` must be the certified max row discrepancy of the reduced
+    instance under the same ``y``; the direct value of the lifted matrix can
+    never exceed 2 * R * ay_max, and a breach is reported as an internal
+    inconsistency.  Of ``A``, the reduced instance or its strata, only the
+    shape is read.
     """
     if A.m != V.m or A.n != 2 * V.n:
         raise ValueError(

@@ -5,21 +5,24 @@ support of the first violated event (in (row, level) order) until no event
 fires.  A passing certificate guarantees the loop terminates quickly and
 that the terminal assignment meets the instance bound.
 
-The matrix loop sums every event and every row again each round, an
-O(nnz) pass: a certified instance almost never fires, so the rounds it
-does run are few.  The direct hypergraph loop is incremental: every
-coefficient is 1, so each edge sum is a small integer and a running sum is
-exact.  A flipped vertex adds +-2 to each edge in its row of the
-hypergraph's vertex-to-edge table (built at the first redraw).  Each sum
-is kept offset to a list index, so an update first looks up whether the
-step keeps the edge inside the bound, and only the other updates
-touch the heap that keeps the first violated edge and the histogram of
-the |edge sums| over the bound that keeps the largest one.  A certified
-exit reads the largest |edge sum| off the first draw, or off the bound
-when some edge sits at it, and only otherwise sums every edge again.  The
-trajectory is the one a full recompute per round would give, bit for bit.
-The redrawn signs of both loops come from one pool of bytes that holds the
-very stream ``Generator.integers`` would give.
+The matrix loop sums every event and every row again each round, an O(nnz)
+pass: a certified instance almost never fires, so the rounds it does run
+are few.  Its row sums read the reduced instance's entries as a (rows,
+cols, vals) triple in any order that keeps the instance's own within each
+row, so a matrix solve passes the input matrix's relabelled entries and
+the reduced instance is built only when it is read.  The direct hypergraph
+loop is incremental: every coefficient is 1, so each edge sum is a small
+integer and a running sum is exact.  A flipped vertex adds +-2 to each
+edge in its row of the hypergraph's vertex-to-edge table (built at the
+first redraw).  Each sum is kept offset to a list index, so an update
+first looks up whether the step keeps the edge inside the bound, and only
+the other updates touch the heap that keeps the first violated edge and
+the histogram of the |edge sums| over the bound that keeps the largest
+one.  A certified exit reads the largest |edge sum| off the first draw, or
+off the bound when some edge sits at it, and only otherwise sums every
+edge again.  The trajectory is the one a full recompute per round would
+give, bit for bit.  The redrawn signs of both loops come from one pool of
+bytes that holds the very stream ``Generator.integers`` would give.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .model import (
     Parameters,
     ReducedInstance,
     SignVector,
-    discrepancy,
+    _row_discrepancy,
 )
 from .certify import CertificateReport, EventGraph, SymmetricLLLCheck, verify_symmetric_lll
 from .reduction import HypergraphInstance
@@ -117,27 +120,36 @@ class _Signs:
         return out
 
 
-def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds: int,
-                   bound: float) -> SolveResult:
+def _resample_loop(entries, graph: EventGraph, params: Parameters, seed: int,
+                   max_rounds: int, certificate: CertificateReport) -> SolveResult:
     """The matrix path's resampling loop over the graph's events, in priority order.
 
     Event ``e`` has columns ``cols[ptr[e]:ptr[e + 1]]`` (ascending) with
     coefficients from ``vals``, all of ``graph.strata``, and fires when its
-    |sum| exceeds ``graph.threshold[e]``.  ``achieved`` is the largest
-    per-row |A @ y|, as :func:`~lowdisc.model.discrepancy` computes it.
+    |sum| exceeds ``graph.threshold[e]``.  ``entries`` is the reduced
+    instance's (rows, cols, vals), in an order that keeps its own within
+    each row: its own arrays (:func:`moser_tardos`), or the input matrix's
+    relabelled ones, which :func:`~lowdisc.pipeline.solve_matrix` solves
+    from without building the instance.  Either way ``achieved``, the
+    largest per-row |A @ y|, is the one :func:`~lowdisc.model.discrepancy`
+    computes from the instance, bit for bit.
 
     Each round sums every event by one ``np.add.reduceat`` and every row by
-    ``discrepancy``, then redraws exactly one event's support, the first
+    one ``np.bincount``, then redraws exactly one event's support, the first
     violated one, in ascending column order, so the stream consumption and
     hence the whole trajectory is reproducible from ``seed``.  A round
     costs O(nnz); on a certified instance the loop rarely runs one.
     """
+    if certificate is None or not certificate.passed:
+        raise HypothesisViolation([
+            "resampling requires a passing certificate; run verify_lll_condition first"
+        ])
     strata, thresholds = graph.strata, graph.threshold
     ptr, cols, vals = strata.ptr, strata.cols, strata.vals
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
     signs = _Signs(seed)
-    y = np.frombuffer(signs.take(A.m), dtype=np.int8).copy()
+    y = np.frombuffer(signs.take(strata.m), dtype=np.int8).copy()
     counts = np.zeros(len(thresholds), dtype=np.int64)
     rounds = 0
     best_y, best_val = y, math.inf
@@ -146,7 +158,7 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
         violated = (np.abs(np.add.reduceat(vals * y[cols], ptr[:-1])) > thresholds
                     if counts.size else np.zeros(1, dtype=bool))
         e = int(violated.argmax())
-        current = discrepancy(A, y)[1]
+        current = float(_row_discrepancy(*entries, strata.n, y).max())
         if current < best_val:
             best_val, best_y = current, y.copy()
         if not violated[e] or rounds >= max_rounds:
@@ -160,7 +172,7 @@ def _resample_loop(A: ReducedInstance, graph: EventGraph, seed: int, max_rounds:
         y, current = best_y, best_val
     counts.setflags(write=False)
     return SolveResult(y=SignVector(y), certified=certified, achieved=current,
-                       bound=bound, rounds=rounds, resample_counts=counts, seed=seed)
+                       bound=params.bound, rounds=rounds, resample_counts=counts, seed=seed)
 
 
 def _edge_sums(H: HypergraphInstance, y: bytearray) -> np.ndarray:
@@ -292,11 +304,8 @@ def moser_tardos(A: ReducedInstance, graph: EventGraph, params: Parameters,
     each round is the least in (row, level) order, which makes runs fully
     deterministic per seed.
     """
-    if certificate is None or not certificate.passed:
-        raise HypothesisViolation([
-            "resampling requires a passing certificate; run verify_lll_condition first"
-        ])
-    return _resample_loop(A, graph, seed, max_rounds, params.bound)
+    return _resample_loop((A.rows, A.cols, A.vals), graph, params, seed, max_rounds,
+                          certificate)
 
 
 def _direct_check(H: HypergraphInstance) -> SymmetricLLLCheck:

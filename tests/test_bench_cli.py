@@ -16,7 +16,12 @@ from lowdisc.model import HypothesisViolation
 from lowdisc import cli
 from lowdisc.bench import BenchConfig, _format_csv, format_bench_report, run_benchmark
 from lowdisc.cli import main
-from lowdisc.formats import format_hypergraph, format_matrix, parse_instance
+from lowdisc.formats import (
+    format_certificate,
+    format_hypergraph,
+    format_matrix,
+    parse_instance,
+)
 from lowdisc.pipeline import certify_reduced, solve_hypergraph, solve_matrix
 from lowdisc.reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix
 from lowdisc.solver import brute_force_optimum, solve_hypergraph_direct
@@ -382,6 +387,21 @@ def test_every_subcommand_prints_one_record_the_library_agrees_with(
             assert float(record[key]) == value, key
         else:
             assert record[key] == str(value), key
+
+
+@pytest.mark.parametrize("argv", [["certify", "x.mtx"], ["certify", "h.txt", "--mode", "reduce"]],
+                         ids=["matrix", "incidence"])
+def test_certify_prints_the_text_of_the_reduced_instance_certificate(
+        argv, tmp_path, monkeypatch, capsys):
+    # the certificate is built from the matrix's own arrays (certify_matrix), and
+    # prints, byte for byte, what reduce_matrix and certify_reduced print
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.mtx").write_text(format_matrix(_V))
+    (tmp_path / "h.txt").write_text(format_hypergraph(_H))
+    V = _V if argv[1] == "x.mtx" else hypergraph_incidence(_H)
+    params, _, report = certify_reduced(reduce_matrix(V))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == format_certificate(report, params)
 
 
 def test_cli_reduce_route_reports_the_largest_edge_sum_of_its_signs(tmp_path, capsys):

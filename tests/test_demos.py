@@ -38,7 +38,8 @@ PUBLIC_NAMES = [
     "HypergraphSolveOutcome", "HypothesisViolation", "InputMatrix", "InternalInconsistency",
     "LiftedReport", "MatrixSolveOutcome", "Parameters", "ParseError", "ReducedInstance",
     "ReducedSolveOutcome", "SignVector", "SolveResult", "Strata", "SymmetricLLLCheck",
-    "brute_force_optimum", "build_event_graph", "certify_reduced", "compute_parameters",
+    "brute_force_optimum", "build_event_graph", "certify_matrix", "certify_reduced",
+    "compute_parameters",
     "discrepancy", "floor_neg_log2", "format_bench_report", "format_certificate",
     "format_hypergraph", "format_matrix", "hoeffding_tail", "hypergraph_bounds",
     "hypergraph_incidence", "level_exponent_slack", "lift_assignment",

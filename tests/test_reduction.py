@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lowdisc import model
+from lowdisc import model, pipeline, reduction
 from lowdisc.model import (
     REL_TOL,
     HypothesisViolation,
@@ -16,6 +16,7 @@ from lowdisc.model import (
     SignVector,
     compute_parameters,
     discrepancy,
+    stratify,
 )
 from lowdisc.formats import ParseError, format_matrix, parse_instance, parse_matrix_text
 from lowdisc.generate import random_hypergraph, random_matrix, random_reduced
@@ -25,6 +26,7 @@ from lowdisc.reduction import (
     hypergraph_bounds,
     hypergraph_incidence,
     lift_assignment,
+    _split,
     reduce_matrix,
     validate_matrix,
 )
@@ -156,39 +158,57 @@ def test_reduced_budgets_hold_up_to_the_slack_edge_and_no_further(delta, over, a
 @pytest.mark.parametrize("reader", ["bytes", "lines"])
 def test_each_route_checks_the_premise_once_per_instance(tmp_path, monkeypatch, reader):
     """The premise of each instance is checked by one call of the bound check, whichever
-    of the parser, the generator, validation and the certificate asks first."""
-    calls = []
-    check = model._bound_violations
+    of the parser, the generator, validation and the certificate asks first.  A matrix
+    solve checks its reduced premise from the strata, with no reduced instance built."""
+    calls, cores = [], []
+    check, strata_check, core = model._bound_violations, pipeline._strata_violations, model._breaches
 
     def counting(M, *premise):
         calls.append(type(M).__name__)
         return check(M, *premise)
 
+    def counting_strata(*args):
+        calls.append("strata")
+        return strata_check(*args)
+
+    def counting_core(*args):
+        cores.append(1)
+        return core(*args)
+
+    def seen():
+        # every premise check runs the one core, once, and there is no other
+        assert len(cores) == len(calls)
+        got = calls[:]
+        calls.clear()
+        cores.clear()
+        return got
+
     monkeypatch.setattr(model, "_bound_violations", counting)
+    monkeypatch.setattr(pipeline, "_strata_violations", counting_strata)
+    monkeypatch.setattr(model, "_breaches", counting_core)
     V = random_matrix(40, 400, 16.0, 4.0, 0.15, seed=7)
-    assert calls == ["InputMatrix"]
-    calls.clear()
-    solve_matrix(V)
-    assert calls == ["ReducedInstance"]  # V keeps the generator's verdict
+    assert seen() == ["InputMatrix"]
+    out = solve_matrix(V)
+    assert seen() == ["strata"]  # V keeps the generator's verdict
+    assert out.reduced.instance.hypothesis_violations() == []
+    assert seen() == ["ReducedInstance"]  # the instance, once read, gets its own verdict
 
     text = format_matrix(V)
     if reader == "lines":  # a "%" line in the body sends the file to the line reader
         text = text.replace("\n", "\n% a note\n", 4)
     path = tmp_path / "x.mtx"
     path.write_text(text)
-    calls.clear()
     solve_matrix(parse_instance(path))
-    assert calls == ["InputMatrix", "ReducedInstance"]
+    assert seen() == ["InputMatrix", "strata"]
 
     H = random_hypergraph(200, 8, 4, seed=1)
-    calls.clear()
     solve_hypergraph(H, mode="reduce")
-    assert calls == ["InputMatrix", "ReducedInstance"]
+    assert seen() == ["InputMatrix", "strata"]
 
     A = random_reduced(6, 20, 2.0**-5, 2.0**-2, density=0.4, seed=1)
-    calls.clear()
+    assert seen() == ["ReducedInstance"]
     solve_reduced(A)
-    assert calls == []  # A keeps the generator's verdict
+    assert seen() == []  # A keeps the generator's verdict
 
     # a matrix built from V gets its own verdict, and V keeps its own
     half = float(V.row_l1().max()) / 2
@@ -198,7 +218,44 @@ def test_each_route_checks_the_premise_once_per_instance(tmp_path, monkeypatch, 
     first = err.value.violations[0]
     assert first.startswith("row ") and f"exceeds {half!r}" in first
     assert validate_matrix(V) is V
-    assert calls == ["InputMatrix"]
+    assert seen() == ["InputMatrix"]
+
+
+def test_solve_matrix_builds_the_reduced_instance_only_when_it_is_read(monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((reduction, "reduce_matrix"), (pipeline, "reduce_matrix"),
+                         (model, "stratify"), (pipeline, "stratify")):
+        counted(module, name)
+    V = random_matrix(40, 400, 16.0, 4.0, 0.15, seed=7)
+    out = solve_matrix(V, seed=3)
+    solve_hypergraph(random_hypergraph(200, 8, 4, seed=1), mode="reduce")
+    assert calls == []
+    A = out.reduced.instance
+    assert calls == ["reduce_matrix"] and out.reduced.instance is A
+    assert calls == ["reduce_matrix"]  # built once, on the first read
+    monkeypatch.undo()
+
+    B = reduce_matrix(V)
+    assert (A.n, A.m, A.beta, A.delta) == (B.n, B.m, B.beta, B.delta)
+    for name in ("rows", "cols", "vals"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
+    # and the solve is the one solve_reduced makes of that instance
+    ref = solve_reduced(B, seed=3)
+    assert out.result == ref.result and out.reduced.params == ref.params
+    for name in ("row", "level", "ptr", "cols", "vals", "sums"):
+        assert (getattr(out.reduced.graph.strata, name).tobytes()
+                == getattr(ref.graph.strata, name).tobytes())
+    assert ref.instance is B
 
 
 # --- reduction ---------------------------------------------------------------
@@ -297,6 +354,77 @@ def test_reduce_matrix_builds_what_the_constructor_builds_of_the_same_arrays(
         a, b = getattr(A, name), getattr(B, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert not a.flags.writeable and not b.flags.writeable
+
+
+def _assert_split_solves_as_the_reduced_instance(V):
+    """The strata, the premise verdicts and the row sums built from ``V``'s relabelled
+    entries are those built from ``reduce_matrix(V)``, bit for bit, or the same error."""
+    A = reduce_matrix(V)
+    params = compute_parameters(A.beta, A.delta)
+    entries = _split(V)
+    try:
+        want = stratify(A, params)
+    except HypothesisViolation as exc:
+        with pytest.raises(HypothesisViolation) as err:
+            model._stratify(A.n, A.m, *entries, params)
+        assert err.value.violations == exc.violations
+        return
+    got = model._stratify(A.n, A.m, *entries, params)
+    assert (got.n, got.m) == (want.n, want.m)
+    for name in ("row", "level", "ptr", "cols", "vals", "sums"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # the premise verdict, with its texts, and one under an entry bound some entries break
+    for beta in [A.beta] + ([float(np.median(A.vals))] if A.nnz else []):
+        verdict = model._strata_violations(*entries, got, beta, A.delta)
+        assert verdict == model._bound_violations(A, beta, 1, A.delta)
+    assert model._strata_violations(*entries, got, A.beta, A.delta) == A._violations
+    y = np.where(np.arange(A.m) % 3 == 1, -1, 1).astype(np.int8)
+    assert model._row_discrepancy(*entries, A.n, y).tobytes() == discrepancy(A, y)[0].tobytes()
+
+
+SPLIT_POOL = [5e-324, -5e-324, 1e-300, -1e-300, 0.1, -0.1, 0.25, -0.3, 1 / 3, -2 / 3, 1.0, -1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 6)),
+       entries=st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 5)),
+                               st.sampled_from(SPLIT_POOL), max_size=30),
+       R=st.sampled_from([4.0, 5.0, 2.0**900]), Delta=st.sampled_from([2.0, 4.0]))
+@example(shape=(2, 2), entries={(0, 0): 5e-324, (1, 1): 0.5}, R=4.0, Delta=2.0)  # underflows
+@example(shape=(3, 4), entries={(1, j): -0.25 for j in range(4)} | {(0, 1): 0.5, (2, 3): 0.5},
+         R=4.0, Delta=2.0)  # an all-negative row
+@example(shape=(3, 4), entries={}, R=4.0, Delta=2.0)  # the empty matrix
+@example(shape=(2, 2), entries={(0, 0): -3.0, (1, 0): 3.0}, R=4.0, Delta=4.0)  # corrupt, a tie
+# an over-budget column and row whose L1 sums round apart in the input's order and in
+# the strata's level order, respectively
+@example(shape=(3, 1), entries={(0, 0): -1.0, (1, 0): -1.0, (2, 0): 1 / 3}, R=4.0, Delta=2.0)
+@example(shape=(1, 6), entries={(0, 0): -0.1, (0, 1): -2 / 3} | {(0, j): -1.0 for j in range(2, 6)},
+         R=4.0, Delta=2.0)
+def test_strata_from_the_split_are_those_of_the_reduced_instance(shape, entries, R, Delta):
+    n, m = shape
+    V = InputMatrix.from_entries(n, m, [(i, j, v) for (i, j), v in entries.items()
+                                        if i < n and j < m], R, Delta)
+    _assert_split_solves_as_the_reduced_instance(V)
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_split_premise_at_the_slack_edge(axis, ulps):
+    # with R = 4 the reduced values are V's over 4, exactly, so the reduced row or
+    # column 0 sums to its budget * (1 + REL_TOL), moved by ``ulps``
+    budget = 1.0 if axis == "row" else 0.5
+    t = budget * (1.0 + REL_TOL)
+    if ulps:
+        t = float(np.nextafter(t, ulps * np.inf))
+    vals = [1.0] * int(budget / 0.25) + [4.0 * (t - budget)]
+    k = len(vals)
+    V = (InputMatrix(1, k, [0] * k, range(k), vals, 4.0, 2.0) if axis == "row"
+         else InputMatrix(k, 1, range(k), [0] * k, vals, 4.0, 2.0))
+    A = reduce_matrix(V)
+    assert (A.row_l1() if axis == "row" else A.col_l1())[0] == t
+    assert len(A._violations) == (ulps == 1)
+    _assert_split_solves_as_the_reduced_instance(V)
 
 
 @pytest.mark.parametrize("seed", range(4))
