@@ -23,10 +23,10 @@ from lowdisc.generate import random_hypergraph, random_matrix, random_reduced
 from lowdisc.pipeline import solve_hypergraph, solve_matrix, solve_reduced
 from lowdisc.reduction import (
     HypergraphInstance,
+    _split,
     hypergraph_bounds,
     hypergraph_incidence,
     lift_assignment,
-    _split,
     reduce_matrix,
     validate_matrix,
 )
