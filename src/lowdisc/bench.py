@@ -17,7 +17,7 @@ from itertools import product
 from .model import discrepancy
 from .formats import _format_record, _format_value
 from .generate import random_hypergraph, random_matrix
-from .pipeline import solve_hypergraph, solve_matrix
+from .pipeline import reduced_incidence, solve_hypergraph, solve_matrix
 from .reduction import hypergraph_incidence
 from .solver import DEFAULT_MAX_ROUNDS, ORACLE_CAP, brute_force_optimum, random_coloring
 
@@ -110,7 +110,12 @@ def _run_row(config: BenchConfig, size, seed: int, mode: str) -> dict:
     t0 = time.perf_counter()
     try:
         inst = _make_instance(config, size, seed)
-        matrix = inst if config.family == "matrix" else hypergraph_incidence(inst)
+        if config.family == "matrix":
+            matrix = inst
+        elif mode == "reduce":  # validated as solve_hypergraph(mode="reduce") validates it
+            matrix = reduced_incidence(inst)
+        else:
+            matrix = hypergraph_incidence(inst)
         if mode == "baseline":
             y = random_coloring(matrix.m, seed)
             row["achieved"] = discrepancy(matrix, y)[1]

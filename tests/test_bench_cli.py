@@ -13,7 +13,7 @@ import lowdisc
 
 from lowdisc.certify import verify_symmetric_lll
 from lowdisc.model import HypothesisViolation
-from lowdisc import cli
+from lowdisc import cli, formats
 from lowdisc.bench import BenchConfig, _format_csv, format_bench_report, run_benchmark
 from lowdisc.cli import main
 from lowdisc.formats import (
@@ -108,6 +108,19 @@ def test_failed_rows_recorded_and_campaign_continues():
     assert all(r["ok"] is False and "HypothesisViolation" in r["error"] for r in direct)
     assert all(r["ok"] is True for r in baseline)
     assert report.aggregates["failed"] == 2
+
+
+def test_a_closed_reduce_route_is_recorded_as_solve_hypergraph_names_it():
+    # R = 3 < 4: the incidence matrix breaks the matrix hypotheses, and the row
+    # names the route, as solve_hypergraph(mode="reduce") does
+    config = BenchConfig(family="hypergraph", sizes=((64, 3, 2),), seeds=(0,),
+                         modes=("reduce",))
+    (row,) = run_benchmark(config).rows
+    with pytest.raises(HypothesisViolation) as err:
+        solve_hypergraph(random_hypergraph(64, 3, 2, seed=0), mode="reduce")
+    assert row["ok"] is False
+    assert row["error"] == f"HypothesisViolation: {err.value}"
+    assert "reduce route: " in row["error"]
 
 
 def test_report_text_and_csv(tmp_path, monkeypatch):
@@ -205,6 +218,16 @@ def test_cli_size_field_beyond_int64_exits_2_naming_its_line(tmp_path, capsys):
     assert err == "error: line 3: size field 99999999999999999999 exceeds 2^63 - 1\n"
 
 
+def test_cli_names_the_line_of_a_bad_token_and_exits_2(tmp_path, capsys):
+    # a bad token sends the file to the line-by-line reader, which names its line
+    lines = format_matrix(_V).splitlines(keepends=True)
+    lines[5] = lines[5].rsplit(" ", 1)[0] + " x\n"
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("".join(lines))
+    assert main(["certify", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: line 6: entry value 'x' is not a real number\n")
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.mtx")]) == 2
 
@@ -292,6 +315,13 @@ def _read_record(text):
         assert parts[0] not in record, line
         record[parts[0]] = parts[1]
     return record
+
+
+def test_a_record_prints_a_numpy_float_as_the_python_float():
+    # so that every value reads back with float(), whatever the numpy version's repr
+    record = formats._format_record({"kind": "k", "x": np.float64(0.1), "y": np.float64(-2.0)})
+    assert record == "kind = k\nx = 0.1\ny = -2.0\n"
+    assert all(float(v) in (0.1, -2.0) for v in list(_read_record(record).values())[1:])
 
 
 def _matrix_solve(V):

@@ -23,8 +23,9 @@ def test_demo_exits_cleanly(demo, tmp_path):
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
     env = dict(os.environ, TMPDIR=str(tmpdir))  # demo 05 writes a report to a temp dir
+    # the package this suite imported: src/ in a checkout, site-packages when installed
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        p for p in (str(pathlib.Path(lowdisc.__file__).parents[1]), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -475,6 +475,17 @@ def test_write_instance_roundtrip(tmp_path):
     assert parse_instance(hpath).edges == H.edges
 
 
+@pytest.mark.parametrize("instance", [
+    random_matrix(300, 2000, 64.0, 8.0, 0.05, seed=1),  # several emitter blocks and parse windows
+    random_hypergraph(20000, 16, 4, seed=3),  # several emitter blocks
+], ids=["matrix", "edge-list"])
+def test_a_written_file_parsed_and_written_again_is_the_same_file(tmp_path, instance):
+    first, second = tmp_path / "first", tmp_path / "second"
+    write_instance(instance, first)
+    write_instance(parse_instance(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def _file_variants(text):
     """(name, bytes) of a canonical file and of files that differ from it in one way each."""
     lines = text.splitlines(keepends=True)
