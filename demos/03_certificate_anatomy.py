@@ -1,4 +1,4 @@
-"""Inside the certificate: strata, events, weights, and the exact check.
+"""Inside the certificate: strata, events, weights, and the column check.
 
 Walks one small instance through every stage the solver relies on and
 prints the numbers: magnitude buckets per row, each event's threshold, tail
@@ -44,7 +44,10 @@ for e in range(min(8, len(graph))):
           f"{graph.neighbors(e).size:5d}")
 
 report = verify_lll_condition(graph, params, instance=A)
-print(f"\ncertificate passed: {report.passed}, decided by {report.decided_by}")
+# one inequality decides: 2 ln 2 max_c W_c <= min(ln 2, eps^2/16), W_c a column's weight sum
+lhs = 2.0 * math.log(2.0) * float(report.column_weight_sums.max())
+print(f"\ncertificate passed: {report.passed} (2 ln 2 max W_c = {lhs:.3e} "
+      f"<= eps^2/16 = {params.eps**2 / 16:.4f})")
 print(f"  min log-margin over events: {report.min_margin:.4e}")
 print(f"  expected total resamples (sum w/(1-w)): {report.resample_budget:.3e}")
 print(f"  column weight sums: max {report.column_weight_sums.max():.3e} "

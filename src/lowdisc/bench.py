@@ -114,7 +114,7 @@ def _run_row(config: BenchConfig, size, seed: int, mode: str) -> dict:
             matrix = inst
         elif mode == "reduce":  # validated as solve_hypergraph(mode="reduce") validates it
             matrix = reduced_incidence(inst)
-        else:
+        elif mode != "direct":  # baseline and oracle; direct reads the hypergraph
             matrix = hypergraph_incidence(inst)
         if mode == "baseline":
             y = random_coloring(matrix.m, seed)

@@ -18,22 +18,20 @@ one event.  The powers of two are Python floats, one per level, so both
 give the same numbers bit for bit.
 
 The dependency product is bounded one column at a time, as in the paper's
-proof.  With W_c the sum of the weights of the events on column c, and r
-the least (log weight - log tail) / size over the events, every event's
-margin is at least its size times r - 2 ln 2 max_c W_c: each dependent is
-counted at least once in the column sums, and -log(1 - w) <= 2 ln 2 w for
-every weight w <= 1/2.  So one inequality on
-the column sums, checked with outward rounding, decides ``passed`` for the
-whole graph in O(nnz) and proves every margin non-negative in real
-arithmetic.  Only when it fails does the per-event check decide: each
-event's sum over its dependents is bounded from below by the column sums
-S_c of log(1 - weight(F)), less its own terms, which is exact when no
-dependent shares two columns with the event, and only an event that bound
-does not clear gets its exact sum, over its neighbours as the event
-graph's column-to-event index gives them.  The index is O(nnz) and built
-on first use: a certificate decided on columns builds none, and the solver
-never reads it.  The per-event margins are a diagnostic, built on first
-read when the column check decides.
+proof.  log weight - log tail = eps^2 size / 16, each dependent lies on one
+of the event's columns, and -log(1 - w) <= 2 ln 2 w for w <= 1/2; so with
+W_c the sum of the weights on column c, one inequality,
+
+    2 ln 2 max_c W_c  <=  min(ln 2, eps^2 / 16),
+
+checked with outward rounding in O(nnz), proves every margin non-negative.
+On every instance that meets the premise 2 ln 2 W_c < 4.1e-4 eps^2/16:
+fewer than delta 2^(k+1) rows meet a column at level k, each in one event
+of weight at most 2 exp(-4 alpha^2 sqrt(beta 2^k)), and beta 2^k > 1/2 at
+the top level (:func:`verify_lll_condition`).  The per-event margins are a
+diagnostic built on first read, and the column-to-event index behind
+:meth:`EventGraph.neighbors` is O(nnz) and built on first use; neither the
+certificate nor the solver reads it.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ __all__ = [
 
 LOG2 = math.log(2.0)
 
-# pass tolerance for log-space margins
+# tolerance of the 2 * beta column-weight diagnostic
 MARGIN_TOL = 1e-12
 
 
@@ -165,8 +163,7 @@ class EventGraph:
     supports share a column, and that relation is kept as a column-to-event
     index, O(nnz) and built at first use: :meth:`neighbors` reads it for
     the events sharing a column with ``e``, ``e`` excluded, in ascending
-    order.  The certificate reads it only for events its column-sum bound
-    does not clear.
+    order.  The certificate does not read it.
     """
 
     strata: Strata
@@ -257,27 +254,22 @@ def build_event_graph(strata: Strata, params: Parameters) -> EventGraph:
 class CertificateReport:
     """Outcome of the local-lemma certificate check.
 
-    ``decided_by`` names the check that decided ``passed``:
+    ``passed`` is the verdict of :func:`verify_lll_condition`'s column
+    inequality, and ``failure`` names the column that breaks it.
+    ``margins`` holds each event's log-space slack log(weight) + sum
+    log(1 - weight of dependents) - log(tail), its neighbour sum bounded by
+    column sums (exact when no dependent shares two columns with the
+    event), and ``min_margin`` its minimum; both are built from ``graph`` at
+    the first read of either, and ``passed`` reads neither.  From about
+    level 100 on, the float log weight and log tail are both near -10^16
+    and cancel, so ``min_margin`` reads 0.0 there, although each event's
+    slack is size * eps^2/16 plus its (tiny, negative) neighbour sum.
+    ``resample_budget`` is the expected total number of resampling steps,
+    sum of weight/(1 - weight).
 
-    - ``"columns"``: one outward-rounded inequality on the column weight
-      sums, which proves every event's margin non-negative;
-    - ``"events"``: the column inequality failed, and the column-sum bound
-      of each event's margin cleared every event;
-    - ``"exact"``: some event needed its exact sum over its neighbours.
-
-    ``margins`` holds the log-space slack log(weight) + sum log(1 - weight
-    of dependents) - log(tail) per event, and ``min_margin`` its minimum: a
-    margin is the column-sum lower bound of that slack (see
-    :func:`verify_lll_condition`), exact when no dependent shares two
-    columns with the event, and the exact slack for every event the bound
-    puts below -MARGIN_TOL.  When the column inequality decides, they are
-    built at the first read of either, from ``graph``; otherwise the
-    per-event check built them.  ``resample_budget`` is the expected total
-    number of resampling steps, sum of weight/(1 - weight).
-
-    Two labeled diagnostics retrace the coarse steps the exact check
-    replaces: the per-level exponent inequality and the per-column weight
-    sums against 2 * beta.
+    Two labeled diagnostics retrace the coarse steps of the paper's proof:
+    the per-level exponent inequality and the per-column weight sums
+    against 2 * beta.
     """
 
     passed: bool
@@ -287,70 +279,58 @@ class CertificateReport:
     column_weight_ok: bool
     n_events: int
     failure: str | None
-    decided_by: str
     graph: EventGraph = field(repr=False)
 
     @cached_property
     def margins(self) -> np.ndarray:
-        return _event_margins(self.graph, np.exp(self.graph.log_weight))[0]
+        return _event_margins(self.graph)
 
     @property
     def min_margin(self) -> float:
         return float(self.margins.min()) if self.margins.size else math.inf
 
 
-def _columns_clear(graph: EventGraph, size: np.ndarray, column_sums: np.ndarray) -> bool:
-    """Whether 2 ln 2 max_c W_c <= min_e (log_weight[e] - log_tail[e]) / size[e]
-    holds in real arithmetic, W_c the sum of exp(log_weight) over the events
-    on column c, given ``column_sums``, the float64 ``np.bincount`` of those
-    sums.
+def _column_sides(column_sums: np.ndarray, params: Parameters, B: int) -> tuple[float, float]:
+    """The two sides of 2 ln 2 max_c W_c <= min(ln 2, eps^2/16), the left
+    rounded up and the right down, so that the float comparison implies the
+    inequality in real arithmetic; W_c is the sum of the real weights
+    2 exp(-eps^2 size / 16 - eps alpha 2^(level/2) / 2) of the B events on
+    column c, and ``column_sums`` the float64 ``np.bincount`` of
+    exp(log_weight) over them.
 
-    The left side is rounded up: numpy's ``exp`` is taken to be within one
-    ulp (2^-52 relative, or 2^-1074 below the normal range), a column sum
-    of B or fewer non-negative terms within gamma_B of its value (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §4.2), and
-    ``LOG2`` and the three roundings here within one unit each, for at most
-    (B + 5) units of 2^-53 in all, against the (2B + 8) that ``grow``
-    allows; ``+ (B + 1) 2^-1022`` covers every error below the normal
-    range.  The right side is rounded down by 2^-50 relative, which covers
-    its subtraction, its division and that product.  A left side at most
-    ln 2 also bounds every weight by 1/2, where -log(1 - w) <= 2 ln 2 w
-    holds.  A NaN fails.
+    A float log weight takes at most 8 roundings on terms that, wherever the
+    weight is above 2^-1074, are below 747, so it is within 2^-40 of the
+    real log, and the factor (1 + 2^-36) covers that.  numpy's ``exp`` is
+    taken to be within one ulp (2^-52 relative, or 2^-1074 below the normal
+    range), a column sum of B or fewer non-negative terms within gamma_B of
+    its value (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., §4.2), and ``LOG2`` and the four roundings here within one unit
+    each: at most (B + 7) units of 2^-53, against the (2B + 8) that ``grow``
+    allows.  ``+ (B + 1) 2^-1022`` covers every error below the normal
+    range, underflowed weights included.  The right side is ``LOG2``, below
+    ln 2, or eps^2/16 rounded down by 2^-50 relative, which covers its two
+    roundings.  A left side at most ln 2 also bounds every weight by 1/2,
+    where -log(1 - w) <= 2 ln 2 w holds.  A NaN sum makes the left side NaN.
     """
-    B = len(graph)
-    if B == 0:
-        return True
-    allowance = float(((graph.log_weight - graph.log_tail) / size).min())
     grow = 1.0 + (B + 4) * 2.0**-52  # exact while B < 2^52
-    need = 2.0 * LOG2 * float(column_sums.max()) * grow + (B + 1) * 2.0**-1022
-    return need <= LOG2 and need <= allowance * (1.0 - 2.0**-50)
+    need = (2.0 * LOG2 * float(column_sums.max(initial=0.0)) * grow * (1.0 + 2.0**-36)
+            + (B + 1) * 2.0**-1022)
+    return need, min(LOG2, params.eps * params.eps / 16.0 * (1.0 - 2.0**-50))
 
 
-def _event_margins(graph: EventGraph, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Each event's margin and its sum of log(1 - w) over its dependents, by
-    the column-sum bound and, for the events that bound puts below
-    -MARGIN_TOL, exactly; and whether any event took the exact sum.  ``w``
-    is ``exp(graph.log_weight)``.
-    """
+def _event_margins(graph: EventGraph) -> np.ndarray:
+    """Each event's margin, with its sum of log(1 - w) over its dependents
+    bounded from below by the column sums (see :class:`CertificateReport`)."""
     strata = graph.strata
     size = np.diff(strata.ptr)
-    log_w, log_p = graph.log_weight, graph.log_tail
-    log1m_w = np.log1p(-w)
+    log1m_w = np.log1p(-np.exp(graph.log_weight))
     col_log1m = _bincount(strata.cols, np.repeat(log1m_w, size), strata.m)
     nbr_sums = ((np.add.reduceat(col_log1m[strata.cols], strata.ptr[:-1]) if len(strata)
                  else np.zeros(0))
                 - size * log1m_w)
-    margins = log_w + nbr_sums - log_p
-    low = np.flatnonzero(margins < -MARGIN_TOL)
-    if low.size:
-        # the exact sums of those events, each over its neighbours, ascending
-        near = [graph.neighbors(e) for e in low]
-        lens = [f.size for f in near]
-        nbr_sums[low] = np.bincount(np.arange(low.size).repeat(lens),
-                                    weights=log1m_w[np.concatenate(near)], minlength=low.size)
-        margins[low] = log_w[low] + nbr_sums[low] - log_p[low]
+    margins = graph.log_weight + nbr_sums - graph.log_tail
     margins.setflags(write=False)
-    return margins, nbr_sums, bool(low.size)
+    return margins
 
 
 def _require_premise(problems: list[str]) -> None:
@@ -362,69 +342,55 @@ def _require_premise(problems: list[str]) -> None:
 
 def verify_lll_condition(graph: EventGraph, params: Parameters,
                          instance: ReducedInstance | None = None) -> CertificateReport:
-    """Check the local-lemma condition for every event.
+    """Check the local-lemma condition for every event by one inequality:
+    ``passed`` is 2 ln 2 max_c W_c <= min(ln 2, eps^2/16), with W_c the sum
+    of the weights on column c and both sides rounded outward
+    (:func:`_column_sides`).  When it holds, every event's margin is at
+    least its size times eps^2/16 - 2 ln 2 max_c W_c >= 0 in real
+    arithmetic (see the module docstring).
 
-    Each event's tail bound, weight and product over its dependency
-    neighborhood are taken in log space, with no proof-style relaxations of
-    the condition itself.  The column check decides first: when
-    2 ln 2 max_c W_c, with W_c the sum of the weights on column c, is at
-    most the least (log weight - log tail) / size over the events, both
-    sides rounded outward (:func:`_columns_clear`), every margin is
-    non-negative, ``passed`` is true and ``decided_by`` is ``"columns"``.
-    The per-event margins are then built only when ``margins`` or
-    ``min_margin`` is read.
-
-    Otherwise the per-event check decides, and builds the margins now.  The
-    product's log, a sum of log(1 - weight(F)) over the dependents F, is
-    bounded from below by column sums: with S_c that sum over the events on
-    column c, it is at least sum_{c in C_e} S_c - |C_e| log(1 - weight(e)),
-    because every term is at most 0 and each dependent is counted at least
-    once.  Both sides are equal when no dependent shares two columns with
-    the event.  An event the bound clears (by -MARGIN_TOL) also clears
-    exactly; an event it does not clear gets its exact sum over
-    :meth:`EventGraph.neighbors`, in ascending order, so ``passed`` is the
-    exact check's answer, and the graph's column index is built only when
-    some event needs it.
+    Every graph of an instance that meets the premise passes, with room: a
+    row meets a column in at most one event, as an entry lies in one bucket;
+    fewer than delta 2^(k+1) rows meet it at level k, as each such entry
+    exceeds 2^-(k+1) and the column sums to at most delta (up to
+    ``REL_TOL``); each such weight is at most 2 exp(-4 alpha^2 sqrt(beta 2^k)),
+    as eps alpha / 2 = 4 alpha^2 sqrt(beta); and beta 2^k > 1/2 at the top
+    level.  Summed over the levels, with delta / beta^2 = 2^(alpha^2) and
+    alpha^2 >= 3, that puts 2 ln 2 W_c below 4.1e-4 eps^2/16.  So ``passed``
+    is false only for a graph outside the premise, or for a bug, and a
+    failure names the column with the largest sum and both sides.  The
+    per-event margins are built only when ``margins`` or ``min_margin`` is
+    read.
 
     Passing ``instance`` first re-checks its hypotheses, so a failure is
     attributed correctly: an instance violating the hypotheses raises
-    :class:`HypothesisViolation`, while a failing margin on a valid
-    instance is reported as evidence of a bug.
+    :class:`HypothesisViolation`, while a failure on a valid instance is
+    reported as evidence of a bug.
     """
     if instance is not None:
         _require_premise(instance.hypothesis_violations())
     strata = graph.strata
-    size = np.diff(strata.ptr)
     w = np.exp(graph.log_weight)
     budget = float((w / (1.0 - w)).sum())
     low = int(strata.level.min(initial=0))  # the occupied levels, ascending
     occupied = np.flatnonzero(np.bincount(strata.level - low)) + low
     level_slacks = {k: level_exponent_slack(k, params) for k in occupied.tolist()}
-    column_sums = _bincount(strata.cols, np.repeat(w, size), strata.m)
+    column_sums = _bincount(strata.cols, np.repeat(w, np.diff(strata.ptr)), strata.m)
     column_ok = bool((column_sums <= 2.0 * params.beta + MARGIN_TOL).all())
     column_sums.setflags(write=False)
-    passed, failure, decided_by = True, None, "columns"
-    if not _columns_clear(graph, size, column_sums):
-        margins, nbr_sums, exact = _event_margins(graph, w)
-        passed = bool((margins >= -MARGIN_TOL).all())
-        decided_by = "exact" if exact else "events"
-        if not passed:
-            idx = int(np.argmin(margins))
-            failure = (
-                f"{_event_name(strata, idx)}: "
-                f"log tail {float(graph.log_tail[idx])!r} > "
-                f"log weight {float(graph.log_weight[idx])!r} + "
-                f"sum log(1-w) {float(nbr_sums[idx])!r} "
-                f"(margin {float(margins[idx])!r}); the instance satisfies the hypotheses, "
-                "so this indicates a bug"
-            )
-    report = CertificateReport(passed=passed, resample_budget=budget,
-                               level_slacks=level_slacks, column_weight_sums=column_sums,
-                               column_weight_ok=column_ok, n_events=len(strata),
-                               failure=failure, decided_by=decided_by, graph=graph)
-    if decided_by != "columns":
-        vars(report)["margins"] = margins  # what the first read would build again
-    return report
+    need, allowance = _column_sides(column_sums, params, len(strata))
+    passed = bool(need <= allowance)
+    failure = None
+    if not passed:
+        c = int(np.argmax(column_sums))
+        failure = (f"column {c}: 2 ln 2 W_c {need!r} (W_c {float(column_sums[c])!r}, "
+                   f"rounded up) > min(ln 2, eps^2/16) {allowance!r} (rounded down); "
+                   "every instance that satisfies the hypotheses clears this, "
+                   "so this indicates a bug")
+    return CertificateReport(passed=passed, resample_budget=budget,
+                             level_slacks=level_slacks, column_weight_sums=column_sums,
+                             column_weight_ok=column_ok, n_events=len(strata),
+                             failure=failure, graph=graph)
 
 
 @dataclass(frozen=True)

@@ -819,7 +819,7 @@ def _format_record(record: dict) -> str:
 def format_certificate(report, params) -> str:
     """Render a certificate report as machine-parseable key = value lines."""
     sums = report.column_weight_sums
-    record = dict(kind="lll-certificate", passed=report.passed, decided_by=report.decided_by,
+    record = dict(kind="lll-certificate", passed=report.passed,
                   events=report.n_events, min_margin=report.min_margin,
                   resample_budget=report.resample_budget,
                   column_weight_ok=report.column_weight_ok,

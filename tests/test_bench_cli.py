@@ -13,7 +13,7 @@ import lowdisc
 
 from lowdisc.certify import verify_symmetric_lll
 from lowdisc.model import HypothesisViolation
-from lowdisc import cli, formats
+from lowdisc import bench, cli, formats
 from lowdisc.bench import BenchConfig, _format_csv, format_bench_report, run_benchmark
 from lowdisc.cli import main
 from lowdisc.formats import (
@@ -26,6 +26,8 @@ from lowdisc.pipeline import certify_reduced, solve_hypergraph, solve_matrix
 from lowdisc.reduction import HypergraphInstance, hypergraph_incidence, reduce_matrix
 from lowdisc.solver import brute_force_optimum, solve_hypergraph_direct
 from lowdisc.generate import random_hypergraph, random_matrix
+
+from test_certify_columns import tiny_entry_matrix
 
 
 # --- campaign configuration -------------------------------------------------
@@ -96,6 +98,21 @@ def test_hypergraph_campaign_direct_mode():
         assert row["ok"] and row["certified"] is True
         assert row["achieved"] <= lam
         assert row["bound"] == pytest.approx(lam, rel=1e-15)
+
+
+def test_a_direct_campaign_builds_no_incidence_matrix(monkeypatch):
+    # direct mode solves the hypergraph itself; only baseline and oracle read its
+    # incidence matrix
+    config = BenchConfig(family="hypergraph", sizes=((128, 64, 4),), seeds=(0,),
+                         modes=("direct",))
+    calls = []
+    monkeypatch.setattr(bench, "hypergraph_incidence",
+                        lambda H: calls.append(H) or hypergraph_incidence(H))
+    (row,) = run_benchmark(config).rows
+    assert calls == []
+    out = solve_hypergraph(random_hypergraph(128, 64, 4, seed=0), mode="direct", seed=0)
+    assert (row["ok"], row["achieved"], row["bound"], row["certified"], row["resamples"]) == (
+        True, out.result.achieved, out.result.bound, out.result.certified, out.result.rounds)
 
 
 def test_failed_rows_recorded_and_campaign_continues():
@@ -351,8 +368,8 @@ def _hypergraph_solve(H, mode):
 
 def _certificate(V):
     params, _, report = certify_reduced(reduce_matrix(V))
-    # a valid instance is decided by the column check, and the margins are built for the record
-    record = dict(kind="lll-certificate", passed=report.passed, decided_by="columns",
+    # the margins are built for the record
+    record = dict(kind="lll-certificate", passed=report.passed,
                   events=report.n_events, min_margin=report.min_margin,
                   resample_budget=report.resample_budget,
                   column_weight_ok=report.column_weight_ok,
@@ -544,6 +561,19 @@ def test_every_entry_point_raises_one_violation_where_no_route_is_open(tmp_path,
         assert main(argv[:1] + [str(hg)] + argv[1:]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", "hypothesis violation: " + "; ".join(expected) + "\n")
+
+
+def test_cli_certifies_and_solves_a_matrix_with_entries_at_deep_levels(tmp_path, capsys):
+    # every 7th entry scaled by 1e-40: events near level 140, where the per-event
+    # margins read 0.0; the one column inequality decides the certificate
+    V = tiny_entry_matrix()
+    path = tmp_path / "tiny.mtx"
+    path.write_text(format_matrix(V))
+    assert main(["certify", str(path)]) == 0
+    record = _read_record(capsys.readouterr().out)
+    assert record["passed"] == "true" and "decided_by" not in record
+    assert main(["solve", str(path)]) == 0
+    assert _read_record(capsys.readouterr().out)["certified"] == "true"
 
 
 def test_cli_certify_and_solve_take_the_direct_route_together(tmp_path, capsys):

@@ -288,22 +288,21 @@ def test_column_weight_sums_below_two_beta():
 
 
 def test_lowered_weight_fails_and_names_the_event():
+    # a raised weight that breaks a column fails, and the failure names that column
     A = random_reduced(12, 40, 2.0**-6, 2.0**-2, density=0.4, seed=3)
     params = compute_parameters(2.0**-6, 2.0**-2)
     graph = build_event_graph(stratify(A, params), params)
     assert verify_lll_condition(graph, params, instance=A).passed
     e = len(graph) // 2
-    assert graph.neighbors(e).size > 0
     log_weight = graph.log_weight.copy()
-    log_weight[e] = graph.log_tail[e] - 1.0  # weight far below the tail bound
+    log_weight[e] = math.log(0.49)  # 2 ln 2 * 0.49 > eps^2/16 = 0.625
     report = verify_lll_condition(dataclasses.replace(graph, log_weight=log_weight),
                                   params, instance=A)
     assert not report.passed
-    assert int(np.argmin(report.margins)) == e and report.margins[e] < -0.5
-    s = graph.strata
-    assert report.failure.startswith(
-        f"event {e} (row={int(s.row[e])}, level={int(s.level[e])}, "
-        f"size={int(s.ptr[e + 1] - s.ptr[e])}): log tail ")
+    c = int(np.argmax(report.column_weight_sums))
+    assert c in graph.strata.support(e).tolist()
+    assert report.failure.startswith(f"column {c}: 2 ln 2 W_c ")
+    assert f"(W_c {float(report.column_weight_sums[c])!r}, rounded up) > " in report.failure
     assert "indicates a bug" in report.failure
 
 
@@ -324,7 +323,7 @@ def _counted_index_builds(monkeypatch) -> list:
 
 def _exact_neighbor_sums(graph) -> np.ndarray:
     """Each event's sum of log(1 - weight) over its neighbours, ascending:
-    the sum the certificate falls back to."""
+    the sum the margins bound by column sums."""
     log1m_w = np.log1p(-np.exp(graph.log_weight))
     near = [graph.neighbors(e) for e in range(len(graph))]
     owner = np.arange(len(graph)).repeat([f.size for f in near])
@@ -352,53 +351,6 @@ def test_a_certificate_the_bound_clears_builds_no_column_index(monkeypatch):
     np.testing.assert_allclose(report.margins, exact, rtol=1e-12, atol=0.0)
 
 
-def _heavy_graph():
-    """A graph with every weight 1/10, and the column-sum bound of each
-    event's neighbour sum, which falls short of the exact sum by 0.1 or
-    more wherever a neighbour shares two columns."""
-    A = random_reduced(12, 40, 2.0**-6, 2.0**-2, density=0.4, seed=3)
-    params = compute_parameters(2.0**-6, 2.0**-2)
-    graph = build_event_graph(stratify(A, params), params)
-    graph = dataclasses.replace(graph, log_weight=np.full(len(graph), math.log(0.1)))
-    s = graph.strata
-    size = np.diff(s.ptr)
-    log1m_w = np.log1p(-np.exp(graph.log_weight))
-    col = np.bincount(s.cols, weights=np.repeat(log1m_w, size), minlength=s.m)
-    bound = np.add.reduceat(col[s.cols], s.ptr[:-1]) - size * log1m_w
-    return A, params, graph, bound
-
-
-@pytest.mark.parametrize("fail", [False, True])
-def test_events_the_bound_does_not_clear_get_the_exact_margin(monkeypatch, fail):
-    A, params, graph, bound = _heavy_graph()
-    exact = _exact_neighbor_sums(graph)
-    assert (bound <= exact + 1e-12).all()
-    chosen = np.flatnonzero(exact - bound > 0.05)[::2]
-    assert chosen.size >= 3 and _shares_two_columns(graph)[chosen].all()
-    # the bound clears every other event by 1; each chosen event's tail sits
-    # halfway between its bound and exact sums, so only the exact sum clears
-    log_tail = graph.log_weight + bound - 1.0
-    log_tail[chosen] = graph.log_weight[chosen] + (exact[chosen] + bound[chosen]) / 2.0
-    if fail:
-        log_tail[chosen[1]] = graph.log_weight[chosen[1]] + exact[chosen[1]] + 1.0
-    graph = dataclasses.replace(graph, log_tail=log_tail)
-    exact_margins = graph.log_weight + exact - log_tail
-    calls = _counted_index_builds(monkeypatch)
-    report = verify_lll_condition(graph, params, instance=A)
-    assert len(calls) == 1 and calls[0] is graph  # the index, built once for the chosen events
-    np.testing.assert_array_equal(report.margins[chosen], exact_margins[chosen])
-    rest = np.setdiff1d(np.arange(len(graph)), chosen)
-    np.testing.assert_allclose(report.margins[rest], 1.0, rtol=1e-12)
-    assert report.passed == bool((exact_margins >= -MARGIN_TOL).all()) == (not fail)
-    if fail:
-        e = int(np.argmin(exact_margins))
-        assert e == chosen[1] and int(np.argmin(report.margins)) == e
-        assert report.failure.startswith(f"event {e} (row=")
-        assert f"sum log(1-w) {float(exact[e])!r} " in report.failure
-    else:
-        assert report.failure is None
-
-
 def test_invalid_instance_is_distinguished_from_condition_failure():
     # column sums exceed delta: the certifier must blame the instance
     A = _reduced([[0.25], [0.25], [0.25]], 0.25, 0.5)
@@ -407,7 +359,7 @@ def test_invalid_instance_is_distinguished_from_condition_failure():
     with pytest.raises(HypothesisViolation) as err:
         verify_lll_condition(graph, P14, instance=A)
     assert "instance violates hypotheses" in str(err.value)
-    # without the instance the exact check still runs (and, here, passes)
+    # without the instance the column check still runs (and, here, passes)
     assert verify_lll_condition(graph, P14).passed
 
 
@@ -450,11 +402,11 @@ def test_event_graph_and_first_redraw_memory_grow_with_nnz():
         certify_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the certificate is decided by the column check and holds one array over
-    # the incidences: 0.75x the Strata arrays (1.4x while it built every margin)
+    # the certificate holds one array over the incidences: 0.75x the Strata
+    # arrays (1.4x while it built every margin)
     strata_bytes = sum(getattr(strata, k).nbytes
                        for k in ("row", "level", "ptr", "cols", "vals", "sums"))
-    assert report.passed and report.decided_by == "columns" and certify_peak < strata_bytes
+    assert report.passed and certify_peak < strata_bytes
     # buckets of two or more entries fire whenever their signs agree, so the
     # solve redraws
     s = graph.strata
